@@ -387,7 +387,11 @@ func (d *dispatcher) driveLocal() {
 			if d.ctx.Err() != nil {
 				break
 			}
-			d.m.Add(sweep.RunCell(d.ctx, d.opts.LocalEngine, d.spec, c))
+			cr := sweep.RunCell(d.ctx, d.opts.LocalEngine, d.spec, c)
+			if sweep.Interrupted(d.ctx, cr) {
+				break
+			}
+			d.m.Add(cr)
 		}
 	}
 }

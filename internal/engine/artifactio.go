@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/ideal"
 	"repro/internal/multiset"
@@ -63,49 +65,137 @@ func (e *Engine) durability() (*store.Store, PeerFetchFunc) {
 	return e.artstore, e.peerFetch
 }
 
-// stableArtifact is the durable stable-analysis encoding. Version 1
-// carries the minimal bases of U_0 and U_1 in arena insertion order plus
-// the fixpoint's reporting counters, and everything else is recomputed
-// deterministically by stable.Restore. Version 2 adds the derived ideal
-// decompositions (SC_0, SC_1 and their union, ω coordinates as -1 — the
-// in-memory sentinel), which stable.RestoreDerived restores verbatim
-// instead of recomputing: complementation dominates Restore on threshold
-// families, and skipping it is what makes a durable-store hit an order of
-// magnitude cheaper than the fixpoint. V1 payloads (fields absent) still
-// decode through the recomputing path.
-type stableArtifactV1 struct {
-	V          int       `json:"v"`
-	Basis0     [][]int64 `json:"basis0"`
-	Basis1     [][]int64 `json:"basis1"`
-	Iterations [2]int    `json:"iterations"`
-	Frontier   [2]int    `json:"frontier"`
-	// V2 fields: the derived decompositions, each ideal as its caps vector.
-	SC0   [][]int64 `json:"sc0,omitempty"`
-	SC1   [][]int64 `json:"sc1,omitempty"`
-	SCAll [][]int64 `json:"scAll,omitempty"`
+// Stable and basis artifacts share one compact binary codec. A payload
+// opens with artifactVersion; every integer after it is a varint —
+// unsigned (binary.AppendUvarint) for counts, counters and transition
+// multisets, zigzag (binary.AppendVarint) for vector coordinates, with ω
+// stored as -1, the in-memory sentinel ideal.Omega. A stable payload is
+//
+//	version | d | iterations₀ iterations₁ | frontier₀ frontier₁ |
+//	U_0 basis | U_1 basis | SC_0 | SC_1 | SC_0 ∪ SC_1
+//
+// where d must equal the protocol's state count and each of the five
+// sections is a row count followed by count×d coordinates: the minimal
+// bases of U_b in canonical order, then the derived ideal decompositions,
+// each ideal as its caps vector. stable.RestoreDerived restores all of it
+// verbatim, so a durable hit skips both the fixpoint and the
+// complementation. A basis payload is
+//
+//	version | count | per multiset: pairs, then (transition, count) pairs
+//
+// in ascending transition order, preserving the basis slice order that
+// certify-leaderless consumes.
+//
+// Decoding is strict, so that every accepted payload re-encodes to the
+// same bytes: overlong varints, out-of-range values, unsorted pairs and
+// trailing bytes are rejected, and a section's size is checked against
+// the bytes that remain before anything is allocated for it. The JSON
+// payloads of earlier releases (versions 1 and 2) begin with '{' and fail
+// the version check; loadStable and loadBasis then delete and recompute
+// them like any other undecodable entry.
+const artifactVersion = 3
+
+// artifactReader consumes a binary artifact payload. The first failure
+// sticks: every later read is a no-op returning zero, so decoders check
+// the error once, at finish.
+type artifactReader struct {
+	buf []byte
+	err error
 }
 
-// basisArtifactV1 is version 1 of the durable realisable-basis encoding.
-// Each transition multiset becomes its sorted [transition, count] pairs;
-// the basis slice order (which certify-leaderless consumes) is preserved.
-type basisArtifactV1 struct {
-	V     int          `json:"v"`
-	Basis [][][2]int64 `json:"basis"`
+func newArtifactReader(payload []byte) *artifactReader {
+	r := &artifactReader{buf: payload}
+	switch {
+	case len(payload) == 0:
+		r.err = errors.New("empty payload")
+	case payload[0] != artifactVersion:
+		r.err = fmt.Errorf("unsupported version byte %#x", payload[0])
+	default:
+		r.buf = payload[1:]
+	}
+	return r
 }
 
-func packIdeals(ideals []ideal.Ideal) [][]int64 {
-	out := make([][]int64, len(ideals))
-	for i, id := range ideals {
-		caps := make([]int64, id.Dim())
-		for j := range caps {
-			caps[j] = id.Cap(j)
+func (r *artifactReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+// minimal reports whether an n-byte varint at the head of buf is in its
+// shortest form (a multi-byte varint never ends in a zero byte).
+func minimal(buf []byte, n int) bool { return n == 1 || (n > 1 && buf[n-1] != 0) }
+
+// varint decodes the zigzag varint at the head of buf; n ≤ 0 when it is
+// malformed or not minimal.
+func varint(buf []byte) (v int64, n int) {
+	if len(buf) > 0 && buf[0] < 0x80 {
+		return int64(buf[0]>>1) ^ -int64(buf[0]&1), 1 // most coordinates are small
+	}
+	if v, n = binary.Varint(buf); !minimal(buf, n) {
+		return 0, 0
+	}
+	return v, n
+}
+
+// uvarint reads one unsigned varint no larger than limit.
+func (r *artifactReader) uvarint(limit uint64) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf)
+	if !minimal(r.buf, n) {
+		r.fail("malformed varint")
+		return 0
+	}
+	if v > limit {
+		r.fail("value %d exceeds %d", v, limit)
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// count reads a row count whose rows take at least width bytes each, so
+// that whatever is allocated for them is bounded by the bytes remaining.
+func (r *artifactReader) count(width int) int {
+	n := r.uvarint(math.MaxInt)
+	if r.err == nil && n > uint64(len(r.buf)/max(width, 1)) {
+		r.fail("count %d overruns the %d bytes remaining", n, len(r.buf))
+		return 0
+	}
+	return int(n)
+}
+
+// rows reads one section — a count, then count×d zigzag coordinates, each
+// at least lo — into one flat slice and returns row views into it.
+func (r *artifactReader) rows(d int, lo int64) []multiset.Vec {
+	count := r.count(d)
+	if r.err != nil {
+		return nil
+	}
+	flat := make([]int64, count*d)
+	buf := r.buf
+	for i := range flat {
+		v, n := varint(buf)
+		if n <= 0 || v < lo {
+			r.fail("bad coordinate in row %d", i/d)
+			return nil
 		}
-		out[i] = caps
+		flat[i] = v
+		buf = buf[n:]
+	}
+	r.buf = buf
+	out := make([]multiset.Vec, count)
+	for i := range out {
+		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
 	}
 	return out
 }
 
-func unpackIdeals(rows [][]int64) []ideal.Ideal {
+// ideals reads one section of ideal caps vectors.
+func (r *artifactReader) ideals(d int) []ideal.Ideal {
+	rows := r.rows(d, ideal.Omega)
 	out := make([]ideal.Ideal, len(rows))
 	for i, caps := range rows {
 		out[i] = ideal.NewIdeal(caps)
@@ -113,84 +203,119 @@ func unpackIdeals(rows [][]int64) []ideal.Ideal {
 	return out
 }
 
-func encodeStableArtifact(a *stable.Analysis) ([]byte, error) {
-	art := stableArtifactV1{V: 2}
-	pack := func(basis []multiset.Vec) [][]int64 {
-		out := make([][]int64, len(basis))
-		for i, m := range basis {
-			out[i] = []int64(m)
-		}
-		return out
+// finish reports the first decode failure, or trailing bytes.
+func (r *artifactReader) finish() error {
+	if r.err == nil && len(r.buf) > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.buf))
 	}
-	art.Basis0 = pack(a.Unstable(0).MinBasis())
-	art.Basis1 = pack(a.Unstable(1).MinBasis())
-	art.Iterations = [2]int{a.Iterations(0), a.Iterations(1)}
-	art.Frontier = [2]int{a.FrontierProcessed(0), a.FrontierProcessed(1)}
+	return r.err
+}
+
+func appendVecs(buf []byte, rows []multiset.Vec) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	for _, row := range rows {
+		for _, v := range row {
+			buf = binary.AppendVarint(buf, v)
+		}
+	}
+	return buf
+}
+
+func appendIdeals(buf []byte, ideals []ideal.Ideal) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ideals)))
+	for _, id := range ideals {
+		for j := 0; j < id.Dim(); j++ {
+			buf = binary.AppendVarint(buf, id.Cap(j))
+		}
+	}
+	return buf
+}
+
+func encodeStableArtifact(a *stable.Analysis) []byte {
 	der := a.Derived()
-	art.SC0 = packIdeals(der.SC[0])
-	art.SC1 = packIdeals(der.SC[1])
-	art.SCAll = packIdeals(der.SCAll)
-	return json.Marshal(art)
+	buf := []byte{artifactVersion}
+	buf = binary.AppendUvarint(buf, uint64(a.Unstable(0).Dim()))
+	for b := 0; b <= 1; b++ {
+		buf = binary.AppendUvarint(buf, uint64(a.Iterations(b)))
+	}
+	for b := 0; b <= 1; b++ {
+		buf = binary.AppendUvarint(buf, uint64(a.FrontierProcessed(b)))
+	}
+	buf = appendVecs(buf, a.Unstable(0).MinBasis())
+	buf = appendVecs(buf, a.Unstable(1).MinBasis())
+	buf = appendIdeals(buf, der.SC[0])
+	buf = appendIdeals(buf, der.SC[1])
+	return appendIdeals(buf, der.SCAll)
 }
 
 func decodeStableArtifact(p *protocol.Protocol, payload []byte) (*stable.Analysis, error) {
-	var art stableArtifactV1
-	if err := json.Unmarshal(payload, &art); err != nil {
+	r := newArtifactReader(payload)
+	d := p.NumStates()
+	if got := r.uvarint(math.MaxInt); r.err == nil && got != uint64(d) {
+		r.fail("dimension %d, protocol has %d states", got, d)
+	}
+	var iters, front [2]int
+	for b := range iters {
+		iters[b] = int(r.uvarint(math.MaxInt))
+	}
+	for b := range front {
+		front[b] = int(r.uvarint(math.MaxInt))
+	}
+	basis := [2][]multiset.Vec{r.rows(d, 0), r.rows(d, 0)}
+	der := stable.Derived{SC: [2][]ideal.Ideal{r.ideals(d), r.ideals(d)}}
+	der.SCAll = r.ideals(d)
+	if err := r.finish(); err != nil {
 		return nil, fmt.Errorf("stable artifact: %w", err)
 	}
-	unpack := func(rows [][]int64) []multiset.Vec {
-		out := make([]multiset.Vec, len(rows))
-		for i, r := range rows {
-			out[i] = multiset.Vec(r)
-		}
-		return out
-	}
-	basis := [2][]multiset.Vec{unpack(art.Basis0), unpack(art.Basis1)}
-	switch art.V {
-	case 1:
-		return stable.Restore(p, basis, art.Iterations, art.Frontier)
-	case 2:
-		return stable.RestoreDerived(p, basis, art.Iterations, art.Frontier, stable.Derived{
-			SC:    [2][]ideal.Ideal{unpackIdeals(art.SC0), unpackIdeals(art.SC1)},
-			SCAll: unpackIdeals(art.SCAll),
-		})
-	default:
-		return nil, fmt.Errorf("stable artifact: unsupported version %d", art.V)
-	}
+	return stable.RestoreDerived(p, basis, iters, front, der)
 }
 
-func encodeBasisArtifact(basis []realise.TransitionMultiset) ([]byte, error) {
-	art := basisArtifactV1{V: 1, Basis: make([][][2]int64, len(basis))}
-	for i, pi := range basis {
-		pairs := make([][2]int64, 0, len(pi))
-		for t, c := range pi {
-			pairs = append(pairs, [2]int64{int64(t), c})
+func encodeBasisArtifact(basis []realise.TransitionMultiset) []byte {
+	buf := []byte{artifactVersion}
+	buf = binary.AppendUvarint(buf, uint64(len(basis)))
+	var ts []int
+	for _, pi := range basis {
+		ts = ts[:0]
+		for t := range pi {
+			ts = append(ts, t)
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a][0] < pairs[b][0] })
-		art.Basis[i] = pairs
+		slices.Sort(ts)
+		buf = binary.AppendUvarint(buf, uint64(len(ts)))
+		for _, t := range ts {
+			buf = binary.AppendUvarint(buf, uint64(t))
+			buf = binary.AppendUvarint(buf, uint64(pi[t]))
+		}
 	}
-	return json.Marshal(art)
+	return buf
 }
 
 func decodeBasisArtifact(p *protocol.Protocol, payload []byte) ([]realise.TransitionMultiset, error) {
-	var art basisArtifactV1
-	if err := json.Unmarshal(payload, &art); err != nil {
-		return nil, fmt.Errorf("basis artifact: %w", err)
-	}
-	if art.V != 1 {
-		return nil, fmt.Errorf("basis artifact: unsupported version %d", art.V)
-	}
-	out := make([]realise.TransitionMultiset, len(art.Basis))
-	for i, pairs := range art.Basis {
-		pi := make(realise.TransitionMultiset, len(pairs))
-		for _, pr := range pairs {
-			t, c := int(pr[0]), pr[1]
-			if t < 0 || t >= p.NumTransitions() || c <= 0 {
-				return nil, fmt.Errorf("basis artifact: bad pair [%d, %d]", pr[0], pr[1])
+	r := newArtifactReader(payload)
+	out := make([]realise.TransitionMultiset, r.count(1))
+	nt := uint64(p.NumTransitions())
+	for i := range out {
+		pairs := r.count(2)
+		pi := make(realise.TransitionMultiset, pairs)
+		prev := -1
+		for range pairs {
+			t, c := r.uvarint(math.MaxInt), r.uvarint(math.MaxInt64)
+			if r.err != nil {
+				break
 			}
-			pi[t] = c
+			if t >= nt || int(t) <= prev || c == 0 {
+				r.fail("bad pair [%d, %d]", t, c)
+				break
+			}
+			pi[int(t)] = int64(c)
+			prev = int(t)
+		}
+		if r.err != nil {
+			break
 		}
 		out[i] = pi
+	}
+	if err := r.finish(); err != nil {
+		return nil, fmt.Errorf("basis artifact: %w", err)
 	}
 	return out, nil
 }
@@ -232,12 +357,12 @@ func (e *Engine) loadArtifact(ctx context.Context, kind, hash string) []byte {
 
 // saveArtifact writes a computed artifact through to the disk store, best
 // effort (failures are visible in pp_store_writes_total{result="error"}).
-func (e *Engine) saveArtifact(kind, hash string, payload []byte, err error) {
-	st, _ := e.durability()
-	if st == nil || err != nil {
-		return
+// encode runs only when a store is configured: without one nobody reads
+// the bytes, and peers get them encoded on demand by ArtifactBytes.
+func (e *Engine) saveArtifact(kind, hash string, encode func() []byte) {
+	if st, _ := e.durability(); st != nil {
+		_ = st.Put(kind, hash, encode())
 	}
-	_ = st.Put(kind, hash, payload)
 }
 
 // loadStable tries to satisfy a stable-analysis miss from durable state.
@@ -278,7 +403,7 @@ func (e *Engine) loadBasis(ctx context.Context, p *protocol.Protocol, hash strin
 // the /v1/artifacts peer-fetch endpoint: the in-memory cache if the
 // artifact is complete, else the disk store. ok is false when this node
 // has nothing to offer (in-flight computations are not waited on).
-func (e *Engine) ArtifactBytes(ctx context.Context, kind, hash string) ([]byte, bool, error) {
+func (e *Engine) ArtifactBytes(kind, hash string) ([]byte, bool) {
 	e.mu.Lock()
 	a := e.cache[hash]
 	st := e.artstore
@@ -287,22 +412,20 @@ func (e *Engine) ArtifactBytes(ctx context.Context, kind, hash string) ([]byte, 
 		switch kind {
 		case ArtifactStable:
 			if a.stable.completed() && a.stable.err == nil {
-				payload, err := encodeStableArtifact(a.stable.val)
-				return payload, err == nil, err
+				return encodeStableArtifact(a.stable.val), true
 			}
 		case ArtifactBasis:
 			if a.basis.completed() && a.basis.err == nil {
-				payload, err := encodeBasisArtifact(a.basis.val)
-				return payload, err == nil, err
+				return encodeBasisArtifact(a.basis.val), true
 			}
 		}
 	}
 	if st == nil {
-		return nil, false, nil
+		return nil, false
 	}
 	payload, err := st.Get(kind, hash)
 	if err != nil || payload == nil {
-		return nil, false, nil
+		return nil, false
 	}
-	return payload, true, nil
+	return payload, true
 }

@@ -138,9 +138,9 @@ func TestPeerFetchFallback(t *testing.T) {
 	fetches := 0
 	peer := func(ctx context.Context, kind, hash string) ([]byte, error) {
 		fetches++
-		payload, ok, err := source.ArtifactBytes(ctx, kind, hash)
-		if err != nil || !ok {
-			return nil, err
+		payload, ok := source.ArtifactBytes(kind, hash)
+		if !ok {
+			return nil, nil
 		}
 		return payload, nil
 	}
@@ -251,9 +251,9 @@ func TestStoreGCRacingPeerFetch(t *testing.T) {
 		if peerDown {
 			return nil, nil
 		}
-		payload, ok, err := source.ArtifactBytes(ctx, kind, hash)
-		if err != nil || !ok {
-			return nil, err
+		payload, ok := source.ArtifactBytes(kind, hash)
+		if !ok {
+			return nil, nil
 		}
 		return payload, nil
 	}

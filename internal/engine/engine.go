@@ -511,8 +511,7 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 				e.countCompute()
 				m.val, m.err = e.computeStableWarm(ctx, p, hash, fam)
 				if m.err == nil {
-					payload, err := encodeStableArtifact(m.val)
-					e.saveArtifact(ArtifactStable, hash, payload, err)
+					e.saveArtifact(ArtifactStable, hash, func() []byte { return encodeStableArtifact(m.val) })
 				}
 			}
 			release()
@@ -567,8 +566,7 @@ func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string
 				e.countCompute()
 				m.val, m.err = e.computeBasisWarm(ctx, p, hash, fam)
 				if m.err == nil {
-					payload, err := encodeBasisArtifact(m.val)
-					e.saveArtifact(ArtifactBasis, hash, payload, err)
+					e.saveArtifact(ArtifactBasis, hash, func() []byte { return encodeBasisArtifact(m.val) })
 				}
 			}
 			release()

@@ -128,7 +128,7 @@ func (e *Engine) registerFamilyMember(family string, param int64, hash string) {
 	}
 	e.mu.Unlock()
 	if payload != nil {
-		e.saveArtifact(ArtifactFamily, familyKey(family), payload, nil)
+		e.saveArtifact(ArtifactFamily, familyKey(family), func() []byte { return payload })
 	}
 }
 

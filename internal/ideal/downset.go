@@ -185,7 +185,8 @@ func NewDownSet(d int, ideals ...Ideal) *DownSet {
 // accessor iterates identically to the original. The caller vouches the
 // input came from a DownSet of dimension d: feeding a redundant or
 // foreign-dimension slice corrupts the set, which is why the dimension at
-// least is checked.
+// least is checked. Ideals are immutable values, so they are shared with
+// the input rather than copied.
 func RestoreDownSet(d int, ideals []Ideal) (*DownSet, error) {
 	ds := &DownSet{
 		d:      d,
@@ -196,8 +197,8 @@ func RestoreDownSet(d int, ideals []Ideal) (*DownSet, error) {
 		if id.Dim() != d {
 			return nil, fmt.Errorf("ideal: restore: ideal %d has dimension %d, want %d", k, id.Dim(), d)
 		}
-		ds.ideals[k] = NewIdeal(id.caps)
-		ds.omegas[k] = omegaMask(ds.ideals[k])
+		ds.ideals[k] = id
+		ds.omegas[k] = omegaMask(id)
 	}
 	return ds, nil
 }

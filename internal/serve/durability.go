@@ -25,8 +25,8 @@ func handleArtifact(eng *engine.Engine, opts Options, w http.ResponseWriter, r *
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown artifact kind " + kind})
 		return
 	}
-	payload, ok, err := eng.ArtifactBytes(r.Context(), kind, hash)
-	if err != nil || !ok {
+	payload, ok := eng.ArtifactBytes(kind, hash)
+	if !ok {
 		if opts.Cluster != nil {
 			if owner, live := opts.Cluster.Owner(hash); live {
 				if p, ferr := cluster.FetchArtifact(r.Context(), artifactClient, owner.URL, kind, hash); ferr == nil && p != nil {

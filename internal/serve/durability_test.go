@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -184,6 +187,76 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestJournaledSweepSkipsInterruptedCell: a cell cancelled mid-run is not
+// journaled — it has no outcome yet — so a resume recomputes it instead of
+// replaying "context canceled" as its final result. The cancel fires only
+// once the never-converging second cell holds the engine's execution slot,
+// so the interruption is deterministic.
+func TestJournaledSweepSkipsInterruptedCell(t *testing.T) {
+	spinner := json.RawMessage(`{
+	  "name": "never-converges",
+	  "states": [{"name": "a", "output": 0}, {"name": "b", "output": 1}],
+	  "transitions": [["a","a","b","b"], ["b","b","a","a"]],
+	  "inputs": {"x": "a"},
+	  "completeWithIdentity": true
+	}`)
+	spec := sweep.Spec{
+		Name:      "interrupt",
+		Protocols: []sweep.ProtocolAxis{{Spec: "flock:3"}, {Inline: spinner, Label: "spinner"}},
+		Kinds:     []engine.Kind{engine.KindSimulate},
+		Sizes:     []sweep.Expr{sweep.Lit(10)},
+		Options:   sweep.Options{MaxSteps: 2_000_000_000},
+	}
+	hash, err := sweep.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := js.Sweep(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	firstDone := make(chan struct{})
+	go func() {
+		<-firstDone
+		for {
+			if busy, _, _ := eng.SlotStats(); busy > 0 {
+				cancel()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	opts := Options{SweepWorkers: 1, RequestLog: slog.New(slog.DiscardHandler)}
+	streamed := 0
+	_, err = runSweepJournaled(ctx, eng, opts, spec, j, func(sweep.CellResult) {
+		if streamed++; streamed == 1 {
+			close(firstDone)
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := js.Sweep(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	got := reopened.Completed()
+	if streamed != 1 || len(got) != 1 || got[0].Index != 0 || !got[0].OK {
+		t.Fatalf("streamed %d cells, journaled %+v; want only the completed cell 0", streamed, got)
+	}
+}
+
 // TestJournaledSweepFullyReplayed: resubmitting a completed sweep executes
 // nothing — the whole stream (and its summary) comes off the journal.
 func TestJournaledSweepFullyReplayed(t *testing.T) {
@@ -276,9 +349,9 @@ func TestArtifactEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("served artifact frame invalid: %v", err)
 	}
-	want, ok, err := eng.ArtifactBytes(t.Context(), "stable", hash)
-	if err != nil || !ok {
-		t.Fatalf("ArtifactBytes: ok=%v err=%v", ok, err)
+	want, ok := eng.ArtifactBytes("stable", hash)
+	if !ok {
+		t.Fatal("ArtifactBytes: engine has no stable artifact")
 	}
 	if !bytes.Equal(payload, want) {
 		t.Fatal("served artifact differs from the engine's encoding")

@@ -8,42 +8,9 @@ import (
 	"repro/internal/protocol"
 )
 
-// Restore rebuilds an Analysis from its durable form: the minimal bases of
-// U_0 and U_1 (as returned by Unstable(b).MinBasis()) plus the recorded
-// iteration and frontier counts. It recomputes the derived structures —
-// SC_b, SC_0 ∪ SC_1, and the SC basis — the same way Analyze does.
-//
-// The result is indistinguishable from a fresh Analyze: both paths
-// canonicalize the antichain into the same element order (ideal.
-// CanonicalUpSet), and ComplementUp is deterministic in that order, so
-// every accessor (Basis, SCBasis, MeasuredNorm, Classify, …) returns
-// bit-identical values — whatever order the stored basis arrived in
-// (canonical for fresh artifacts, fixpoint insertion order for artifacts
-// written before canonicalization landed). TestRestoreEqualsAnalyze pins
-// this over the whole builtin catalog.
-func Restore(p *protocol.Protocol, basis [2][]multiset.Vec, iterations, frontier [2]int) (*Analysis, error) {
-	d := p.NumStates()
-	a := &Analysis{p: p}
-	for b := 0; b <= 1; b++ {
-		u := ideal.NewUpSet(d)
-		for _, m := range basis[b] {
-			if len(m) != d {
-				return nil, fmt.Errorf("stable: restore U_%d: element dimension %d, protocol has %d states", b, len(m), d)
-			}
-			u.Insert(m)
-		}
-		if iterations[b] <= 0 {
-			return nil, fmt.Errorf("stable: restore U_%d: non-positive iteration count %d", b, iterations[b])
-		}
-		a.setUnstable(b, u, iterations[b], frontier[b])
-	}
-	a.finish()
-	return a, nil
-}
-
 // canonicalOrder reports whether the basis is strictly ascending in the
 // canonical (lexicographic) element order — the order every basis this
-// package emits is in, and the precondition for the bulk restore path.
+// package emits is in, and the precondition for the bulk restore.
 // Equal-length check rides along: a dimension mismatch is caught by the
 // restore itself.
 func canonicalOrder(basis []multiset.Vec) bool {
@@ -59,9 +26,9 @@ func canonicalOrder(basis []multiset.Vec) bool {
 // ideal decompositions of SC_0, SC_1 and SC_0 ∪ SC_1, in the order
 // ComplementUp and Union produced them. Persisting it alongside the U_b
 // bases lets RestoreDerived skip recomputing the complements — on
-// logarithmic-state threshold families the complement dominates Restore,
-// making a durable-store hit nearly as expensive as the fixpoint it is
-// supposed to skip.
+// logarithmic-state threshold families recomputing them would make a
+// durable-store hit nearly as expensive as the fixpoint it is supposed to
+// skip.
 type Derived struct {
 	SC    [2][]ideal.Ideal
 	SCAll []ideal.Ideal
@@ -75,16 +42,19 @@ func (a *Analysis) Derived() Derived {
 	}
 }
 
-// RestoreDerived rebuilds an Analysis from its durable form plus the
-// persisted derived decompositions, skipping the complementation work
-// Restore pays. The U_b antichains are rebuilt and canonicalized exactly as
-// Restore does; the SC sets are restored verbatim (ideal.RestoreDownSet),
-// which preserves both the canonical maximal-ideal sets and the exact
-// iteration order the computing run produced — every accessor returns
-// values bit-identical to a fresh Analyze. The caller vouches the derived
-// data was produced by Derived() on an equal analysis; dimension mismatches
-// are rejected, semantic corruption is not detectable here (the engine's
-// content addressing is what rules it out).
+// RestoreDerived rebuilds an Analysis from its durable form — the minimal
+// bases of U_0 and U_1 (as returned by Unstable(b).MinBasis()), the
+// recorded iteration and frontier counts — plus the persisted derived
+// decompositions, skipping the fixpoint and the complementation alike.
+// The bases must be in the canonical element order MinBasis emits; they
+// are bulk-restored without domination scans (ideal.RestoreUpSet), and the
+// SC sets are restored verbatim (ideal.RestoreDownSet), which preserves
+// both the canonical maximal-ideal sets and the exact iteration order the
+// computing run produced — every accessor returns values bit-identical to
+// a fresh Analyze. The caller vouches the derived data was produced by
+// Derived() on an equal analysis; dimension mismatches and out-of-order
+// bases are rejected, semantic corruption is not detectable here (the
+// engine's content addressing is what rules it out).
 func RestoreDerived(p *protocol.Protocol, basis [2][]multiset.Vec, iterations, frontier [2]int, der Derived) (*Analysis, error) {
 	d := p.NumStates()
 	a := &Analysis{p: p}
@@ -92,25 +62,14 @@ func RestoreDerived(p *protocol.Protocol, basis [2][]multiset.Vec, iterations, f
 		if iterations[b] <= 0 {
 			return nil, fmt.Errorf("stable: restore U_%d: non-positive iteration count %d", b, iterations[b])
 		}
-		if canonicalOrder(basis[b]) {
-			// The stored basis is already in canonical order (always true
-			// for bases this package wrote): bulk-restore skips every
-			// domination scan, and arena order == canonical order.
-			u, err := ideal.RestoreUpSet(d, basis[b])
-			if err != nil {
-				return nil, fmt.Errorf("stable: restore U_%d: %w", b, err)
-			}
-			a.unstable[b] = u
-		} else {
-			u := ideal.NewUpSet(d)
-			for _, m := range basis[b] {
-				if len(m) != d {
-					return nil, fmt.Errorf("stable: restore U_%d: element dimension %d, protocol has %d states", b, len(m), d)
-				}
-				u.Insert(m)
-			}
-			a.unstable[b] = ideal.CanonicalUpSet(u)
+		if !canonicalOrder(basis[b]) {
+			return nil, fmt.Errorf("stable: restore U_%d: basis not in canonical order", b)
 		}
+		u, err := ideal.RestoreUpSet(d, basis[b])
+		if err != nil {
+			return nil, fmt.Errorf("stable: restore U_%d: %w", b, err)
+		}
+		a.unstable[b] = u
 		a.iterations[b] = iterations[b]
 		a.frontier[b] = frontier[b]
 		sc, err := ideal.RestoreDownSet(d, der.SC[b])

@@ -8,10 +8,12 @@ import (
 	"repro/internal/protocols"
 )
 
-// TestRestoreEqualsAnalyze pins the durability contract of the disk
-// artifact store: an Analysis rebuilt from its MinBasis form must be
-// bit-identical to a fresh Analyze — same U_b element order, same SC
-// decompositions, same SC basis — over the whole builtin catalog.
+// TestRestoreEqualsAnalyze pins the durable form's own fields: an
+// Analysis restored by RestoreDerived from its MinBasis form and counters
+// reports the same U_b minimal bases, element by element in the same
+// order, and the same fixpoint counters as a fresh Analyze, over the whole
+// builtin catalog — the round trip the engine's stable artifact codec
+// relies on to re-encode a restored analysis to the same bytes.
 func TestRestoreEqualsAnalyze(t *testing.T) {
 	for name, e := range protocols.Catalog() {
 		name, e := name, e
@@ -29,9 +31,9 @@ func TestRestoreEqualsAnalyze(t *testing.T) {
 				iters[b] = fresh.Iterations(b)
 				front[b] = fresh.FrontierProcessed(b)
 			}
-			restored, err := Restore(p, basis, iters, front)
+			restored, err := RestoreDerived(p, basis, iters, front, fresh.Derived())
 			if err != nil {
-				t.Fatalf("Restore: %v", err)
+				t.Fatalf("RestoreDerived: %v", err)
 			}
 			for b := 0; b <= 1; b++ {
 				if !restored.Unstable(b).Equal(fresh.Unstable(b)) {
@@ -140,6 +142,9 @@ func TestRestoreDerivedRejectsBadDims(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsBadInput: the durable-form checks RestoreDerived makes
+// before trusting a basis — positive iteration counts, the protocol's
+// dimension, and the canonical element order the bulk restore requires.
 func TestRestoreRejectsBadInput(t *testing.T) {
 	p := protocols.Majority().Protocol
 	fresh, err := Analyze(p, Options{})
@@ -150,12 +155,20 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 	for b := 0; b <= 1; b++ {
 		basis[b] = fresh.Unstable(b).MinBasis()
 	}
-	if _, err := Restore(p, basis, [2]int{0, 1}, [2]int{0, 0}); err == nil {
-		t.Fatal("Restore accepted zero iteration count")
+	der := fresh.Derived()
+	if _, err := RestoreDerived(p, basis, [2]int{0, 1}, [2]int{0, 0}, der); err == nil {
+		t.Fatal("RestoreDerived accepted zero iteration count")
 	}
 	bad := basis
-	bad[0] = append([]multiset.Vec{multiset.New(p.NumStates() + 1)}, basis[0]...)
-	if _, err := Restore(p, bad, [2]int{1, 1}, [2]int{0, 0}); err == nil {
-		t.Fatal("Restore accepted wrong-dimension element")
+	bad[0] = []multiset.Vec{multiset.New(p.NumStates() + 1)}
+	if _, err := RestoreDerived(p, bad, [2]int{1, 1}, [2]int{0, 0}, der); err == nil {
+		t.Fatal("RestoreDerived accepted wrong-dimension element")
+	}
+	if len(basis[0]) < 2 {
+		t.Fatalf("majority U_0 basis has %d elements, need 2 to reorder", len(basis[0]))
+	}
+	bad[0] = append([]multiset.Vec{basis[0][len(basis[0])-1]}, basis[0][:len(basis[0])-1]...)
+	if _, err := RestoreDerived(p, bad, [2]int{1, 1}, [2]int{0, 0}, der); err == nil {
+		t.Fatal("RestoreDerived accepted a basis out of canonical order")
 	}
 }

@@ -174,7 +174,11 @@ func Run(ctx context.Context, eng *engine.Engine, spec Spec, opts RunOptions) (*
 					if ctx.Err() != nil {
 						return
 					}
-					results <- RunCell(ctx, eng, spec, c)
+					cr := RunCell(ctx, eng, spec, c)
+					if Interrupted(ctx, cr) {
+						return
+					}
+					results <- cr
 				}
 			}
 		}()
@@ -309,6 +313,14 @@ func RunCell(ctx context.Context, eng *engine.Engine, spec Spec, c Cell) CellRes
 	cr.ElapsedMillis = r.ElapsedMillis
 	cr.Result = condense(r, spec.Options.FullResults)
 	return cr
+}
+
+// Interrupted reports whether cr failed because the sweep's own context
+// ended mid-cell. Such a result is not the cell's outcome: executors drop
+// it, so the cell stays unrun — skipped by a cancelled sweep, recomputed
+// by a journaled one on resume — instead of being recorded as a failure.
+func Interrupted(ctx context.Context, cr CellResult) bool {
+	return !cr.OK && ctx.Err() != nil
 }
 
 // condense strips the heavyweight payload fields from a cell's engine

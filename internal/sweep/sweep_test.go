@@ -328,22 +328,24 @@ func TestRunRecordsCellErrors(t *testing.T) {
 	}
 }
 
+// spinnerProtocol has two states that keep toggling: never silent, outputs
+// disagree, so the silence oracle never classifies and a simulation burns
+// its whole step budget.
+var spinnerProtocol = json.RawMessage(`{
+  "name": "never-converges",
+  "states": [{"name": "a", "output": 0}, {"name": "b", "output": 1}],
+  "transitions": [["a","a","b","b"], ["b","b","a","a"]],
+  "inputs": {"x": "a"},
+  "completeWithIdentity": true
+}`)
+
 // TestRunCancellation: cancelling the sweep context interrupts in-flight
 // cells and skips the rest. The cells run a protocol that never converges
 // with a huge step budget, so an uncancelled sweep would take minutes —
 // returning promptly proves cooperative cancellation end to end.
 func TestRunCancellation(t *testing.T) {
-	// Two states that keep toggling: never silent, outputs disagree, so
-	// the silence oracle never classifies and the run burns its budget.
-	inline := json.RawMessage(`{
-	  "name": "never-converges",
-	  "states": [{"name": "a", "output": 0}, {"name": "b", "output": 1}],
-	  "transitions": [["a","a","b","b"], ["b","b","a","a"]],
-	  "inputs": {"x": "a"},
-	  "completeWithIdentity": true
-	}`)
 	spec := Spec{
-		Protocols: []ProtocolAxis{{Inline: inline, Label: "spinner"}},
+		Protocols: []ProtocolAxis{{Inline: spinnerProtocol, Label: "spinner"}},
 		Kinds:     []engine.Kind{engine.KindSimulate},
 		Sizes:     []Expr{Lit(100)},
 		Options:   Options{MaxSteps: 2_000_000_000},
@@ -371,5 +373,50 @@ func TestRunCancellation(t *testing.T) {
 	}
 	if res.Completed >= res.TotalCells {
 		t.Errorf("all %d cells completed despite cancellation", res.TotalCells)
+	}
+}
+
+// TestRunDropsInterruptedCell: a cell interrupted mid-run by the sweep's
+// own cancellation has no outcome, so it is neither emitted nor counted as
+// a failure (a journaled sweep would otherwise record the interruption as
+// final and replay it on resume). The cancel fires only once the
+// never-converging second cell holds the engine's execution slot, so that
+// cell is deterministically in flight.
+func TestRunDropsInterruptedCell(t *testing.T) {
+	spec := Spec{
+		Protocols: []ProtocolAxis{{Spec: "flock:3"}, {Inline: spinnerProtocol, Label: "spinner"}},
+		Kinds:     []engine.Kind{engine.KindSimulate},
+		Sizes:     []Expr{Lit(10)},
+		Options:   Options{MaxSteps: 2_000_000_000},
+	}
+	eng := engine.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	firstDone := make(chan struct{})
+	go func() {
+		<-firstDone
+		for {
+			if busy, _, _ := eng.SlotStats(); busy > 0 {
+				cancel()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	var seen []CellResult
+	res, err := Run(ctx, eng, spec, RunOptions{Workers: 1, OnCell: func(cr CellResult) {
+		seen = append(seen, cr)
+		if len(seen) == 1 {
+			close(firstDone)
+		}
+	}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if len(seen) != 1 || seen[0].Index != 0 || !seen[0].OK {
+		t.Fatalf("emitted %+v, want only the completed cell 0", seen)
+	}
+	if !res.Cancelled || res.Completed != 1 || res.Failed != 0 {
+		t.Fatalf("result cancelled=%v completed=%d failed=%d, want true/1/0", res.Cancelled, res.Completed, res.Failed)
 	}
 }
