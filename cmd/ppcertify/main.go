@@ -38,7 +38,6 @@ func run(args []string) error {
 		out      = fs.String("o", "", "write the certificate JSON to this file")
 		check    = fs.String("check", "", "re-check an existing certificate file instead of finding one")
 		seed     = fs.Uint64("seed", 1, "finder seed")
-		workers  = fs.Int("stable-workers", 0, "goroutines per stable-set analysis fixpoint (0 = sequential; results are bit-identical)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,7 +47,6 @@ func run(args []string) error {
 		return err
 	}
 	eng := engine.New()
-	eng.SetStableWorkers(*workers)
 	entry, err := eng.Resolve(ref)
 	if err != nil {
 		return err

@@ -89,7 +89,6 @@ func run(args []string) error {
 		maxTimeout    = fs.Duration("max-timeout", 2*time.Minute, "ceiling for request-supplied deadlines")
 		sweepTimeout  = fs.Duration("sweep-timeout", 10*time.Minute, "deadline for a whole /v1/sweep request")
 		sweepWorkers  = fs.Int("sweep-workers", 0, "worker-pool size per sweep (0 = GOMAXPROCS)")
-		stableWorkers = fs.Int("stable-workers", 0, "goroutines per stable-set analysis fixpoint (0 = sequential; results are bit-identical)")
 		pprofAddr     = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = disabled")
 		metricsAddr   = fs.String("metrics", "", "additionally serve GET /metrics on its own address (e.g. localhost:9090); the API address always serves /metrics")
 		slots         = fs.Int("slots", 0, "engine execution slots (0 = GOMAXPROCS)")
@@ -173,7 +172,6 @@ func run(args []string) error {
 		MaxTimeout:     *maxTimeout,
 		SweepTimeout:   *sweepTimeout,
 		SweepWorkers:   *sweepWorkers,
-		StableWorkers:  *stableWorkers,
 		MaxQueue:       *maxQueue,
 		RateLimit:      *rateLimit,
 		RateBurst:      *rateBurst,

@@ -25,15 +25,14 @@ func main() { cli.Main("ppsim", run) }
 func run(args []string) error {
 	fs := flag.NewFlagSet("ppsim", flag.ContinueOnError)
 	var (
-		spec    = fs.String("protocol", "", cli.SpecUsage)
-		file    = fs.String("file", "", "JSON protocol file (alternative to -protocol)")
-		input   = fs.String("input", "", "input multiset, e.g. \"20\" or \"12,9\" for two variables")
-		seed    = fs.Uint64("seed", 1, "RNG seed")
-		steps   = fs.Int64("steps", 0, "interaction budget (0 = default)")
-		runs    = fs.Int("runs", 1, "number of runs (statistics over seeds)")
-		exact   = fs.Bool("exact", false, "use the exact stable-set oracle (backward coverability) for convergence detection")
-		workers = fs.Int("stable-workers", 0, "goroutines for the -exact oracle's fixpoint (0 = sequential; results are bit-identical)")
-		trace   = fs.Int64("trace", 0, "print a configuration snapshot every N interactions")
+		spec  = fs.String("protocol", "", cli.SpecUsage)
+		file  = fs.String("file", "", "JSON protocol file (alternative to -protocol)")
+		input = fs.String("input", "", "input multiset, e.g. \"20\" or \"12,9\" for two variables")
+		seed  = fs.Uint64("seed", 1, "RNG seed")
+		steps = fs.Int64("steps", 0, "interaction budget (0 = default)")
+		runs  = fs.Int("runs", 1, "number of runs (statistics over seeds)")
+		exact = fs.Bool("exact", false, "use the exact stable-set oracle (backward coverability) for convergence detection")
+		trace = fs.Int64("trace", 0, "print a configuration snapshot every N interactions")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -43,7 +42,6 @@ func run(args []string) error {
 		return err
 	}
 	eng := engine.New()
-	eng.SetStableWorkers(*workers)
 	entry, err := eng.Resolve(ref)
 	if err != nil {
 		return err

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -131,6 +133,42 @@ func TestArtifactDecodeRejects(t *testing.T) {
 	}
 	if _, err := decodeBasisArtifact(bp, basis(1, 1, 0, 1)); err != nil {
 		t.Fatalf("well-formed basis payload rejected: %v", err)
+	}
+}
+
+// TestStableArtifactGolden pins the binary stable artifacts of flock:12
+// and binary:20 byte for byte against files recorded before the fixpoint
+// pruned its rounds and the complement reused its buffers. The bytes fix
+// the canonical U_b order, the persisted SC ideal order and the fixpoint
+// counters, so any drift in the stable core shows up here. Decoding a
+// golden file and re-encoding it must also reproduce it.
+func TestStableArtifactGolden(t *testing.T) {
+	for spec, file := range map[string]string{
+		"flock:12":  "stable_flock12.bin",
+		"binary:20": "stable_binary20.bin",
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := protocols.Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := stable.Analyze(e.Protocol, stable.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if got := encodeStableArtifact(a); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded artifact (%d bytes) differs from %s (%d bytes)", spec, len(got), file, len(want))
+		}
+		restored, err := decodeStableArtifact(e.Protocol, want)
+		if err != nil {
+			t.Fatalf("%s: decode golden: %v", spec, err)
+		}
+		if got := encodeStableArtifact(restored); !bytes.Equal(got, want) {
+			t.Errorf("%s: golden artifact does not survive decode and re-encode", spec)
+		}
 	}
 }
 

@@ -69,10 +69,6 @@ type Engine struct {
 	hits     uint64
 	misses   uint64
 	computes uint64
-	// stableWorkers shards each stable-analysis fixpoint round across this
-	// many goroutines (0/1 = sequential; the result is bit-identical either
-	// way, so cached artifacts are oblivious to the setting).
-	stableWorkers int
 
 	// artstore, when set, is the disk layer under the in-memory cache:
 	// misses try it before recomputing, computed artifacts write through.
@@ -153,26 +149,6 @@ func (e *Engine) SetCacheLimit(n int) {
 	e.mu.Lock()
 	e.maxCache = n
 	e.mu.Unlock()
-}
-
-// SetStableWorkers sets the per-analysis worker count of the backward-
-// coverability fixpoint (0 or 1 = sequential). Parallel analyses are
-// bit-identical to sequential ones — same final antichains, same element
-// order — so the setting only trades CPU for latency and never changes a
-// cached artifact.
-func (e *Engine) SetStableWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.mu.Lock()
-	e.stableWorkers = n
-	e.mu.Unlock()
-}
-
-func (e *Engine) stableWorkerCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stableWorkers
 }
 
 // Registry returns the registry the engine resolves specs against.

@@ -499,22 +499,13 @@ func TestCover(t *testing.T) {
 	}
 }
 
-// TestStableWorkersAndCounters: a stable result carries the fixpoint work
-// counters, and a parallel-fixpoint engine produces a result identical to
-// the sequential one (the parallel mode is bit-identical by construction).
-func TestStableWorkersAndCounters(t *testing.T) {
-	seqEng := New()
-	seq := do(t, seqEng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:7"}})
-	if seq.Stable.Iterations0 < 1 || seq.Stable.Iterations1 < 1 {
-		t.Errorf("iterations must be positive: %+v", seq.Stable)
+// TestStableCounters: a stable result carries the fixpoint work counters.
+func TestStableCounters(t *testing.T) {
+	res := do(t, New(), Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:7"}})
+	if res.Stable.Iterations0 < 1 || res.Stable.Iterations1 < 1 {
+		t.Errorf("iterations must be positive: %+v", res.Stable)
 	}
-	if seq.Stable.Frontier0 < seq.Stable.Basis0 || seq.Stable.Frontier1 < 1 {
-		t.Errorf("frontier counters must cover at least the final bases: %+v", seq.Stable)
-	}
-	parEng := New()
-	parEng.SetStableWorkers(3)
-	par := do(t, parEng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:7"}})
-	if !reflect.DeepEqual(seq.Stable, par.Stable) {
-		t.Errorf("parallel stable result differs from sequential:\n seq %+v\n par %+v", seq.Stable, par.Stable)
+	if res.Stable.Frontier0 < res.Stable.Basis0 || res.Stable.Frontier1 < 1 {
+		t.Errorf("frontier counters must cover at least the final bases: %+v", res.Stable)
 	}
 }

@@ -334,7 +334,7 @@ func (fam *famCtx) attachIncremental(info *IncrementalInfo) {
 // metrics — a family that never warms is a scheduling bug worth seeing on
 // a dashboard).
 func (e *Engine) computeStableWarm(ctx context.Context, p *protocol.Protocol, hash string, fam *famCtx) (*stable.Analysis, error) {
-	opts := stable.Options{Interrupt: ctx.Done(), Workers: e.stableWorkerCount()}
+	opts := stable.Options{Interrupt: ctx.Done()}
 	if fam == nil {
 		return stable.Analyze(p, opts)
 	}

@@ -304,11 +304,16 @@ func (ds *DownSet) String() string {
 // ⟦m⟧) pass through untouched — they were pairwise irredundant and a
 // shrunk clone can never subsume an untouched ideal (it would have had to
 // subsume its parent) — and only the clones of the remaining ideals pay
-// subsumption scans.
+// subsumption scans. Each clone is built in one reused buffer and copied
+// into its own Ideal only once the subsumed-by scan has kept it, and the
+// per-element decompositions alternate between two DownSets, so a pass
+// allocates only the ideals it keeps.
 func ComplementUp(u *UpSet) *DownSet {
 	d := u.Dim()
 	ds := NewDownSet(d, FullIdeal(d))
+	next := &DownSet{d: d}
 	support := make([]int, 0, d)
+	buf := make([]int64, d)
 	var changed []Ideal
 	for _, mid := range u.ids {
 		m := u.storedAt(mid)
@@ -318,7 +323,7 @@ func ComplementUp(u *UpSet) *DownSet {
 				support = append(support, i)
 			}
 		}
-		next := &DownSet{d: d}
+		next.ideals, next.omegas = next.ideals[:0], next.omegas[:0]
 		changed = changed[:0]
 		for k, id := range ds.ideals {
 			avoids := false
@@ -342,27 +347,30 @@ func ComplementUp(u *UpSet) *DownSet {
 			for _, i := range support {
 				// Here caps[i] is ω or > m[i]−1, so the clone strictly
 				// shrinks coordinate i.
-				clone := NewIdeal(id.caps)
-				clone.caps[i] = m[i] - 1
-				next.addClone(clone, protected)
+				copy(buf, id.caps)
+				buf[i] = m[i] - 1
+				next.addClone(buf, protected)
 			}
 		}
-		ds = next
+		ds, next = next, ds
 	}
 	return ds
 }
 
-// addClone inserts a shrunk clone during a ComplementUp pass: ideals below
-// index protected are untouched originals that no clone can subsume, so
-// the removal scan starts at protected; the subsumed-by scan still covers
-// everything.
-func (ds *DownSet) addClone(id Ideal, protected int) {
+// addClone inserts a shrunk clone during a ComplementUp pass. caps is the
+// caller's scratch buffer: it is copied into a new Ideal only when no
+// ideal of ds subsumes it. Ideals below index protected are untouched
+// originals that no clone can subsume, so the removal scan starts at
+// protected; the subsumed-by scan still covers everything.
+func (ds *DownSet) addClone(caps []int64, protected int) {
+	id := Ideal{caps: caps}
 	om := omegaMask(id)
 	for k, have := range ds.ideals {
 		if om&^ds.omegas[k] == 0 && have.Subsumes(id) {
 			return
 		}
 	}
+	id = NewIdeal(caps)
 	kept := ds.ideals[:protected]
 	keptOmegas := ds.omegas[:protected]
 	for k := protected; k < len(ds.ideals); k++ {

@@ -1,6 +1,7 @@
 package ideal
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/multiset"
@@ -79,6 +80,137 @@ func FuzzAntichain(f *testing.F) {
 				}
 				w[i]--
 			}
+		}
+	})
+}
+
+// capKeys renders a decomposition's ideals in their own order.
+func capKeys(ds *DownSet) []string {
+	keys := make([]string, 0, ds.Size())
+	for _, id := range ds.Ideals() {
+		keys = append(keys, multiset.Vec(id.caps).Key())
+	}
+	return keys
+}
+
+// complementUpCloning is ComplementUp as it was before clones were built in
+// a reused buffer: every clone is allocated before its subsumed-by scan. It
+// is the raw-order oracle of the buffered pass.
+func complementUpCloning(u *UpSet) *DownSet {
+	d := u.Dim()
+	ds := NewDownSet(d, FullIdeal(d))
+	for _, mid := range u.ids {
+		m := u.storedAt(mid)
+		next := &DownSet{d: d}
+		var changed []Ideal
+		for k, id := range ds.ideals {
+			avoids := false
+			for i, x := range m {
+				if x > 0 && id.caps[i] != Omega && id.caps[i] <= x-1 {
+					avoids = true
+					break
+				}
+			}
+			if avoids {
+				next.ideals = append(next.ideals, id)
+				next.omegas = append(next.omegas, ds.omegas[k])
+			} else {
+				changed = append(changed, id)
+			}
+		}
+		protected := len(next.ideals)
+		for _, id := range changed {
+			for i, x := range m {
+				if x <= 0 {
+					continue
+				}
+				clone := NewIdeal(id.caps)
+				clone.caps[i] = x - 1
+				om := omegaMask(clone)
+				sub := false
+				for k, have := range next.ideals {
+					if om&^next.omegas[k] == 0 && have.Subsumes(clone) {
+						sub = true
+						break
+					}
+				}
+				if sub {
+					continue
+				}
+				kept, keptOmegas := next.ideals[:protected], next.omegas[:protected]
+				for k := protected; k < len(next.ideals); k++ {
+					if next.omegas[k]&^om == 0 && clone.Subsumes(next.ideals[k]) {
+						continue
+					}
+					kept = append(kept, next.ideals[k])
+					keptOmegas = append(keptOmegas, next.omegas[k])
+				}
+				next.ideals = append(kept, clone)
+				next.omegas = append(keptOmegas, om)
+			}
+		}
+		ds = next
+	}
+	return ds
+}
+
+// FuzzComplementUp checks the complementation and canonicalization of
+// random small antichains. ComplementUp must produce the same ideals, in
+// the same order, as the allocate-every-clone pass, the same set of ideals
+// as the retained seed NaiveComplementUp, and an irredundant
+// decomposition. CanonicalUpSet must equal the set built by Inserting the
+// sorted basis one element at a time: same elements in the same arena
+// order, same signatures, same duplicate index.
+func FuzzComplementUp(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 1, 2, 2}, uint8(2))
+	f.Add([]byte{3, 1, 0, 0, 2, 1, 1, 1, 2}, uint8(3))
+	f.Add([]byte{0, 0, 0}, uint8(3))
+	f.Add([]byte{4, 0, 1, 3, 2, 2, 0, 4, 1, 1, 1, 1}, uint8(4))
+	f.Add([]byte{}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, dimRaw uint8) {
+		dim := int(dimRaw%4) + 1
+		if len(data) > 12*dim {
+			data = data[:12*dim]
+		}
+		u := NewUpSet(dim)
+		naive := NewNaiveUpSet(dim)
+		for off := 0; off+dim <= len(data); off += dim {
+			v := make(multiset.Vec, dim)
+			for i := range v {
+				v[i] = int64(data[off+i] % 5)
+			}
+			u.Add(v)
+			naive.Add(v)
+		}
+
+		got := ComplementUp(u)
+		if want := complementUpCloning(u); !slices.Equal(capKeys(got), capKeys(want)) {
+			t.Fatalf("ComplementUp(%s) = %s, cloning pass %s", u, got, want)
+		}
+		gotKeys, wantKeys := capKeys(got), capKeys(NaiveComplementUp(naive))
+		slices.Sort(gotKeys)
+		slices.Sort(wantKeys)
+		if !slices.Equal(gotKeys, wantKeys) {
+			t.Fatalf("ComplementUp(%s) = %v, naive %v", u, gotKeys, wantKeys)
+		}
+		ids := got.Ideals()
+		for i := range ids {
+			for j := range ids {
+				if i != j && ids[i].Subsumes(ids[j]) {
+					t.Fatalf("ComplementUp(%s) is redundant: %s ⊆ %s", u, ids[j], ids[i])
+				}
+			}
+		}
+
+		canon := CanonicalUpSet(u)
+		ref := &UpSet{d: dim}
+		for _, m := range SortBasis(u.MinBasis()) {
+			ref.Insert(m)
+		}
+		if canon.Stored() != ref.Stored() || !slices.Equal(canon.arena, ref.arena) ||
+			!slices.Equal(canon.ids, ref.ids) || !slices.Equal(canon.sigs, ref.sigs) ||
+			!slices.Equal(canon.live, ref.live) || !slices.Equal(canon.index.slots, ref.index.slots) {
+			t.Fatalf("CanonicalUpSet of %s is %s, Insert-built %s (or differs in signatures or index)", u, canon, ref)
 		}
 	})
 }

@@ -76,12 +76,11 @@ func SortBasis(basis []multiset.Vec) []multiset.Vec {
 // what lets a warm-started fixpoint emit artifacts byte-identical to a
 // from-scratch one.
 func CanonicalUpSet(u *UpSet) *UpSet {
-	basis := SortBasis(u.MinBasis())
-	out := &UpSet{d: u.d}
-	for _, m := range basis {
-		// The input is an antichain, so every insert extends the arena and
-		// none evicts: arena order == canonical order.
-		out.Insert(m)
+	// The input is an antichain, so the sorted basis is one too and
+	// restores without domination scans: arena order == canonical order.
+	out, err := RestoreUpSet(u.d, SortBasis(u.MinBasis()))
+	if err != nil {
+		panic(err) // unreachable: every element has dimension u.d
 	}
 	return out
 }

@@ -50,11 +50,6 @@ type Options struct {
 	SweepTimeout time.Duration
 	// SweepWorkers is the worker-pool size of each sweep (0 = GOMAXPROCS).
 	SweepWorkers int
-	// StableWorkers shards each stable-set analysis fixpoint across this
-	// many goroutines (0 = sequential). Applied to the engine by
-	// NewHandler; parallel analyses are bit-identical to sequential ones,
-	// so the artifact cache is unaffected by the setting.
-	StableWorkers int
 	// Cluster, when set, makes this handler a cluster coordinator: the
 	// membership endpoints (/v1/cluster/*) are mounted and /v1/sweep fans
 	// out across the registered workers (falling back to local execution
@@ -182,10 +177,10 @@ type catalogBody struct {
 	Catalog []catalogEntry `json:"catalog"`
 }
 
-// NewHandler mounts the API on a fresh mux backed by eng. A positive
-// Options.StableWorkers is applied to eng. When Options.Metrics is set,
-// GET /metrics serves the registry with the engine's, the handler's and
-// (under Cluster) the coordinator's collectors registered.
+// NewHandler mounts the API on a fresh mux backed by eng. When
+// Options.Metrics is set, GET /metrics serves the registry with the
+// engine's, the handler's and (under Cluster) the coordinator's collectors
+// registered.
 func NewHandler(eng *engine.Engine, opts Options) http.Handler {
 	h, _ := newHandler(eng, opts)
 	return h
@@ -195,9 +190,6 @@ func NewHandler(eng *engine.Engine, opts Options) http.Handler {
 // in-package tests assert against directly.
 func newHandler(eng *engine.Engine, opts Options) (http.Handler, *Metrics) {
 	opts = opts.withDefaults()
-	if opts.StableWorkers > 0 {
-		eng.SetStableWorkers(opts.StableWorkers)
-	}
 	sm := newServeMetrics()
 	opts.sm = sm
 	var lim *govern.Limiter

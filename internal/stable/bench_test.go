@@ -72,17 +72,17 @@ func BenchmarkStableAnalyzeNaive(b *testing.B) {
 	b.ReportMetric(float64(basis), "basis-elements")
 }
 
-// BenchmarkStableAnalyzeParallel: the sharded fan-out at several worker
-// counts (bit-identical results). Scaling requires GOMAXPROCS > 1; on a
-// single-core host this measures the round-synchronization overhead
-// instead.
-func BenchmarkStableAnalyzeParallel(b *testing.B) {
-	p := benchProtocol()
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+// BenchmarkStableAnalyzeFlock: full analyses of flock(10), flock(11) and
+// flock(12), the protocol sizes the end-to-end miss workload sends — small
+// fixpoints where complementation and canonicalization weigh as much as
+// the rounds.
+func BenchmarkStableAnalyzeFlock(b *testing.B) {
+	for _, n := range []int64{10, 11, 12} {
+		p := protocols.FlockOfBirds(n).Protocol
+		b.Run(fmt.Sprintf("flock=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Analyze(p, Options{Workers: workers}); err != nil {
+				if _, err := Analyze(p, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,16 +1,22 @@
 package stable
 
-// This file retains the seed backward-coverability fixpoint verbatim — the
-// restart-the-whole-basis pred-basis loop over the retained naive antichain
-// (ideal.NaiveUpSet), re-deriving predecessors of every minimal element
-// every round through a fresh MinBasis clone — as the differential-testing
-// reference and the "before" side of BenchmarkStableAnalyzeNaive, the same
-// role naive_test.go plays in internal/reach and reference_test.go in
-// internal/sim. The differential suite proves the frontier-driven core's
-// final antichain equal element for element (after canonical sorting; the
-// two cores insert in different orders) on randomized protocols and the
-// whole builtin catalog, and the parallel mode bit-identical — same
-// elements, same order — to the sequential mode.
+// This file retains two oracles of the backward-coverability core:
+//
+//   - the seed fixpoint verbatim — the restart-the-whole-basis pred-basis
+//     loop over the retained naive antichain (ideal.NaiveUpSet),
+//     re-deriving predecessors of every minimal element every round through
+//     a fresh MinBasis clone — which is also the "before" side of
+//     BenchmarkStableAnalyzeNaive, the same role naive_test.go plays in
+//     internal/reach and reference_test.go in internal/sim;
+//   - the unpruned two-phase frontier round: derive every predecessor of
+//     the round's frontier into a round arena, then insert them all in
+//     frontier × transition order.
+//
+// The differential suite proves the core's final antichain equal element
+// for element to the seed fixpoint (after canonical sorting; the two insert
+// in different orders), and its raw antichain, round count and expansion
+// count identical to the unpruned round, on randomized protocols and the
+// whole builtin catalog.
 
 import (
 	"fmt"
@@ -110,7 +116,7 @@ func canonicalKeys(basis []multiset.Vec) []string {
 }
 
 // rawKeys renders an antichain in its own element order, for the
-// bit-identical parallel-vs-sequential comparison.
+// order-exact comparison against the unpruned round.
 func rawKeys(basis []multiset.Vec) []string {
 	keys := make([]string, len(basis))
 	for i, m := range basis {
@@ -169,73 +175,119 @@ func randomProtocol(rng *rand.Rand) *protocol.Protocol {
 	return b.CompleteWithIdentity().MustBuild()
 }
 
-// compareCores runs the reference analysis and the frontier core
-// (sequential and the given worker counts) on one protocol and fails
-// unless every final antichain is exactly equal to the reference, every
-// ideal decomposition matches, and every parallel run is bit-identical to
-// the sequential one.
-func compareCores(t *testing.T, label string, p *protocol.Protocol, workerCounts []int) {
+// unprunedBackwardCover is the frontier-driven fixpoint as it was before
+// rows that cannot lower an element were skipped: each round derives the
+// predecessor of every (live frontier element, transition) pair into a
+// round arena, then inserts them all in frontier × transition order.
+func unprunedBackwardCover(p *protocol.Protocol, b int) (*ideal.UpSet, int, int) {
+	u, frontier := seedGenerators(p, b)
+	rows := predRows(p)
+	d := u.Dim()
+	var (
+		iters, expanded int
+		roundF          []int32
+		preds           []int64
+	)
+	for len(frontier) > 0 {
+		iters++
+		roundF = roundF[:0]
+		for _, id := range frontier {
+			if u.Alive(int(id)) {
+				roundF = append(roundF, id)
+			}
+		}
+		if len(roundF) == 0 {
+			break
+		}
+		expanded += len(roundF)
+		preds = make([]int64, len(roundF)*len(rows)*d)
+		for fi, id := range roundF {
+			m := u.At(int(id))
+			for ti := range rows {
+				k := fi*len(rows) + ti
+				predInto(preds[k*d:(k+1)*d], m, &rows[ti])
+			}
+		}
+		frontier = frontier[:0]
+		for k := 0; k < len(roundF)*len(rows); k++ {
+			if id, grew := u.Insert(preds[k*d : (k+1)*d]); grew {
+				frontier = append(frontier, int32(id))
+			}
+		}
+	}
+	if iters == 0 {
+		iters = 1
+	}
+	return u, iters, expanded
+}
+
+// compareUnpruned fails unless backwardCover reproduces the unpruned round
+// exactly for both outputs: the raw (pre-canonical) antichain in element
+// order, the round count and the expanded-frontier count.
+func compareUnpruned(t *testing.T, label string, p *protocol.Protocol) {
+	t.Helper()
+	for b := 0; b <= 1; b++ {
+		want, wantIters, wantExpanded := unprunedBackwardCover(p, b)
+		got, iters, expanded, err := backwardCover(p, b, 200_000, nil)
+		if err != nil {
+			t.Fatalf("%s: backwardCover(%d): %v", label, b, err)
+		}
+		if !keysEqual(rawKeys(got.MinBasis()), rawKeys(want.MinBasis())) {
+			t.Fatalf("%s: U_%d differs from the unpruned round in raw order (sizes %d vs %d):\n got %s\nwant %s",
+				label, b, got.Size(), want.Size(), got, want)
+		}
+		if iters != wantIters || expanded != wantExpanded {
+			t.Fatalf("%s: U_%d counters (%d rounds, %d expanded) differ from the unpruned round (%d, %d)",
+				label, b, iters, expanded, wantIters, wantExpanded)
+		}
+	}
+}
+
+// compareCores runs the reference analysis, the unpruned round and the
+// production core on one protocol and fails unless every final antichain
+// is exactly equal to the reference, every ideal decomposition matches,
+// and the production fixpoint is order-exact against the unpruned round.
+func compareCores(t *testing.T, label string, p *protocol.Protocol) {
 	t.Helper()
 	ref, err := referenceAnalyze(p, 0)
 	if err != nil {
 		t.Fatalf("%s: referenceAnalyze: %v", label, err)
 	}
-	seq, err := Analyze(p, Options{})
+	got, err := Analyze(p, Options{})
 	if err != nil {
 		t.Fatalf("%s: Analyze: %v", label, err)
 	}
 	for b := 0; b <= 1; b++ {
 		wantU := canonicalKeys(ref.unstable[b].MinBasis())
-		gotU := canonicalKeys(seq.Unstable(b).MinBasis())
+		gotU := canonicalKeys(got.Unstable(b).MinBasis())
 		if !keysEqual(gotU, wantU) {
 			t.Fatalf("%s: U_%d differs: %d elements vs reference %d\n got %s\nwant %s",
-				label, b, len(gotU), len(wantU), seq.Unstable(b), ref.unstable[b])
+				label, b, len(gotU), len(wantU), got.Unstable(b), ref.unstable[b])
 		}
-		if !keysEqual(idealKeys(seq.StableSet(b)), idealKeys(ref.sc[b])) {
+		if !keysEqual(idealKeys(got.StableSet(b)), idealKeys(ref.sc[b])) {
 			t.Fatalf("%s: SC_%d decomposition differs:\n got %s\nwant %s",
-				label, b, seq.StableSet(b), ref.sc[b])
+				label, b, got.StableSet(b), ref.sc[b])
 		}
-		if seq.Iterations(b) != ref.iters[b] {
-			t.Fatalf("%s: iterations(%d) = %d, reference %d", label, b, seq.Iterations(b), ref.iters[b])
+		if got.Iterations(b) != ref.iters[b] {
+			t.Fatalf("%s: iterations(%d) = %d, reference %d", label, b, got.Iterations(b), ref.iters[b])
 		}
-		if seq.FrontierProcessed(b) < seq.Unstable(b).Size() {
+		if got.FrontierProcessed(b) < got.Unstable(b).Size() {
 			t.Fatalf("%s: frontier counter for U_%d is %d, below final basis size %d",
-				label, b, seq.FrontierProcessed(b), seq.Unstable(b).Size())
+				label, b, got.FrontierProcessed(b), got.Unstable(b).Size())
 		}
 	}
-	seqOrder := [2][]string{
-		rawKeys(seq.Unstable(0).MinBasis()),
-		rawKeys(seq.Unstable(1).MinBasis()),
-	}
-	for _, w := range workerCounts {
-		par, err := Analyze(p, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("%s: Analyze(workers=%d): %v", label, w, err)
-		}
-		for b := 0; b <= 1; b++ {
-			if !keysEqual(rawKeys(par.Unstable(b).MinBasis()), seqOrder[b]) {
-				t.Fatalf("%s: workers=%d U_%d not bit-identical to sequential:\n got %s\nwant %s",
-					label, w, b, par.Unstable(b), seq.Unstable(b))
-			}
-			if par.Iterations(b) != seq.Iterations(b) || par.FrontierProcessed(b) != seq.FrontierProcessed(b) {
-				t.Fatalf("%s: workers=%d counters (%d,%d) differ from sequential (%d,%d)",
-					label, w, par.Iterations(b), par.FrontierProcessed(b),
-					seq.Iterations(b), seq.FrontierProcessed(b))
-			}
-		}
-	}
+	compareUnpruned(t, label, p)
 }
 
 // TestDifferentialFrontierVsReference is the central differential test of
-// the backward-coverability rewrite: on ≥ 50 randomized protocols, the
-// frontier-driven core (sequential and parallel) must produce final
-// antichains exactly equal, element for element, to the retained seed
-// fixpoint, and parallel runs must be bit-identical to sequential ones.
+// the backward-coverability core: on ≥ 50 randomized protocols, its final
+// antichains must equal the retained seed fixpoint's element for element,
+// and its raw antichains and counters must equal the unpruned round's.
 func TestDifferentialFrontierVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
 		p := randomProtocol(rng)
-		compareCores(t, fmt.Sprintf("trial %d (%s)", trial, p.Name()), p, []int{2, 3 + rng.Intn(3)})
+		compareCores(t, fmt.Sprintf("trial %d (%s)", trial, p.Name()), p)
 	}
 }
 
@@ -246,36 +298,78 @@ func TestDifferentialBuiltinsVsReference(t *testing.T) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			compareCores(t, name, e.Protocol, []int{2, 4})
+			compareCores(t, name, e.Protocol)
 		})
 	}
 }
 
-// TestParallelMatchesSequentialLarger pins bit-identical parallel merges on
-// a workload whose fixpoint has thousands of elements and many rounds (the
-// randomized protocols above stay small).
-func TestParallelMatchesSequentialLarger(t *testing.T) {
+// TestPrunedRoundMatchesUnprunedLarger pins the order-exact comparison
+// against the unpruned round on fixpoints with thousands of elements and
+// many rounds (the randomized protocols above stay small): flock(28) and
+// the pinned benchmark workload binary:104.
+func TestPrunedRoundMatchesUnprunedLarger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixpoint")
 	}
-	p := protocols.FlockOfBirds(28).Protocol
-	seq, err := Analyze(p, Options{})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+	for _, e := range []protocols.Entry{protocols.FlockOfBirds(28), protocols.BinaryThreshold(104)} {
+		compareUnpruned(t, e.Protocol.Name(), e.Protocol)
 	}
-	for _, w := range []int{2, 3, 8} {
-		par, err := Analyze(p, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("Analyze(workers=%d): %v", w, err)
-		}
-		for b := 0; b <= 1; b++ {
-			if !keysEqual(rawKeys(par.Unstable(b).MinBasis()), rawKeys(seq.Unstable(b).MinBasis())) {
-				t.Fatalf("workers=%d: U_%d not bit-identical (sizes %d vs %d)",
-					w, b, par.Unstable(b).Size(), seq.Unstable(b).Size())
+	u, _, _, err := backwardCover(protocols.BinaryThreshold(104).Protocol, 0, 200_000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Size() < 10_000 {
+		t.Fatalf("workload too small to be meaningful: |U_0| = %d", u.Size())
+	}
+}
+
+// TestSkippedRowsCannotLower checks the pruning lemma directly: for every
+// element m of the computed fixpoints (and random vectors) and every row
+// the fixpoint skips for m, the predecessor max((m − Δ)⁺, pre) is ≥ m.
+func TestSkippedRowsCannotLower(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	check := func(label string, p *protocol.Protocol, elems []multiset.Vec) int {
+		rows := predRows(p)
+		pred := make([]int64, p.NumStates())
+		skipped := 0
+		for _, m := range elems {
+			for ti := range rows {
+				if rows[ti].lowers(m) {
+					continue
+				}
+				skipped++
+				predInto(pred, m, &rows[ti])
+				if !m.Le(pred) {
+					t.Fatalf("%s: row %d skipped for %v, but its predecessor %v is not ≥ it", label, ti, m, pred)
+				}
 			}
 		}
+		return skipped
 	}
-	if seq.Unstable(0).Size() < 1000 {
-		t.Fatalf("workload too small to be meaningful: |U_0| = %d", seq.Unstable(0).Size())
+	skipped := 0
+	var ps []*protocol.Protocol
+	for trial := 0; trial < 40; trial++ {
+		ps = append(ps, randomProtocol(rng))
+	}
+	for _, e := range protocols.Catalog() {
+		ps = append(ps, e.Protocol)
+	}
+	for _, p := range ps {
+		a, err := Analyze(p, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		elems := append(a.Unstable(0).MinBasis(), a.Unstable(1).MinBasis()...)
+		for k := 0; k < 50; k++ {
+			v := multiset.New(p.NumStates())
+			for i := range v {
+				v[i] = int64(rng.Intn(3))
+			}
+			elems = append(elems, v)
+		}
+		skipped += check(p.Name(), p, elems)
+	}
+	if skipped == 0 {
+		t.Fatal("no row was ever skipped: the check is vacuous")
 	}
 }

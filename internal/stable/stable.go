@@ -22,20 +22,18 @@
 // The fixpoint is frontier-driven: a round derives predecessors only of the
 // elements that became minimal in the previous round, because predecessors
 // of older elements were already derived and, the set being monotone
-// non-shrinking under Add, anything dominated once stays dominated. With
-// Options.Workers > 1 the predecessor fan-out of a round is sharded across
-// goroutines into preallocated slots and merged by one sequential
-// application pass in frontier × transition order — the exact order the
-// sequential mode uses — so the final antichain is bit-identical (same
-// elements, same element order) for every worker count. The retained seed
-// fixpoint (reference_test.go) pins both cores against each other.
+// non-shrinking under Add, anything dominated once stays dominated. Within
+// a round, a transition t that puts agents only into states m does not
+// occupy (post(t) ∩ supp(m) = ∅) is skipped: its predecessor is ≥ m, so
+// inserting it could not change the set. Every other predecessor is
+// inserted as soon as it is derived, in frontier × transition order. The
+// retained seed fixpoint and an unpruned copy of the round
+// (reference_test.go) are the test oracles of this core.
 package stable
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ideal"
 	"repro/internal/multiset"
@@ -49,8 +47,8 @@ var ErrBasisTooLarge = errors.New("stable: backward coverability basis exceeds l
 // ErrInterrupted is returned when Options.Interrupt closes mid-analysis.
 var ErrInterrupted = errors.New("stable: interrupted")
 
-// interruptBatch is how many predecessor derivations (per goroutine) go
-// between polls of the Interrupt channel.
+// interruptBatch is how many (element, transition) steps go between polls
+// of the Interrupt channel.
 const interruptBatch = 1024
 
 // Analysis holds the computed stable sets of one protocol. An Analysis is
@@ -82,10 +80,6 @@ type Options struct {
 	// Interrupt, when non-nil, cancels the analysis cooperatively: Analyze
 	// aborts with ErrInterrupted soon after the channel closes.
 	Interrupt <-chan struct{}
-	// Workers shards each round's predecessor fan-out across this many
-	// goroutines (0 or 1 = sequential). The result is bit-identical to the
-	// sequential fixpoint for any worker count.
-	Workers int
 }
 
 // Analyze computes SC_0 and SC_1 for the protocol.
@@ -96,7 +90,7 @@ func Analyze(p *protocol.Protocol, opts Options) (*Analysis, error) {
 	}
 	a := &Analysis{p: p}
 	for b := 0; b <= 1; b++ {
-		u, iters, expanded, err := backwardCover(p, b, maxBasis, opts.Workers, opts.Interrupt)
+		u, iters, expanded, err := backwardCover(p, b, maxBasis, opts.Interrupt)
 		if err != nil {
 			return nil, fmt.Errorf("computing U_%d: %w", b, err)
 		}
@@ -126,9 +120,25 @@ func (a *Analysis) finish() {
 
 // predRow is one non-identity transition of the pred-basis step: the
 // minimal configurations firing t into ↑m are max((m − delta)⁺, pre).
+// post lists the states t adds agents to (delta(i) > 0).
 type predRow struct {
 	delta multiset.Vec
 	pre   multiset.Vec
+	post  []int
+}
+
+// lowers reports whether the row's predecessor of m can fall below m
+// somewhere, i.e. whether m occupies a state of post. When it does not,
+// (m − delta)⁺ ≥ m coordinatewise (delta ≤ 0 off post, and m is 0 on
+// post), so the predecessor is ≥ m: m or the live element dominating it
+// already covers it, and Insert would reject it without touching the set.
+func (row *predRow) lowers(m []int64) bool {
+	for _, i := range row.post {
+		if m[i] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // predInto writes max((m − delta)⁺, pre) into dst (len d, no allocation).
@@ -184,8 +194,14 @@ func predRows(p *protocol.Protocol) []predRow {
 		if delta.IsZero() {
 			continue
 		}
+		var post []int
+		for i, x := range delta {
+			if x > 0 {
+				post = append(post, i)
+			}
+		}
 		tr := p.Transition(t)
-		rows = append(rows, predRow{delta: delta, pre: multiset.Pair(d, int(tr.P), int(tr.Q))})
+		rows = append(rows, predRow{delta: delta, pre: multiset.Pair(d, int(tr.P), int(tr.Q)), post: post})
 	}
 	return rows
 }
@@ -193,10 +209,10 @@ func predRows(p *protocol.Protocol) []predRow {
 // backwardCover computes U_b by the frontier-driven pred-basis fixpoint.
 // It returns the fixpoint, the number of rounds, and the total number of
 // frontier elements expanded.
-func backwardCover(p *protocol.Protocol, b int, maxBasis, workers int, stop <-chan struct{}) (*ideal.UpSet, int, int, error) {
+func backwardCover(p *protocol.Protocol, b, maxBasis int, stop <-chan struct{}) (*ideal.UpSet, int, int, error) {
 	u, frontier := seedGenerators(p, b)
 	rows := predRows(p)
-	iters, expanded, err := runFixpoint(u, frontier, rows, maxBasis, workers, stop)
+	iters, expanded, err := runFixpoint(u, frontier, rows, maxBasis, stop)
 	return u, iters, expanded, err
 }
 
@@ -206,14 +222,14 @@ func backwardCover(p *protocol.Protocol, b int, maxBasis, workers int, stop <-ch
 // the set (true vacuously for the generator seed, and re-established by the
 // warm path by enqueueing every seeded element). It returns the round and
 // expansion counts.
-func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis, workers int, stop <-chan struct{}) (int, int, error) {
-	d := u.Dim()
+func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis int, stop <-chan struct{}) (int, int, error) {
 	var (
 		iters    int
 		expanded int
 		roundF   []int32 // live frontier of the current round
-		preds    []int64 // round-scratch pred arena, len(roundF)·len(rows)·d
+		n        int     // (element, transition) steps, for interrupt polling
 	)
+	pred := make([]int64, u.Dim())
 	for len(frontier) > 0 {
 		iters++
 		// Elements dominated since they were enqueued derive nothing their
@@ -229,44 +245,25 @@ func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis, wor
 		}
 		expanded += len(roundF)
 
-		// Fan-out: derive all predecessors of the frontier into fixed
-		// (element × transition) slots — pure reads of the arena, so the
-		// sharded mode writes the same words the sequential mode does.
-		need := len(roundF) * len(rows) * d
-		if cap(preds) < need {
-			preds = make([]int64, need)
-		}
-		preds = preds[:need]
-		if workers > 1 && len(roundF) > 1 {
-			if err := fanOutParallel(u, roundF, rows, preds, d, workers, stop); err != nil {
-				return iters, expanded, err
-			}
-		} else {
-			n := 0
-			for fi, id := range roundF {
-				m := u.At(int(id))
-				base := fi * len(rows) * d
-				for ti := range rows {
-					if n%interruptBatch == 0 && stopped(stop) {
-						return iters, expanded, ErrInterrupted
-					}
-					n++
-					predInto(preds[base+ti*d:base+(ti+1)*d], m, &rows[ti])
-				}
-			}
-		}
-
-		// Merge: one sequential application pass in slot order. This is the
-		// only phase that mutates the antichain, so sequential and sharded
-		// runs insert identical vectors in identical order — the final
-		// antichain is bit-identical for any worker count.
+		// The view m stays valid while the Inserts below extend and prune
+		// the set (the arena is append-only), so each predecessor is
+		// inserted as soon as it is derived. A skipped row is an Insert
+		// that would have been a no-op (see lowers).
 		frontier = frontier[:0]
-		for k := 0; k < len(roundF)*len(rows); k++ {
-			if k%interruptBatch == 0 && stopped(stop) {
-				return iters, expanded, ErrInterrupted
-			}
-			if id, grew := u.Insert(preds[k*d : (k+1)*d]); grew {
-				frontier = append(frontier, int32(id))
+		for _, id := range roundF {
+			m := u.At(int(id))
+			for ti := range rows {
+				if n%interruptBatch == 0 && stopped(stop) {
+					return iters, expanded, ErrInterrupted
+				}
+				n++
+				if !rows[ti].lowers(m) {
+					continue
+				}
+				predInto(pred, m, &rows[ti])
+				if nid, grew := u.Insert(pred); grew {
+					frontier = append(frontier, int32(nid))
+				}
 			}
 		}
 		if u.Size() > maxBasis {
@@ -280,53 +277,6 @@ func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis, wor
 		iters = 1
 	}
 	return iters, expanded, nil
-}
-
-// fanOutParallel shards the frontier across workers, each deriving the
-// predecessors of a contiguous element range into the shared slot arena.
-// Slots are disjoint, so no synchronization beyond the final wait is
-// needed; every worker polls the stop channel in batches.
-func fanOutParallel(u *ideal.UpSet, roundF []int32, rows []predRow, preds []int64, d, workers int, stop <-chan struct{}) error {
-	if workers > len(roundF) {
-		workers = len(roundF)
-	}
-	var (
-		wg          sync.WaitGroup
-		interrupted atomic.Bool
-	)
-	chunk := (len(roundF) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(roundF) {
-			hi = len(roundF)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			n := 0
-			for fi := lo; fi < hi; fi++ {
-				m := u.At(int(roundF[fi]))
-				base := fi * len(rows) * d
-				for ti := range rows {
-					if n%interruptBatch == 0 && stopped(stop) {
-						interrupted.Store(true)
-						return
-					}
-					n++
-					predInto(preds[base+ti*d:base+(ti+1)*d], m, &rows[ti])
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if interrupted.Load() {
-		return ErrInterrupted
-	}
-	return nil
 }
 
 // Protocol returns the analyzed protocol.

@@ -139,7 +139,7 @@ func AnalyzeWarm(p *protocol.Protocol, opts Options, seed WarmSeed) (*Analysis, 
 		stats.Imported[b] = len(candidates)
 		stats.Certified[b] = st
 		stats.Dropped[b] = prevLen - st
-		iters, expanded, err := runFixpoint(u, frontier, rows, maxBasis, opts.Workers, opts.Interrupt)
+		iters, expanded, err := runFixpoint(u, frontier, rows, maxBasis, opts.Interrupt)
 		if err != nil {
 			return nil, nil, fmt.Errorf("computing U_%d: %w", b, err)
 		}

@@ -154,28 +154,6 @@ func TestAnalyzeWarmUnrelatedSeed(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWarmWorkersMatch runs the warm fixpoint with a parallel
-// fan-out: worker count must not perturb the warm result any more than it
-// perturbs the cold one.
-func TestAnalyzeWarmWorkersMatch(t *testing.T) {
-	prev, err := Analyze(protocols.BinaryThreshold(21).Protocol, Options{})
-	if err != nil {
-		t.Fatalf("seed analyze: %v", err)
-	}
-	p := protocols.BinaryThreshold(22).Protocol
-	cold, err := Analyze(p, Options{})
-	if err != nil {
-		t.Fatalf("cold analyze: %v", err)
-	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		warm, _, err := AnalyzeWarm(p, Options{Workers: workers}, WarmSeed{Prev: prev})
-		if err != nil {
-			t.Fatalf("workers=%d: warm analyze: %v", workers, err)
-		}
-		equalAnalyses(t, fmt.Sprintf("binary:22 workers=%d", workers), warm, cold)
-	}
-}
-
 // randomFamily builds a deterministic pseudo-random parametric family:
 // member N has N+2 states q0..q(N+1) whose outputs and pairwise transitions
 // are drawn from a hash of (seed, state indices) only — NOT of N — so

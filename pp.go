@@ -228,8 +228,8 @@ type (
 	// StableAnalysis holds SC_0 and SC_1 with their ideal bases; it also
 	// implements Oracle for exact convergence detection in simulations.
 	StableAnalysis = stable.Analysis
-	// StableOptions configures AnalyzeStableSetsOpts: basis cap,
-	// cooperative interrupt, and the parallel fixpoint worker count.
+	// StableOptions configures AnalyzeStableSetsOpts: basis cap and
+	// cooperative interrupt.
 	StableOptions = stable.Options
 )
 
@@ -239,9 +239,6 @@ func AnalyzeStableSets(p *Protocol) (*StableAnalysis, error) {
 }
 
 // AnalyzeStableSetsOpts computes SC_0 and SC_1 with explicit options.
-// Options.Workers shards each backward-coverability round across
-// goroutines; the result is bit-identical to the sequential analysis for
-// any worker count.
 func AnalyzeStableSetsOpts(p *Protocol, opts StableOptions) (*StableAnalysis, error) {
 	return stable.Analyze(p, opts)
 }

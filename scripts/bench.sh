@@ -12,9 +12,9 @@
 #   stable  BenchmarkStableAnalyze* in internal/stable (includes the
 #           retained seed fixpoint as the "before" side; expect the Naive
 #           benchmark to take minutes per iteration)  → BENCH_stable.json
-#   parallel  the Arena/Parallel pairs from reach and stable re-run under
-#           GOMAXPROCS=${PARALLEL_GOMAXPROCS:-4}, so the record has a row
-#           where the worker pools actually run concurrently
+#   parallel  the ExploreArena/ExploreParallel pair from reach re-run
+#           under GOMAXPROCS=${PARALLEL_GOMAXPROCS:-4}, so the record has
+#           a row where the worker pool actually runs concurrently
 #                                                   → BENCH_parallel.json
 #   sweep   BenchmarkSweepIncremental/BenchmarkSweepFromScratch in
 #           internal/sweep — extending an analyzed family ramp over a warm
@@ -125,16 +125,16 @@ run_stable() {
     -bench 'BenchmarkStableAnalyze' \
     -benchmem -benchtime "$benchtime" -count 1 -timeout 2h | tee "$tmp" >&2
   render stable \
-    "StableAnalyzeNaive runs the retained seed fixpoint (the before side; the seed complementation cannot finish this workload, so the baseline borrows the production complementation — the fixpoint ratio is conservative); pinned workload binary:104, |U_0 basis| = 11538; parallel scaling requires gomaxprocs > 1" \
+    "StableAnalyzeNaive runs the retained seed fixpoint (the before side; the seed complementation cannot finish this workload, so the baseline borrows the production complementation — the fixpoint ratio is conservative); pinned workload binary:104, |U_0 basis| = 11538; StableAnalyzeFlock rows are flock(10..12), the protocols of the end-to-end miss workload" \
     "$tmp" "$out"
 }
 
 run_parallel() {
-  # The parallel suites re-run the Arena (sequential baseline) and
-  # Parallel benchmarks under an explicit GOMAXPROCS > 1 so the committed
-  # record has a row where the worker pools can actually run concurrently
-  # — the other suites inherit whatever the host offers, which on a
-  # 1-core machine pins Parallel to a sequential schedule.
+  # Re-runs the reach Arena (sequential baseline) and Parallel benchmarks
+  # under an explicit GOMAXPROCS > 1 so the committed record has a row
+  # where the worker pool can actually run concurrently — the other
+  # suites inherit whatever the host offers, which on a 1-core machine
+  # pins Parallel to a sequential schedule.
   local out="${OUT_PARALLEL:-BENCH_parallel.json}"
   local procs="${PARALLEL_GOMAXPROCS:-4}"
   local tmp
@@ -143,11 +143,8 @@ run_parallel() {
   GOMAXPROCS="$procs" go test ./internal/reach -run '^$' \
     -bench 'BenchmarkExplore(Arena|Parallel)' \
     -benchmem -benchtime "$benchtime" -count 1 | tee "$tmp" >&2
-  GOMAXPROCS="$procs" go test ./internal/stable -run '^$' \
-    -bench 'BenchmarkStableAnalyze(Arena|Parallel)' \
-    -benchmem -benchtime "$benchtime" -count 1 -timeout 2h | tee -a "$tmp" >&2
   GOMAXPROCS="$procs" render parallel \
-    "Arena rows are the sequential baseline, Parallel rows the worker-pool analyses, both under GOMAXPROCS=$procs; when gomaxprocs exceeds host_cpus the schedule is oversubscribed and the ratio is a lower bound on real multi-core scaling" \
+    "Arena rows are the sequential baseline, Parallel rows the worker-pool explorations, both under GOMAXPROCS=$procs; when gomaxprocs exceeds host_cpus the schedule is oversubscribed and the ratio is a lower bound on real multi-core scaling" \
     "$tmp" "$out"
 }
 
