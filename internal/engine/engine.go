@@ -16,6 +16,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -46,6 +47,14 @@ var ErrBadRequest = errors.New("engine: bad request")
 // without limit.
 const defaultMaxCachedProtocols = 256
 
+// Inline protocols are capped before they are built: Build completes an
+// inline body with one identity transition per state pair, each carrying a
+// d-word displacement vector, so its memory grows as Θ(states³).
+const (
+	maxInlineStates      = 128
+	maxInlineTransitions = 16384
+)
+
 // Engine executes analysis requests. The zero value is not usable; create
 // engines with New or NewWithRegistry.
 type Engine struct {
@@ -66,6 +75,9 @@ type Engine struct {
 	cache    map[string]*artifacts
 	lru      *list.List // hashes, most recently used at the front
 	maxCache int
+	// specs memoizes builtin specs resolved by do (see resolveHashed);
+	// it holds at most maxCache entries and is cleared when full.
+	specs    map[string]resolvedSpec
 	hits     uint64
 	misses   uint64
 	computes uint64
@@ -109,6 +121,12 @@ func (m *memo[T]) completed() bool {
 	}
 }
 
+// resolvedSpec is a resolved protocol entry with its content hash.
+type resolvedSpec struct {
+	entry protocols.Entry
+	hash  string
+}
+
 // artifacts holds the memoized per-protocol computations, keyed by the
 // protocol's content hash.
 type artifacts struct {
@@ -132,6 +150,7 @@ func NewWithRegistry(reg *protocols.Registry) *Engine {
 		reg:      reg,
 		sem:      make(chan struct{}, max(2, runtime.NumCPU())),
 		cache:    make(map[string]*artifacts),
+		specs:    make(map[string]resolvedSpec),
 		lru:      list.New(),
 		maxCache: defaultMaxCachedProtocols,
 	}
@@ -232,7 +251,15 @@ func (e *Engine) Resolve(ref ProtocolRef) (protocols.Entry, error) {
 		}
 		return entry, nil
 	case len(ref.Inline) > 0:
-		p, err := protocol.Parse(ref.Inline)
+		var spec protocol.Spec
+		if err := json.Unmarshal(ref.Inline, &spec); err != nil {
+			return protocols.Entry{}, fmt.Errorf("%w: parsing inline protocol: %v", ErrBadRequest, err)
+		}
+		if len(spec.States) > maxInlineStates || len(spec.Transitions) > maxInlineTransitions {
+			return protocols.Entry{}, fmt.Errorf("%w: inline protocol has %d states and %d transitions (limits %d and %d)",
+				ErrBadRequest, len(spec.States), len(spec.Transitions), maxInlineStates, maxInlineTransitions)
+		}
+		p, err := protocol.FromSpec(spec)
 		if err != nil {
 			return protocols.Entry{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
@@ -240,6 +267,39 @@ func (e *Engine) Resolve(ref ProtocolRef) (protocols.Entry, error) {
 	default:
 		return protocols.Entry{}, fmt.Errorf("%w: missing protocol (set spec or inline)", ErrBadRequest)
 	}
+}
+
+// resolveHashed is Resolve followed by Hash. A builtin spec names the same
+// protocol in every registry (protocols.IsBuiltin), so its result is
+// memoized; inline protocols and user-constructor specs are resolved on
+// every call.
+func (e *Engine) resolveHashed(ref ProtocolRef) (protocols.Entry, string, error) {
+	memoize := len(ref.Inline) == 0 && protocols.IsBuiltin(ref.Spec)
+	if memoize {
+		e.mu.Lock()
+		r, ok := e.specs[ref.Spec]
+		e.mu.Unlock()
+		if ok {
+			return r.entry, r.hash, nil
+		}
+	}
+	entry, err := e.Resolve(ref)
+	if err != nil {
+		return protocols.Entry{}, "", err
+	}
+	hash, err := Hash(entry.Protocol)
+	if err != nil {
+		return protocols.Entry{}, "", err
+	}
+	if memoize {
+		e.mu.Lock()
+		if len(e.specs) >= e.maxCache {
+			clear(e.specs)
+		}
+		e.specs[ref.Spec] = resolvedSpec{entry: entry, hash: hash}
+		e.mu.Unlock()
+	}
+	return entry, hash, nil
 }
 
 // Hash returns the content hash of a protocol: SHA-256 over its canonical
@@ -299,11 +359,7 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 	}
 	if !req.Protocol.IsZero() || req.Kind != KindBounds {
 		var err error
-		entry, err = e.Resolve(req.Protocol)
-		if err != nil {
-			return nil, err
-		}
-		hash, err = Hash(entry.Protocol)
+		entry, hash, err = e.resolveHashed(req.Protocol)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -507,5 +508,120 @@ func TestStableCounters(t *testing.T) {
 	}
 	if res.Stable.Frontier0 < res.Stable.Basis0 || res.Stable.Frontier1 < 1 {
 		t.Errorf("frontier counters must cover at least the final bases: %+v", res.Stable)
+	}
+}
+
+// specMemoLen reports how many resolved builtin specs the engine holds.
+func specMemoLen(eng *Engine) int {
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	return len(eng.specs)
+}
+
+// TestBuiltinSpecMemo: a builtin spec is resolved and hashed once; later
+// requests reuse the entry and report the same content hash as a fresh
+// resolution.
+func TestBuiltinSpecMemo(t *testing.T) {
+	e, err := protocols.FromName("flock:5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Hash(e.Protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New()
+	for i := 0; i < 2; i++ {
+		res := do(t, eng, Request{Kind: KindVerify, Protocol: ProtocolRef{Spec: "flock:5"}, MaxSize: 6})
+		if res.Protocol.Hash != want || !res.Verification.AllOK {
+			t.Fatalf("request %d: hash %s (want %s), verification %+v", i, res.Protocol.Hash, want, res.Verification)
+		}
+	}
+	if n := specMemoLen(eng); n != 1 {
+		t.Fatalf("memo holds %d specs, want 1", n)
+	}
+}
+
+// TestUserSpecNotMemoized: a user constructor may depend on state outside
+// the spec, so it runs on every request.
+func TestUserSpecNotMemoized(t *testing.T) {
+	reg := protocols.NewRegistry()
+	calls := 0
+	if err := reg.Register("evens", func(args []string) (protocols.Entry, error) {
+		calls++
+		return protocols.ModuloIn(2, 0), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewWithRegistry(reg)
+	for i := 0; i < 2; i++ {
+		do(t, eng, Request{Kind: KindSimulate, Protocol: ProtocolRef{Spec: "evens"}, Input: []int64{6}, Seed: 1})
+	}
+	if calls != 2 || specMemoLen(eng) != 0 {
+		t.Fatalf("constructor ran %d times (want 2), memo holds %d specs (want 0)", calls, specMemoLen(eng))
+	}
+}
+
+func TestInlineNotMemoized(t *testing.T) {
+	eng := New()
+	do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Inline: inlineParity(t)}})
+	if n := specMemoLen(eng); n != 0 {
+		t.Fatalf("memo holds %d specs after an inline request, want 0", n)
+	}
+}
+
+// TestSpecMemoBounded: the memo shares the artifact cache's bound and is
+// cleared when full.
+func TestSpecMemoBounded(t *testing.T) {
+	eng := New()
+	eng.SetCacheLimit(2)
+	for _, spec := range []string{"flock:3", "flock:4", "parity", "majority", "binary:5"} {
+		do(t, eng, Request{Kind: KindBounds, Protocol: ProtocolRef{Spec: spec}})
+		if n := specMemoLen(eng); n > 2 {
+			t.Fatalf("after %s: memo holds %d specs, want ≤ 2", spec, n)
+		}
+	}
+}
+
+// inlineOfSize renders an inline protocol body with the given number of
+// states and copies of one transition, without building it.
+func inlineOfSize(states, transitions int) json.RawMessage {
+	var b strings.Builder
+	b.WriteString(`{"name":"wide","states":[`)
+	for q := 0; q < states; q++ {
+		if q > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"q%d","output":%d}`, q, q%2)
+	}
+	b.WriteString(`],"transitions":[`)
+	for i := 0; i < transitions; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`["q0","q0","q0","q1"]`)
+	}
+	b.WriteString(`],"inputs":{"x":"q0"},"completeWithIdentity":true}`)
+	return json.RawMessage(b.String())
+}
+
+func TestInlineProtocolSizeCap(t *testing.T) {
+	eng := New()
+	for _, tc := range []struct {
+		states, transitions int
+		ok                  bool
+	}{
+		{maxInlineStates, 1, true},
+		{maxInlineStates + 1, 1, false},
+		{2, maxInlineTransitions, true},
+		{2, maxInlineTransitions + 1, false},
+	} {
+		e, err := eng.Resolve(ProtocolRef{Inline: inlineOfSize(tc.states, tc.transitions)})
+		if tc.ok && (err != nil || e.Protocol.NumStates() != tc.states) {
+			t.Errorf("%d states, %d transitions: %v", tc.states, tc.transitions, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%d states, %d transitions: want ErrBadRequest, got %v", tc.states, tc.transitions, err)
+		}
 	}
 }

@@ -74,6 +74,16 @@ func (r *Registry) Resolve(spec string) (Entry, error) {
 	return FromName(spec)
 }
 
+// IsBuiltin reports whether the head token of spec names a builtin
+// protocol. Such a spec resolves to the same protocol in every registry:
+// Register rejects builtin names, and every builtin constructor is
+// deterministic.
+func IsBuiltin(spec string) bool {
+	head, _, _ := strings.Cut(spec, ":")
+	_, ok := builtins[head]
+	return ok
+}
+
 // Names lists the resolvable spec head tokens — builtin names plus
 // user-registered ones — sorted. Each entry is itself a valid spec prefix
 // ("flock" for "flock:8"); see SpecHelp for the argument grammar.

@@ -178,3 +178,19 @@ func TestSpecHelpAndNames(t *testing.T) {
 		t.Error("Names() should include registered constructors")
 	}
 }
+
+func TestIsBuiltin(t *testing.T) {
+	for spec, want := range map[string]bool{
+		"flock:5": true, "flock": true, "majority": true, "mod:3:1": true,
+		"evens": false, "zzz:3": false, "": false, ":flock": false,
+	} {
+		if got := IsBuiltin(spec); got != want {
+			t.Errorf("IsBuiltin(%q) = %t, want %t", spec, got, want)
+		}
+	}
+	// A builtin head cannot be shadowed, which is what makes memoizing
+	// builtin specs registry-independent.
+	if err := NewRegistry().Register("flock", func([]string) (Entry, error) { return Parity(), nil }); err == nil {
+		t.Fatal("registering a builtin name succeeded")
+	}
+}

@@ -1,21 +1,16 @@
 package reach
 
 // This file implements the storage layer of the exploration core: a flat
-// arena holding every configuration of a graph back to back, and a sharded
+// arena holding every configuration of a graph back to back, and an
 // open-addressing hash index that dedups configurations by hashing their
 // raw int64 coordinates. Neither allocates per configuration: the arena
 // grows by amortized append, and the index stores node ids plus cached
 // hashes, so the dedup hot path never materializes a string key
 // (multiset.Vec.Key remains the serialization format, not the dedup format).
+// Both reset to empty while keeping their capacity, so one graph can be
+// re-explored from many start configurations (see VerifyRange).
 
 import "repro/internal/wordhash"
-
-const (
-	// shardBits selects the index shard from the top hash bits; the low
-	// bits drive linear probing within a shard, so the two are independent.
-	shardBits = 4
-	numShards = 1 << shardBits
-)
 
 // hashWords hashes the coordinates of a configuration with the shared
 // raw-coordinate hasher (FNV-1a + Murmur3 avalanche; see wordhash).
@@ -34,9 +29,10 @@ func eqWords(a, b []int64) bool {
 }
 
 // configStore is the arena: configuration i occupies
-// arena[i*dim : (i+1)*dim]. Configurations are immutable once added, so
-// slices handed out before an append-triggered reallocation stay valid
-// (they alias the old backing array, whose contents never change).
+// arena[i*dim : (i+1)*dim]. Configurations are immutable once added until
+// the next reset, so slices handed out before an append-triggered
+// reallocation stay valid (they alias the old backing array, whose
+// contents never change).
 type configStore struct {
 	dim   int
 	n     int
@@ -56,56 +52,41 @@ func (s *configStore) add(c []int64) int32 {
 	return int32(s.n - 1)
 }
 
-// grow reserves room for extra more configurations and bumps n by extra;
-// the caller fills the slots with setAt (used by the parallel explorer to
-// copy a whole BFS level into the arena concurrently).
-func (s *configStore) grow(extra int) {
-	s.arena = append(s.arena, make([]int64, extra*s.dim)...)
-	s.n += extra
+// reset empties the store, keeping the arena's capacity.
+func (s *configStore) reset() {
+	s.n = 0
+	s.arena = s.arena[:0]
 }
 
-// setAt copies c into slot i (which must have been reserved with grow).
-func (s *configStore) setAt(i int32, c []int64) {
-	copy(s.at(i), c)
-}
-
-// nodeIndex maps configuration coordinates to node ids: numShards
-// open-addressing tables with linear probing, selected by the top hash
-// bits. Each slot stores the node id (+1, so the zero value is "empty")
-// and the full hash, so probe misses are rejected without touching the
-// arena and rehashing never recomputes hashes.
-//
-// Concurrency contract: lookups from many goroutines are safe while no
-// add is in flight; adds to distinct shards are safe concurrently, which
-// is what the parallel explorer's sharded insertion phase relies on.
+// nodeIndex maps configuration coordinates to node ids: one open-addressing
+// table with linear probing. Each slot stores the node id (+1, so the zero
+// value is "empty") and the full hash, so probe misses are rejected without
+// touching the arena and rehashing never recomputes hashes.
 type nodeIndex struct {
-	shards [numShards]idxShard
-}
-
-type idxShard struct {
 	slots  []int32 // node id + 1; 0 = empty
 	hashes []uint64
 	used   int
 }
 
-func (ix *nodeIndex) shard(h uint64) *idxShard {
-	return &ix.shards[h>>(64-shardBits)]
+// reset empties the index, keeping its table.
+func (ix *nodeIndex) reset() {
+	clear(ix.slots)
+	ix.used = 0
 }
 
 // lookup returns the id of the configuration equal to c (with hash h), if
 // present.
 func (ix *nodeIndex) lookup(st *configStore, c []int64, h uint64) (int32, bool) {
-	sh := ix.shard(h)
-	if len(sh.slots) == 0 {
+	if len(ix.slots) == 0 {
 		return 0, false
 	}
-	mask := uint64(len(sh.slots) - 1)
+	mask := uint64(len(ix.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		id := sh.slots[i]
+		id := ix.slots[i]
 		if id == 0 {
 			return 0, false
 		}
-		if sh.hashes[i] == h && eqWords(st.at(id-1), c) {
+		if ix.hashes[i] == h && eqWords(st.at(id-1), c) {
 			return id - 1, true
 		}
 	}
@@ -114,38 +95,37 @@ func (ix *nodeIndex) lookup(st *configStore, c []int64, h uint64) (int32, bool) 
 // add records id for a configuration with hash h. The configuration must
 // already be in the store and must not be in the index.
 func (ix *nodeIndex) add(id int32, h uint64) {
-	sh := ix.shard(h)
-	if (sh.used+1)*4 > len(sh.slots)*3 {
-		sh.grow()
+	if (ix.used+1)*4 > len(ix.slots)*3 {
+		ix.grow()
 	}
-	sh.insert(id, h)
+	ix.insert(id, h)
 }
 
-func (sh *idxShard) insert(id int32, h uint64) {
-	mask := uint64(len(sh.slots) - 1)
+func (ix *nodeIndex) insert(id int32, h uint64) {
+	mask := uint64(len(ix.slots) - 1)
 	i := h & mask
-	for sh.slots[i] != 0 {
+	for ix.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	sh.slots[i] = id + 1
-	sh.hashes[i] = h
-	sh.used++
+	ix.slots[i] = id + 1
+	ix.hashes[i] = h
+	ix.used++
 }
 
-// grow doubles the shard (min 64 slots) and reinserts from the cached
+// grow doubles the table (min 64 slots) and reinserts from the cached
 // hashes; the arena is not consulted.
-func (sh *idxShard) grow() {
+func (ix *nodeIndex) grow() {
 	newCap := 64
-	if len(sh.slots) > 0 {
-		newCap = len(sh.slots) * 2
+	if len(ix.slots) > 0 {
+		newCap = len(ix.slots) * 2
 	}
-	oldSlots, oldHashes := sh.slots, sh.hashes
-	sh.slots = make([]int32, newCap)
-	sh.hashes = make([]uint64, newCap)
-	sh.used = 0
+	oldSlots, oldHashes := ix.slots, ix.hashes
+	ix.slots = make([]int32, newCap)
+	ix.hashes = make([]uint64, newCap)
+	ix.used = 0
 	for i, id := range oldSlots {
 		if id != 0 {
-			sh.insert(id-1, oldHashes[i])
+			ix.insert(id-1, oldHashes[i])
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package reach
 
-// Benchmarks of the exploration core on a ≥100k-configuration workload
-// (flock(6) from IC(36): 120,036 configurations). The *Naive benchmarks
+// Benchmarks of the exploration core, mostly on a ≥100k-configuration
+// workload (flock(6) from IC(36): 120,036 configurations). The *Naive benchmarks
 // run the retained pre-arena core (naive_test.go) and are the "before"
 // side of the comparison pinned in BENCH_reach.json; run scripts/bench.sh
 // to regenerate it.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/multiset"
@@ -52,22 +51,35 @@ func BenchmarkExploreNaive100k(b *testing.B) {
 	b.ReportMetric(float64(configs), "configs")
 }
 
-// BenchmarkExploreParallel100k: the frontier-parallel explorer at several
-// worker counts. Scaling requires GOMAXPROCS > 1; on a single-core host
-// this measures the level-synchronization overhead instead.
-func BenchmarkExploreParallel100k(b *testing.B) {
-	e, start := benchWorkload()
-	p := e.Protocol
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExploreParallel(p, start, 0, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkVerifySweepMix: the verify cells of the perfbench sweep grid —
+// flock(N) for N = 4..7, each verified over sizes 2..N−1, 2..N+1 and
+// 2..2N: 12 ranges, 76 inputs, 2,993 configurations per op. The graphs are
+// small, so this measures the per-input overhead that graph reuse removes.
+func BenchmarkVerifySweepMix(b *testing.B) {
+	type cell struct {
+		e   protocols.Entry
+		max int64
 	}
+	var cells []cell
+	for n := int64(4); n <= 7; n++ {
+		e := protocols.FlockOfBirds(n)
+		for _, max := range []int64{n - 1, n + 1, 2 * n} {
+			cells = append(cells, cell{e, max})
+		}
+	}
+	b.ReportAllocs()
+	var configs int
+	for i := 0; i < b.N; i++ {
+		configs = 0
+		for _, c := range cells {
+			rep, err := VerifyRange(c.e.Protocol, c.e.Pred, 2, c.max, 0)
+			if err != nil || !rep.AllOK() {
+				b.Fatalf("VerifyRange(%s, 2..%d): %v", c.e.Protocol.Name(), c.max, err)
+			}
+			configs += rep.TotalConfigs
+		}
+	}
+	b.ReportMetric(float64(configs), "configs")
 }
 
 // BenchmarkCoverEarlyExit100k: goal-directed coverability — the BFS stops

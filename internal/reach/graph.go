@@ -16,8 +16,9 @@
 // dimension-strided in one flat arena, successor lists are a single CSR
 // (compressed sparse row) structure, and deduplication goes through an
 // open-addressing index that hashes the raw coordinates — no per-node
-// allocations on the hot path. See docs/performance.md for the layout, the
-// parallel explorer, and the determinism guarantees.
+// allocations on the hot path. VerifyRange re-explores one graph per input,
+// so a verify range pays for its buffers once. See docs/performance.md for
+// the layout, the reuse design, and the determinism guarantees.
 package reach
 
 import (
@@ -62,8 +63,8 @@ type Step struct {
 // with its transition edges. Node 0 is the start configuration; nodes are
 // numbered in BFS discovery order (by level, and within a level by the
 // (source node, transition index) of the discovering edge), so each BFS
-// level is a contiguous id range. Explore and ExploreParallel produce
-// identical numberings.
+// level is a contiguous id range. A graph reset and re-explored from a
+// start configuration numbers it exactly as a fresh Explore does.
 type Graph struct {
 	p     *protocol.Protocol
 	store configStore
@@ -78,6 +79,13 @@ type Graph struct {
 	parent     []int32
 	parentTran []int32
 	depth      []int32
+	// trans is compactTransitions(p); next is the successor buffer of
+	// explore.
+	trans []tran
+	next  []int64
+	// scc is Tarjan's working memory, reused by every SCC computation on
+	// this graph (see scc.go).
+	scc sccScratch
 }
 
 // tran is a compact non-identity transition: pre ⟅p,q⟆, post ⟅p2,q2⟆.
@@ -136,43 +144,64 @@ func clampLimit(limit int) int {
 	return limit
 }
 
-// newGraph allocates an empty graph holding only the start configuration.
-func newGraph(p *protocol.Protocol, start protocol.Config) *Graph {
-	g := &Graph{
-		p:       p,
-		store:   configStore{dim: p.NumStates()},
-		succOff: make([]int64, 1, 1024),
+// newGraph allocates an empty graph for p; reset gives it a start
+// configuration.
+func newGraph(p *protocol.Protocol) *Graph {
+	return &Graph{
+		p:     p,
+		store: configStore{dim: p.NumStates()},
+		trans: compactTransitions(p),
+		next:  make([]int64, p.NumStates()),
 	}
-	g.store.add(start)
-	g.idx.add(0, hashWords(start))
-	g.parent = append(g.parent, -1)
-	g.parentTran = append(g.parentTran, -1)
-	g.depth = append(g.depth, 0)
-	return g
 }
 
-// exploreCore is the sequential BFS over the configuration graph. All
-// public sequential entry points (Explore, CoverLengths, ...) funnel here.
+// reset empties the graph down to the single node start, keeping the
+// capacity of every buffer. Views handed out before (Config, Succs) are
+// invalidated.
+func (g *Graph) reset(start protocol.Config) {
+	g.store.reset()
+	g.idx.reset()
+	g.succOff = append(g.succOff[:0], 0)
+	g.succ = g.succ[:0]
+	g.store.add(start)
+	g.idx.add(0, hashWords(start))
+	g.parent = append(g.parent[:0], -1)
+	g.parentTran = append(g.parentTran[:0], -1)
+	g.depth = append(g.depth[:0], 0)
+}
+
+// exploreCore builds a fresh graph from start. Explore and the cover queries
+// funnel here; VerifyRange and ThresholdWitness reset one graph per input
+// instead.
 func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-chan struct{}, visit visitFunc) (*Graph, error) {
-	limit = clampLimit(limit)
 	if start.Dim() != p.NumStates() {
 		return nil, fmt.Errorf("reach: start configuration has dimension %d, want %d",
 			start.Dim(), p.NumStates())
 	}
-	g := newGraph(p, start)
-	if visit != nil && !visit(g, 0, 0) {
-		return g, nil
+	g := newGraph(p)
+	g.reset(start)
+	if err := g.explore(limit, stop, visit); err != nil {
+		return nil, err
 	}
-	trans := compactTransitions(p)
-	next := make([]int64, g.store.dim)
+	return g, nil
+}
+
+// explore is the sequential BFS over the configuration graph from node 0
+// (the graph must have just been reset).
+func (g *Graph) explore(limit int, stop <-chan struct{}, visit visitFunc) error {
+	limit = clampLimit(limit)
+	if visit != nil && !visit(g, 0, 0) {
+		return nil
+	}
+	next := g.next
 	for head := 0; head < g.store.n; head++ {
 		if head&1023 == 0 && interrupted(stop) {
-			return nil, ErrInterrupted
+			return ErrInterrupted
 		}
 		c := g.store.at(int32(head))
 		d := g.depth[head]
 		segStart := len(g.succ) // this node's successor segment under construction
-		for _, t := range trans {
+		for _, t := range g.trans {
 			if t.p == t.q {
 				if c[t.p] < 2 {
 					continue
@@ -189,7 +218,7 @@ func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-
 			j, ok := g.idx.lookup(&g.store, next, h)
 			if !ok {
 				if g.store.n >= limit {
-					return nil, fmt.Errorf("%w: limit %d from %s", ErrLimitExceeded, limit, p.FormatConfig(start))
+					return fmt.Errorf("%w: limit %d from %s", ErrLimitExceeded, limit, g.p.FormatConfig(g.Start()))
 				}
 				j = g.store.add(next)
 				g.idx.add(j, h)
@@ -197,7 +226,7 @@ func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-
 				g.parentTran = append(g.parentTran, t.idx)
 				g.depth = append(g.depth, d+1)
 				if visit != nil && !visit(g, j, d+1) {
-					return g, nil
+					return nil
 				}
 				// The arena may have been reallocated; refresh the view of
 				// the head configuration (contents are unchanged either way).
@@ -220,7 +249,7 @@ func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-
 		}
 		g.succOff = append(g.succOff, int64(len(g.succ)))
 	}
-	return g, nil
+	return nil
 }
 
 // Protocol returns the protocol this graph was built for.

@@ -165,7 +165,11 @@ func (g *naiveGraph) fairOutput() (int, bool) {
 // randomProtocol builds a random single-input protocol: 2–5 states with
 // random outputs, a random set of non-identity transitions, completed with
 // identity interactions.
-func randomProtocol(rng *rand.Rand) *protocol.Protocol {
+func randomProtocol(rng *rand.Rand) *protocol.Protocol { return randomProtocolInputs(rng, 1) }
+
+// randomProtocolInputs is randomProtocol with the given number of input
+// variables (x, y, ...), each mapped to a random state.
+func randomProtocolInputs(rng *rand.Rand, inputs int) *protocol.Protocol {
 	k := 2 + rng.Intn(4)
 	b := protocol.NewBuilder(fmt.Sprintf("random-%d", k))
 	states := make([]protocol.State, k)
@@ -179,17 +183,19 @@ func randomProtocol(rng *rand.Rand) *protocol.Protocol {
 			states[rng.Intn(k)], states[rng.Intn(k)],
 		)
 	}
-	b.AddInput("x", states[rng.Intn(k)])
+	for x := 0; x < inputs; x++ {
+		b.AddInput(string(rune('x'+x)), states[rng.Intn(k)])
+	}
 	return b.CompleteWithIdentity().MustBuild()
 }
 
 // TestDifferentialArenaVsNaive is the central differential test of the
 // exploration core: on randomized small protocols, the arena-backed
-// sequential explorer, the frontier-parallel explorer, and the retained
-// naive reference must produce the same node set, the same node numbering
-// (all three explore in (source, transition) discovery order), the same
-// BFS distances, the same successor lists, the same bottom-SCC verdict,
-// and the same goal-directed cover lengths.
+// explorer — fresh, and reset after exploring a larger input — and the
+// retained naive reference must produce the same node set, the same node
+// numbering (all explore in (source, transition) discovery order), the
+// same BFS distances, the same successor lists, the same bottom-SCC
+// verdict, and the same goal-directed cover lengths.
 func TestDifferentialArenaVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 80; trial++ {
@@ -205,12 +211,19 @@ func TestDifferentialArenaVsNaive(t *testing.T) {
 			t.Fatalf("trial %d: Explore: %v", trial, err)
 		}
 		compareGraphs(t, trial, "arena", ng, ag)
-		workers := 1 + rng.Intn(4)
-		pg, err := ExploreParallel(p, start, 0, workers)
+		// A graph that has explored a larger input and computed its SCCs,
+		// reset to start: the stale arena, CSR, BFS-tree, index and SCC
+		// scratch contents must not leak.
+		rg, err := Explore(p, p.InitialConfigN(n+2), 0)
 		if err != nil {
-			t.Fatalf("trial %d: ExploreParallel(%d): %v", trial, workers, err)
+			t.Fatalf("trial %d: Explore(%d): %v", trial, n+2, err)
 		}
-		compareGraphs(t, trial, fmt.Sprintf("parallel(%d)", workers), ng, pg)
+		rg.FairOutput()
+		rg.reset(start)
+		if err := rg.explore(0, nil, nil); err != nil {
+			t.Fatalf("trial %d: reset explore: %v", trial, err)
+		}
+		compareGraphs(t, trial, "reset", ng, rg)
 
 		// Bottom-SCC verdict: Tarjan on the arena graph vs the brute-force
 		// pairwise-reachability verdict on the naive graph.
@@ -218,6 +231,9 @@ func TestDifferentialArenaVsNaive(t *testing.T) {
 		ab, aok := ag.FairOutput()
 		if nb != ab || nok != aok {
 			t.Fatalf("trial %d: fair output: naive %d,%t vs arena %d,%t", trial, nb, nok, ab, aok)
+		}
+		if rb, rok := rg.FairOutput(); nb != rb || nok != rok {
+			t.Fatalf("trial %d: fair output: naive %d,%t vs reset %d,%t", trial, nb, nok, rb, rok)
 		}
 
 		// Goal-directed cover vs full-exploration-and-scan.

@@ -72,6 +72,16 @@ func TestExploreLimit(t *testing.T) {
 	}
 }
 
+func TestExploreInterrupt(t *testing.T) {
+	e := protocols.FlockOfBirds(6)
+	p := e.Protocol
+	stop := make(chan struct{})
+	close(stop)
+	if _, err := ExploreInterruptible(p, p.InitialConfigN(30), 0, stop); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+}
+
 func TestExploreDimensionMismatch(t *testing.T) {
 	e := protocols.FlockOfBirds(3)
 	if _, err := Explore(e.Protocol, multiset.New(1), 0); err == nil {

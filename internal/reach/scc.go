@@ -1,5 +1,7 @@
 package reach
 
+import "slices"
+
 // SCCInfo is the strongly-connected-component decomposition of a Graph.
 type SCCInfo struct {
 	// Comp maps node index → component id. Components are numbered in
@@ -15,35 +17,57 @@ type SCCInfo struct {
 	Members [][]int32
 }
 
-// SCCs computes the strongly connected components of the graph with an
+// sccScratch is Tarjan's working memory, owned by a Graph so that the
+// SCC computations of a reused graph (one per input of a verify range)
+// allocate nothing once it has grown to the largest graph.
+type sccScratch struct {
+	index, low []int32
+	onStack    []bool
+	stack      []int32 // Tarjan stack
+	call       []sccFrame
+	// comp and bottom are the result: node → component id, and whether
+	// each component is bottom (same conventions as SCCInfo).
+	comp   []int32
+	bottom []bool
+}
+
+// sccFrame is one frame of the explicit DFS call stack.
+type sccFrame struct {
+	v    int32
+	next int // next successor position to process
+}
+
+// resized returns s with length n, reallocating only when its capacity is
+// too small. The contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// tarjan computes the strongly connected components into g.scc with an
 // iterative Tarjan algorithm (explicit stack; configuration graphs can be
-// deep, so recursion is not an option).
-func (g *Graph) SCCs() *SCCInfo {
+// deep, so recursion is not an option) and returns their number.
+func (g *Graph) tarjan() int {
 	n := g.Len()
+	sc := &g.scc
 	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	comp := make([]int32, n)
+	index := resized(sc.index, n)
+	low := resized(sc.low, n)
+	comp := resized(sc.comp, n)
+	onStack := resized(sc.onStack, n)
 	for i := range index {
 		index[i] = unvisited
-		comp[i] = unvisited
 	}
-	var (
-		stack    []int32 // Tarjan stack
-		nextIdx  int32
-		numComps int32
-	)
-	type frame struct {
-		v    int32
-		next int // next successor position to process
-	}
-	var call []frame
+	// onStack needs no reset: a completed run pops every node.
+	stack, call := sc.stack[:0], sc.call[:0]
+	var nextIdx, numComps int32
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		call = append(call[:0], frame{v: int32(root)})
+		call = append(call[:0], sccFrame{v: int32(root)})
 		index[root] = nextIdx
 		low[root] = nextIdx
 		nextIdx++
@@ -61,7 +85,7 @@ func (g *Graph) SCCs() *SCCInfo {
 					nextIdx++
 					stack = append(stack, w)
 					onStack[w] = true
-					call = append(call, frame{v: w})
+					call = append(call, sccFrame{v: w})
 				} else if onStack[w] {
 					if index[w] < low[v] {
 						low[v] = index[w]
@@ -91,23 +115,35 @@ func (g *Graph) SCCs() *SCCInfo {
 			}
 		}
 	}
-
-	info := &SCCInfo{
-		Comp:     comp,
-		NumComps: int(numComps),
-		Bottom:   make([]bool, numComps),
-		Members:  make([][]int32, numComps),
-	}
-	for i := range info.Bottom {
-		info.Bottom[i] = true
+	// A component is bottom iff no edge leaves it.
+	bottom := resized(sc.bottom, int(numComps))
+	for c := range bottom {
+		bottom[c] = true
 	}
 	for v := 0; v < n; v++ {
-		info.Members[comp[v]] = append(info.Members[comp[v]], int32(v))
 		for _, w := range g.Succs(v) {
 			if comp[w] != comp[v] {
-				info.Bottom[comp[v]] = false
+				bottom[comp[v]] = false
+				break
 			}
 		}
+	}
+	*sc = sccScratch{index: index, low: low, onStack: onStack, stack: stack, call: call, comp: comp, bottom: bottom}
+	return int(numComps)
+}
+
+// SCCs computes the strongly connected components of the graph. The result
+// is freshly allocated: it stays valid across later SCC computations.
+func (g *Graph) SCCs() *SCCInfo {
+	numComps := g.tarjan()
+	info := &SCCInfo{
+		Comp:     slices.Clone(g.scc.comp),
+		NumComps: numComps,
+		Bottom:   slices.Clone(g.scc.bottom),
+		Members:  make([][]int32, numComps),
+	}
+	for v, c := range info.Comp {
+		info.Members[c] = append(info.Members[c], int32(v))
 	}
 	return info
 }
@@ -119,27 +155,18 @@ func (g *Graph) SCCs() *SCCInfo {
 // the protocol does not converge (or does not converge consistently) on
 // this input.
 func (g *Graph) FairOutput() (b int, ok bool) {
-	info := g.SCCs()
-	return g.fairOutput(info)
-}
-
-func (g *Graph) fairOutput(info *SCCInfo) (int, bool) {
+	g.tarjan()
+	comp, bottom := g.scc.comp, g.scc.bottom
 	result := -1
-	for c := 0; c < info.NumComps; c++ {
-		if !info.Bottom[c] {
+	for v, c := range comp {
+		if !bottom[c] {
 			continue
 		}
-		for _, v := range info.Members[c] {
-			ob, ok := g.p.OutputOf(g.Config(int(v)))
-			if !ok {
-				return -1, false
-			}
-			if result == -1 {
-				result = ob
-			} else if result != ob {
-				return -1, false
-			}
+		ob, ok := g.p.OutputOf(g.Config(v))
+		if !ok || (result != -1 && result != ob) {
+			return -1, false
 		}
+		result = ob
 	}
 	if result == -1 {
 		return -1, false

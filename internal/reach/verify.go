@@ -65,13 +65,14 @@ func (r *Report) String() string {
 // it explores the configuration graph from IC(v) and compares the fair
 // output with ϕ(v). This is sound and complete for this input.
 func VerifyInput(p *protocol.Protocol, phi pred.Pred, v multiset.Vec, limit int) (Result, error) {
-	return verifyInput(p, phi, v, limit, nil)
+	return newGraph(p).verify(phi, v, limit, nil)
 }
 
-func verifyInput(p *protocol.Protocol, phi pred.Pred, v multiset.Vec, limit int, stop <-chan struct{}) (Result, error) {
-	ic := p.InitialConfig(v)
-	g, err := ExploreInterruptible(p, ic, limit, stop)
-	if err != nil {
+// verify resets the graph to IC(v), explores it and compares the fair
+// output with ϕ(v).
+func (g *Graph) verify(phi pred.Pred, v multiset.Vec, limit int, stop <-chan struct{}) (Result, error) {
+	g.reset(g.p.InitialConfig(v))
+	if err := g.explore(limit, stop, nil); err != nil {
 		return Result{}, fmt.Errorf("verifying input %v: %w", v, err)
 	}
 	want := phi.Eval(v)
@@ -100,7 +101,8 @@ func VerifyRange(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, li
 // VerifyRangeInterruptible is VerifyRange with cooperative cancellation: it
 // aborts with ErrInterrupted soon after the stop channel closes, both
 // between inputs and inside each input's graph exploration. A nil channel
-// disables the checks.
+// disables the checks. One graph is reset and re-explored for every input,
+// so its buffers are allocated once per range, not once per input.
 func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{}) (*Report, error) {
 	if phi.Arity() != p.NumInputs() {
 		return nil, fmt.Errorf("reach: predicate arity %d != protocol inputs %d",
@@ -110,13 +112,14 @@ func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxS
 		minSize = 2
 	}
 	rep := &Report{}
+	g := newGraph(p)
 	for s := minSize; s <= maxSize; s++ {
 		inputs := enumerate(p.NumInputs(), s)
 		for _, v := range inputs {
 			if interrupted(stop) {
 				return rep, ErrInterrupted
 			}
-			res, err := verifyInput(p, phi, v, limit, stop)
+			res, err := g.verify(phi, v, limit, stop)
 			if err != nil {
 				return rep, err
 			}
@@ -163,9 +166,10 @@ func ThresholdWitness(p *protocol.Protocol, maxInput int64, limit int) (eta int6
 		return 0, false, fmt.Errorf("reach: ThresholdWitness needs a single input variable")
 	}
 	eta, found = 0, false
+	g := newGraph(p)
 	for i := int64(2); i <= maxInput; i++ {
-		g, err := Explore(p, p.InitialConfigN(i), limit)
-		if err != nil {
+		g.reset(p.InitialConfigN(i))
+		if err := g.explore(limit, nil, nil); err != nil {
 			return 0, false, err
 		}
 		b, ok := g.FairOutput()

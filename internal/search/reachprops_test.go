@@ -94,27 +94,3 @@ func TestQuickRandomProtocolGraphInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickParallelExploreAgreesOnRandomProtocols extends the equivalence
-// test beyond the zoo.
-func TestQuickParallelExploreAgreesOnRandomProtocols(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		p := randomProtocol(rr, 2+rr.Intn(2))
-		input := int64(2 + rr.Intn(4))
-		seq, err1 := reach.Explore(p, p.InitialConfigN(input), 0)
-		par, err2 := reach.ExploreParallel(p, p.InitialConfigN(input), 0, 2)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if seq.Len() != par.Len() {
-			return false
-		}
-		b1, ok1 := seq.FairOutput()
-		b2, ok2 := par.FairOutput()
-		return b1 == b2 && ok1 == ok2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +75,22 @@ func TestAnalyzeErrors(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: error body missing: %s", name, rec.Body)
 		}
+	}
+}
+
+// TestAnalyzeInlineStateCap: an inline body over the engine's 128-state cap
+// is a client error, rejected before the protocol is built.
+func TestAnalyzeInlineStateCap(t *testing.T) {
+	h := NewHandler(engine.New(), Options{})
+	var states []string
+	for q := 0; q < 129; q++ {
+		states = append(states, fmt.Sprintf(`{"name":"q%d","output":0}`, q))
+	}
+	body := `{"kind":"stable","protocol":{"inline":{"name":"wide","states":[` + strings.Join(states, ",") +
+		`],"transitions":[],"inputs":{"x":"q0"},"completeWithIdentity":true}}}`
+	rec, _ := post(t, h, "/v1/analyze", body)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "129 states") {
+		t.Fatalf("status %d, want 400 naming the state count (%s)", rec.Code, rec.Body)
 	}
 }
 

@@ -273,11 +273,6 @@ var SimulateConcurrent = sim.RunConcurrent
 // WriteTraceCSV exports a simulation trace for plotting.
 var WriteTraceCSV = sim.WriteTraceCSV
 
-// ExploreParallel builds the exact configuration graph with a
-// frontier-parallel BFS; the result — node numbering included — is
-// identical to sequential exploration for every worker count.
-var ExploreParallel = reach.ExploreParallel
-
 // CoverLengths returns, per target, the shortest covering-execution length
 // from start (-1 if uncoverable), tracking all targets in one goal-directed
 // BFS that stops at the first level covering the last outstanding target.

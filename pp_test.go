@@ -115,7 +115,7 @@ func TestFacadeSaturationAndRealisability(t *testing.T) {
 	}
 }
 
-func TestFacadeConcurrentSimAndParallelExplore(t *testing.T) {
+func TestFacadeConcurrentSimAndVerify(t *testing.T) {
 	e := pp.Succinct(2)
 	p := e.Protocol
 	stats, err := pp.SimulateConcurrent(p, p.InitialConfigN(12), 4, pp.SimOptions{Seed: 3}, 2)
@@ -127,12 +127,12 @@ func TestFacadeConcurrentSimAndParallelExplore(t *testing.T) {
 			t.Fatalf("bad run: %+v", st)
 		}
 	}
-	g, err := pp.ExploreParallel(p, p.InitialConfigN(6), 0, 2)
+	rep, err := pp.Verify(p, e.Pred, 2, 6, 0)
 	if err != nil {
-		t.Fatalf("ExploreParallel: %v", err)
+		t.Fatalf("Verify: %v", err)
 	}
-	if b, ok := g.FairOutput(); !ok || b != 1 {
-		t.Fatalf("fair output %d,%t", b, ok)
+	if !rep.AllOK() {
+		t.Fatalf("verification failed:\n%s", rep)
 	}
 }
 

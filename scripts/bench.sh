@@ -1,21 +1,17 @@
 #!/usr/bin/env bash
 # bench.sh — run the pinned benchmark suites and record the numbers.
 #
-# Two suites, one JSON file each:
+# Four suites, one JSON file each:
 #
-#   reach   BenchmarkExplore*/BenchmarkCover*/BenchmarkMaxCover* in
-#           internal/reach (includes the retained pre-arena core as the
-#           "before" side)                          → BENCH_reach.json
+#   reach   BenchmarkExplore*/BenchmarkCover*/BenchmarkMaxCover*/
+#           BenchmarkVerify* in internal/reach (includes the retained
+#           pre-arena core as the "before" side)    → BENCH_reach.json
 #   sim     BenchmarkSimStep*/BenchmarkRunReplicas* in internal/sim
 #           (includes the retained linear-scan core as the "before" side)
 #                                                   → BENCH_sim.json
 #   stable  BenchmarkStableAnalyze* in internal/stable (includes the
 #           retained seed fixpoint as the "before" side; expect the Naive
 #           benchmark to take minutes per iteration)  → BENCH_stable.json
-#   parallel  the ExploreArena/ExploreParallel pair from reach re-run
-#           under GOMAXPROCS=${PARALLEL_GOMAXPROCS:-4}, so the record has
-#           a row where the worker pool actually runs concurrently
-#                                                   → BENCH_parallel.json
 #   sweep   BenchmarkSweepIncremental/BenchmarkSweepFromScratch in
 #           internal/sweep — extending an analyzed family ramp over a warm
 #           artifact store vs recomputing the grid cold; always runs at
@@ -96,10 +92,10 @@ run_reach() {
   tmp="$(mktemp)"
   tmpfiles+=("$tmp")
   go test ./internal/reach -run '^$' \
-    -bench 'Benchmark(Explore|Cover|MaxCover)' \
+    -bench 'Benchmark(Explore|Cover|MaxCover|Verify)' \
     -benchmem -benchtime "$benchtime" -count 1 | tee "$tmp" >&2
   render reach \
-    "*Naive benchmarks run the retained pre-arena core (the before side of the comparison); parallel scaling requires gomaxprocs > 1" \
+    "*Naive benchmarks run the retained pre-arena core (the before side of the comparison); VerifySweepMix is the 12 verify cells of the perfbench sweep grid (flock 4..7, sizes 2..N-1, N+1, 2N), one reused graph per range" \
     "$tmp" "$out"
 }
 
@@ -129,25 +125,6 @@ run_stable() {
     "$tmp" "$out"
 }
 
-run_parallel() {
-  # Re-runs the reach Arena (sequential baseline) and Parallel benchmarks
-  # under an explicit GOMAXPROCS > 1 so the committed record has a row
-  # where the worker pool can actually run concurrently — the other
-  # suites inherit whatever the host offers, which on a 1-core machine
-  # pins Parallel to a sequential schedule.
-  local out="${OUT_PARALLEL:-BENCH_parallel.json}"
-  local procs="${PARALLEL_GOMAXPROCS:-4}"
-  local tmp
-  tmp="$(mktemp)"
-  tmpfiles+=("$tmp")
-  GOMAXPROCS="$procs" go test ./internal/reach -run '^$' \
-    -bench 'BenchmarkExplore(Arena|Parallel)' \
-    -benchmem -benchtime "$benchtime" -count 1 | tee "$tmp" >&2
-  GOMAXPROCS="$procs" render parallel \
-    "Arena rows are the sequential baseline, Parallel rows the worker-pool explorations, both under GOMAXPROCS=$procs; when gomaxprocs exceeds host_cpus the schedule is oversubscribed and the ratio is a lower bound on real multi-core scaling" \
-    "$tmp" "$out"
-}
-
 run_sweep() {
   # The incremental/from-scratch pair is pinned at one iteration each: the
   # incremental benchmark's first iteration is the extend scenario (29
@@ -171,8 +148,7 @@ case "$suites" in
   reach)    run_reach ;;
   sim)      run_sim ;;
   stable)   run_stable ;;
-  parallel) run_parallel ;;
   sweep)    run_sweep ;;
-  all)      run_reach; run_sim; run_stable; run_parallel; run_sweep ;;
-  *) echo "usage: scripts/bench.sh [reach|sim|stable|parallel|sweep|all]" >&2; exit 2 ;;
+  all)      run_reach; run_sim; run_stable; run_sweep ;;
+  *) echo "usage: scripts/bench.sh [reach|sim|stable|sweep|all]" >&2; exit 2 ;;
 esac
