@@ -7,6 +7,7 @@ package reach
 // to regenerate it.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/multiset"
@@ -80,6 +81,47 @@ func BenchmarkVerifySweepMix(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(configs), "configs")
+}
+
+// BenchmarkVerifyAfterLargeExplore: flock(7) verified over 2..14, the
+// largest range of BenchmarkVerifySweepMix, timed on a pooled graph. In
+// "after-large" the pool holds the graph of an untimed flock(6) IC(36)
+// range (120,036 configurations) and every timed range reuses its
+// oversized buffers; "steady" warms the pool with the small range itself.
+// A reset that cost time in proportion to the buffers' capacity (e.g.
+// clearing the whole index table) would separate the two.
+func BenchmarkVerifyAfterLargeExplore(b *testing.B) {
+	small, large := protocols.FlockOfBirds(7), protocols.FlockOfBirds(6)
+	verify := func(b *testing.B, e protocols.Entry, minSize, maxSize int64) int {
+		rep, err := VerifyRange(e.Protocol, e.Pred, minSize, maxSize, 0)
+		if err != nil || !rep.AllOK() {
+			b.Fatalf("VerifyRange(%s, %d..%d): %v", e.Protocol.Name(), minSize, maxSize, err)
+		}
+		return rep.TotalConfigs
+	}
+	for _, warm := range []struct {
+		name     string
+		e        protocols.Entry
+		min, max int64
+	}{
+		{"steady", small, 2, 14},
+		{"after-large", large, 36, 36},
+	} {
+		b.Run(warm.name, func(b *testing.B) {
+			// Two collections empty the pool, so the warm-up's graph is the
+			// one the timed ranges get.
+			runtime.GC()
+			runtime.GC()
+			verify(b, warm.e, warm.min, warm.max)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var configs int
+			for i := 0; i < b.N; i++ {
+				configs = verify(b, small, 2, 14)
+			}
+			b.ReportMetric(float64(configs), "configs")
+		})
+	}
 }
 
 // BenchmarkCoverEarlyExit100k: goal-directed coverability — the BFS stops

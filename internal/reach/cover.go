@@ -51,6 +51,9 @@ func CoverLengths(p *protocol.Protocol, start protocol.Config, targets []multise
 // it aborts with ErrInterrupted soon after the stop channel closes. A nil
 // channel disables the checks.
 func CoverLengthsInterruptible(p *protocol.Protocol, start protocol.Config, targets []multiset.Vec, limit int, stop <-chan struct{}) ([]int, error) {
+	if err := checkStart(p, start); err != nil {
+		return nil, err
+	}
 	for _, target := range targets {
 		if target.Dim() != p.NumStates() {
 			return nil, fmt.Errorf("reach: target dimension %d, want %d", target.Dim(), p.NumStates())
@@ -75,7 +78,10 @@ func CoverLengthsInterruptible(p *protocol.Protocol, start protocol.Config, targ
 		}
 		return remaining > 0
 	}
-	if _, err := exploreCore(p, start, limit, stop, visit); err != nil {
+	g := pooledGraph(p)
+	defer g.release()
+	g.reset(start)
+	if err := g.explore(limit, stop, visit); err != nil {
 		return nil, err
 	}
 	return lengths, nil

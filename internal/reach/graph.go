@@ -15,16 +15,23 @@
 // The exploration core is built for throughput: configurations live
 // dimension-strided in one flat arena, successor lists are a single CSR
 // (compressed sparse row) structure, and deduplication goes through an
-// open-addressing index that hashes the raw coordinates — no per-node
-// allocations on the hot path. VerifyRange re-explores one graph per input,
-// so a verify range pays for its buffers once. See docs/performance.md for
-// the layout, the reuse design, and the determinism guarantees.
+// open-addressing index keyed by a linear configuration hash that each
+// transition updates by a precomputed constant — no per-node allocations on
+// the hot path. A node's successors come only from the transitions enabled
+// in it, gathered from a pre-state-pair index over the states it holds, and
+// duplicate edges are dropped by a per-node stamp. The verify, threshold
+// and cover queries take their graph from a pool and reset it per input, so
+// they allocate only when they outgrow the pooled buffers. See
+// docs/performance.md for the layout, the reuse design, and the determinism
+// guarantees.
 package reach
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/multiset"
 	"repro/internal/protocol"
@@ -79,37 +86,104 @@ type Graph struct {
 	parent     []int32
 	parentTran []int32
 	depth      []int32
-	// trans is compactTransitions(p); next is the successor buffer of
-	// explore.
-	trans []tran
-	next  []int64
+	// seen[j] == head+1 while node j is already in the successor segment
+	// of head under construction (successor dedup by stamp).
+	seen []int32
+	// Per-protocol tables, rebuilt by bind: the compact transitions, the
+	// hash coefficient of each state, and the transitions indexed by
+	// pre-state pair in CSR form over states × states: the transitions
+	// with pre ⟅a,b⟆, a ≤ b, are pairTr[pairOff[k]:pairOff[k+1]] for
+	// k = a·|Q|+b, in ascending compact index. A protocol is complete, so
+	// its own transition table is already larger.
+	trans   []tran
+	coef    []uint64
+	pairOff []int32
+	pairTr  []int32
+	// pairSorted reports that pairTr is ascending: the protocol lists its
+	// transitions pair by pair, so gathering pairs in key order already
+	// yields ascending transition indices.
+	pairSorted bool
+	// Per-head scratch of explore: the states present in the head, the
+	// enabled compact transitions, and the successor under construction.
+	present []int32
+	enabled []int32
+	next    []int64
 	// scc is Tarjan's working memory, reused by every SCC computation on
 	// this graph (see scc.go).
 	scc sccScratch
 }
 
-// tran is a compact non-identity transition: pre ⟅p,q⟆, post ⟅p2,q2⟆.
+// tran is a compact non-identity transition: pre ⟅p,q⟆, post ⟅p2,q2⟆, and
+// the change delta it makes to the raw configuration hash.
 type tran struct {
 	p, q, p2, q2 int32
 	idx          int32 // index in the protocol's transition list
+	delta        uint64
 }
 
-// compactTransitions returns the protocol's non-identity transitions in a
-// form the exploration inner loop consumes without method calls or
-// displacement vectors.
-func compactTransitions(p *protocol.Protocol) []tran {
-	var out []tran
+// graphPool recycles the graphs of VerifyRange, VerifyInput,
+// ThresholdWitness and the cover queries, which never hand their graph
+// out: every buffer keeps its capacity from one query to the next, and
+// resetting one costs nothing proportional to that capacity.
+var graphPool = sync.Pool{New: func() any { return new(Graph) }}
+
+// pooledGraph returns a graph for p from the pool; hand it back with
+// release once nothing refers to it.
+func pooledGraph(p *protocol.Protocol) *Graph {
+	g := graphPool.Get().(*Graph)
+	g.bind(p)
+	return g
+}
+
+// release returns the graph to the pool. It must not be used afterwards.
+func (g *Graph) release() {
+	g.p = nil
+	graphPool.Put(g)
+}
+
+// bind attaches the graph to p, rebuilding the per-protocol tables in the
+// graph's existing buffers; reset then gives it a start configuration.
+func (g *Graph) bind(p *protocol.Protocol) {
+	d := p.NumStates()
+	g.p = p
+	g.store.dim = d
+	g.coef = hashCoefs(g.coef, d)
+	g.trans = g.trans[:0]
 	for t := 0; t < p.NumTransitions(); t++ {
 		if p.Displacement(t).IsZero() {
 			continue // identity transition: self-loop, irrelevant to SCCs
 		}
 		tr := p.Transition(t)
-		out = append(out, tran{
+		g.trans = append(g.trans, tran{
 			p: int32(tr.P), q: int32(tr.Q), p2: int32(tr.P2), q2: int32(tr.Q2),
-			idx: int32(t),
+			idx:   int32(t),
+			delta: g.coef[tr.P2] + g.coef[tr.Q2] - g.coef[tr.P] - g.coef[tr.Q],
 		})
 	}
-	return out
+	// Counting sort of the compact transitions by pair key; filling in
+	// compact order keeps each pair's list ascending.
+	pairs := d * d
+	g.pairOff = resized(g.pairOff, pairs+1)
+	clear(g.pairOff)
+	for _, t := range g.trans {
+		g.pairOff[t.p*int32(d)+t.q+1]++
+	}
+	for k := 0; k < pairs; k++ {
+		g.pairOff[k+1] += g.pairOff[k]
+	}
+	g.pairTr = resized(g.pairTr, len(g.trans))
+	for i, t := range g.trans {
+		k := t.p*int32(d) + t.q
+		g.pairTr[g.pairOff[k]] = int32(i)
+		g.pairOff[k]++
+	}
+	// The fill advanced each pair's start to its end; shift back.
+	copy(g.pairOff[1:], g.pairOff[:pairs])
+	g.pairOff[0] = 0
+	g.pairSorted = slices.IsSorted(g.pairTr)
+	g.present = resized(g.present, d)
+	g.enabled = resized(g.enabled, len(g.trans))
+	g.next = resized(g.next, d)
 }
 
 // visitFunc observes every newly discovered node (including node 0) at its
@@ -129,7 +203,25 @@ func Explore(p *protocol.Protocol, start protocol.Config, limit int) (*Graph, er
 // with ErrInterrupted soon after the stop channel closes. A nil channel
 // disables the checks.
 func ExploreInterruptible(p *protocol.Protocol, start protocol.Config, limit int, stop <-chan struct{}) (*Graph, error) {
-	return exploreCore(p, start, limit, stop, nil)
+	if err := checkStart(p, start); err != nil {
+		return nil, err
+	}
+	g := new(Graph)
+	g.bind(p)
+	g.reset(start)
+	if err := g.explore(limit, stop, nil); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// checkStart rejects a start configuration of the wrong dimension.
+func checkStart(p *protocol.Protocol, start protocol.Config) error {
+	if start.Dim() != p.NumStates() {
+		return fmt.Errorf("reach: start configuration has dimension %d, want %d",
+			start.Dim(), p.NumStates())
+	}
+	return nil
 }
 
 // clampLimit normalizes the configuration limit: ≤ 0 means the default,
@@ -144,17 +236,6 @@ func clampLimit(limit int) int {
 	return limit
 }
 
-// newGraph allocates an empty graph for p; reset gives it a start
-// configuration.
-func newGraph(p *protocol.Protocol) *Graph {
-	return &Graph{
-		p:     p,
-		store: configStore{dim: p.NumStates()},
-		trans: compactTransitions(p),
-		next:  make([]int64, p.NumStates()),
-	}
-}
-
 // reset empties the graph down to the single node start, keeping the
 // capacity of every buffer. Views handed out before (Config, Succs) are
 // invalidated.
@@ -164,27 +245,15 @@ func (g *Graph) reset(start protocol.Config) {
 	g.succOff = append(g.succOff[:0], 0)
 	g.succ = g.succ[:0]
 	g.store.add(start)
-	g.idx.add(0, hashWords(start))
+	g.idx.add(0, g.hash(start))
 	g.parent = append(g.parent[:0], -1)
 	g.parentTran = append(g.parentTran[:0], -1)
 	g.depth = append(g.depth[:0], 0)
+	g.seen = append(g.seen[:0], 0)
 }
 
-// exploreCore builds a fresh graph from start. Explore and the cover queries
-// funnel here; VerifyRange and ThresholdWitness reset one graph per input
-// instead.
-func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-chan struct{}, visit visitFunc) (*Graph, error) {
-	if start.Dim() != p.NumStates() {
-		return nil, fmt.Errorf("reach: start configuration has dimension %d, want %d",
-			start.Dim(), p.NumStates())
-	}
-	g := newGraph(p)
-	g.reset(start)
-	if err := g.explore(limit, stop, visit); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+// hash is the configuration hash of c from scratch (see arena.go).
+func (g *Graph) hash(c []int64) uint64 { return fmix64(rawHash(g.coef, c)) }
 
 // explore is the sequential BFS over the configuration graph from node 0
 // (the graph must have just been reset).
@@ -200,21 +269,18 @@ func (g *Graph) explore(limit int, stop <-chan struct{}, visit visitFunc) error 
 		}
 		c := g.store.at(int32(head))
 		d := g.depth[head]
-		segStart := len(g.succ) // this node's successor segment under construction
-		for _, t := range g.trans {
-			if t.p == t.q {
-				if c[t.p] < 2 {
-					continue
-				}
-			} else if c[t.p] < 1 || c[t.q] < 1 {
-				continue
-			}
+		raw := rawHash(g.coef, c)
+		// A compact transition changes the configuration, so no successor
+		// is the head itself: the stamp only has to catch repeats.
+		stamp := int32(head) + 1
+		for _, ti := range g.enabledAt(c) {
+			t := &g.trans[ti]
 			copy(next, c)
 			next[t.p]--
 			next[t.q]--
 			next[t.p2]++
 			next[t.q2]++
-			h := hashWords(next)
+			h := fmix64(raw + t.delta)
 			j, ok := g.idx.lookup(&g.store, next, h)
 			if !ok {
 				if g.store.n >= limit {
@@ -225,6 +291,7 @@ func (g *Graph) explore(limit int, stop <-chan struct{}, visit visitFunc) error 
 				g.parent = append(g.parent, int32(head))
 				g.parentTran = append(g.parentTran, t.idx)
 				g.depth = append(g.depth, d+1)
+				g.seen = append(g.seen, 0)
 				if visit != nil && !visit(g, j, d+1) {
 					return nil
 				}
@@ -232,24 +299,53 @@ func (g *Graph) explore(limit int, stop <-chan struct{}, visit visitFunc) error 
 				// the head configuration (contents are unchanged either way).
 				c = g.store.at(int32(head))
 			}
-			if int(j) == head {
-				continue
-			}
-			// Dedup successor edges (degree is small).
-			dup := false
-			for _, s := range g.succ[segStart:] {
-				if s == j {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if g.seen[j] != stamp {
+				g.seen[j] = stamp
 				g.succ = append(g.succ, j)
 			}
 		}
 		g.succOff = append(g.succOff, int64(len(g.succ)))
 	}
 	return nil
+}
+
+// enabledAt returns the compact transitions enabled in c in ascending
+// order, so successors are discovered in (source, transition index) order.
+// It visits only the pairs of states present in c. The slice is scratch,
+// valid until the next call.
+func (g *Graph) enabledAt(c []int64) []int32 {
+	present := g.present[:len(c)]
+	np := 0
+	for i, x := range c {
+		present[np] = int32(i) // kept only if x > 0; no branch to mispredict
+		if x > 0 {
+			np++
+		}
+	}
+	present = present[:np]
+	off, tr := g.pairOff, g.pairTr
+	enabled := g.enabled[:len(tr)]
+	n := 0
+	d := int32(len(c))
+	for ia, a := range present {
+		from := ia + 1 // pairs {a,b} with b > a
+		if c[a] >= 2 {
+			from = ia // and {a,a}
+		}
+		row := a * d
+		for _, b := range present[from:] {
+			k := row + b
+			for i := off[k]; i < off[k+1]; i++ {
+				enabled[n] = tr[i]
+				n++
+			}
+		}
+	}
+	enabled = enabled[:n]
+	if !g.pairSorted {
+		slices.Sort(enabled)
+	}
+	return enabled
 }
 
 // Protocol returns the protocol this graph was built for.
@@ -274,7 +370,7 @@ func (g *Graph) IndexOf(c protocol.Config) (int, bool) {
 	if c.Dim() != g.store.dim {
 		return 0, false
 	}
-	i, ok := g.idx.lookup(&g.store, c, hashWords(c))
+	i, ok := g.idx.lookup(&g.store, c, g.hash(c))
 	return int(i), ok
 }
 

@@ -1,8 +1,11 @@
 package reach
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/pred"
@@ -191,6 +194,135 @@ func TestResetGraphDeterministicNumbering(t *testing.T) {
 			if !slices.Equal(g.Succs(i), seq.Succs(i)) {
 				t.Fatalf("after prior=%d: node %d succs %v, want %v", prior, i, g.Succs(i), seq.Succs(i))
 			}
+		}
+	}
+}
+
+// TestPooledGraphAcrossDimensions: one graph verifies a two-input protocol
+// and then protocols of other dimensions (more and fewer states, one
+// input), as the pool hands a graph from one range to the next. Every
+// report must equal the fresh-graph oracle, and so must the same sequence
+// through VerifyRange and its pooled graphs.
+func TestPooledGraphAcrossDimensions(t *testing.T) {
+	type rangeCase struct {
+		p        *protocol.Protocol
+		phi      pred.Pred
+		min, max int64
+	}
+	rng := rand.New(rand.NewSource(16))
+	two := randomProtocolInputs(rng, 2)
+	cases := []rangeCase{
+		{two, pred.NewMajority(), 2, 6},
+		{protocols.FlockOfBirds(6).Protocol, protocols.FlockOfBirds(6).Pred, 2, 9},
+		{protocols.Parity().Protocol, protocols.Parity().Pred, 2, 7},
+		{two, pred.NewMajority(), 3, 5},
+	}
+	g := new(Graph)
+	for i, c := range cases {
+		want := freshReport(t, c.p, c.phi, c.min, c.max)
+		g.bind(c.p)
+		rep, err := g.verifyRange(c.phi, c.min, c.max, 0, nil)
+		if err != nil {
+			t.Fatalf("case %d: verifyRange: %v", i, err)
+		}
+		compareReports(t, fmt.Sprintf("case %d on one graph", i), rep, want)
+		rep, err = VerifyRange(c.p, c.phi, c.min, c.max, 0)
+		if err != nil {
+			t.Fatalf("case %d: VerifyRange: %v", i, err)
+		}
+		compareReports(t, fmt.Sprintf("case %d pooled", i), rep, want)
+	}
+}
+
+// TestPooledGraphAfterInterrupt: a range interrupted in the middle of an
+// input's exploration leaves a partial graph (arena, index, CSR, stamps);
+// the same graph, rebound and reused, must still match the oracle, for the
+// interrupted protocol and for another one.
+func TestPooledGraphAfterInterrupt(t *testing.T) {
+	flock := protocols.FlockOfBirds(6)
+	p := flock.Protocol
+	g := new(Graph)
+	g.bind(p)
+	g.reset(p.InitialConfigN(30))
+	stop := make(chan struct{})
+	visit := func(_ *Graph, node, _ int32) bool {
+		if node == 1500 {
+			close(stop)
+		}
+		return true
+	}
+	if err := g.explore(0, stop, visit); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("explore: want ErrInterrupted, got %v", err)
+	}
+	full, err := Explore(p, p.InitialConfigN(30), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() <= 1500 || g.Len() >= full.Len() {
+		t.Fatalf("interrupted after %d of %d nodes, want a partial graph past node 1500", g.Len(), full.Len())
+	}
+	// Through the public entry point: a closed stop channel ends the range
+	// before its first exploration completes.
+	if _, err := VerifyRangeInterruptible(p, flock.Pred, 2, 12, 0, stop); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("VerifyRangeInterruptible: want ErrInterrupted, got %v", err)
+	}
+	parity := protocols.Parity()
+	for _, c := range []protocols.Entry{flock, parity, flock} {
+		want := freshReport(t, c.Protocol, c.Pred, 2, 8)
+		g.bind(c.Protocol)
+		rep, err := g.verifyRange(c.Pred, 2, 8, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: verifyRange: %v", c.Protocol.Name(), err)
+		}
+		compareReports(t, c.Protocol.Name(), rep, want)
+		rep, err = VerifyRange(c.Protocol, c.Pred, 2, 8, 0)
+		if err != nil {
+			t.Fatalf("%s: VerifyRange: %v", c.Protocol.Name(), err)
+		}
+		compareReports(t, c.Protocol.Name()+" pooled", rep, want)
+	}
+}
+
+// TestPooledGraphConcurrentRanges: ranges running at once on different
+// protocols never share a pooled graph (run under -race in CI).
+func TestPooledGraphConcurrentRanges(t *testing.T) {
+	entries := []protocols.Entry{
+		protocols.FlockOfBirds(4), protocols.FlockOfBirds(6),
+		protocols.Succinct(2), protocols.BinaryThreshold(5), protocols.Parity(),
+	}
+	want := make([]*Report, len(entries))
+	for i, e := range entries {
+		want[i] = freshReport(t, e.Protocol, e.Pred, 2, 8)
+	}
+	const workers = 6
+	got := make([][]*Report, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for k := range entries {
+					e := entries[(k+w)%len(entries)]
+					rep, err := VerifyRange(e.Protocol, e.Pred, 2, 8, 0)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					got[w] = append(got[w], rep)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for n, rep := range got[w] {
+			i := (n%len(entries) + w) % len(entries)
+			compareReports(t, fmt.Sprintf("worker %d range %d", w, n), rep, want[i])
 		}
 	}
 }

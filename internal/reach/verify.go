@@ -65,7 +65,9 @@ func (r *Report) String() string {
 // it explores the configuration graph from IC(v) and compares the fair
 // output with ϕ(v). This is sound and complete for this input.
 func VerifyInput(p *protocol.Protocol, phi pred.Pred, v multiset.Vec, limit int) (Result, error) {
-	return newGraph(p).verify(phi, v, limit, nil)
+	g := pooledGraph(p)
+	defer g.release()
+	return g.verify(phi, v, limit, nil)
 }
 
 // verify resets the graph to IC(v), explores it and compares the fair
@@ -99,10 +101,11 @@ func VerifyRange(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, li
 }
 
 // VerifyRangeInterruptible is VerifyRange with cooperative cancellation: it
-// aborts with ErrInterrupted soon after the stop channel closes, both
-// between inputs and inside each input's graph exploration. A nil channel
-// disables the checks. One graph is reset and re-explored for every input,
-// so its buffers are allocated once per range, not once per input.
+// aborts with ErrInterrupted soon after the stop channel closes. Each
+// input's exploration polls the channel before its first node, so the range
+// stops before the next input at the latest. A nil channel disables the
+// checks. One pooled graph is reset and re-explored for every input, so a
+// range allocates only when it outgrows the graph's buffers.
 func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{}) (*Report, error) {
 	if phi.Arity() != p.NumInputs() {
 		return nil, fmt.Errorf("reach: predicate arity %d != protocol inputs %d",
@@ -111,14 +114,18 @@ func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxS
 	if minSize < 2 {
 		minSize = 2
 	}
+	g := pooledGraph(p)
+	defer g.release()
+	return g.verifyRange(phi, minSize, maxSize, limit, stop)
+}
+
+// verifyRange is VerifyRangeInterruptible on this graph, which must be
+// bound to the protocol; minSize is already clamped.
+func (g *Graph) verifyRange(phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{}) (*Report, error) {
 	rep := &Report{}
-	g := newGraph(p)
 	for s := minSize; s <= maxSize; s++ {
-		inputs := enumerate(p.NumInputs(), s)
+		inputs := enumerate(g.p.NumInputs(), s)
 		for _, v := range inputs {
-			if interrupted(stop) {
-				return rep, ErrInterrupted
-			}
 			res, err := g.verify(phi, v, limit, stop)
 			if err != nil {
 				return rep, err
@@ -166,7 +173,8 @@ func ThresholdWitness(p *protocol.Protocol, maxInput int64, limit int) (eta int6
 		return 0, false, fmt.Errorf("reach: ThresholdWitness needs a single input variable")
 	}
 	eta, found = 0, false
-	g := newGraph(p)
+	g := pooledGraph(p)
+	defer g.release()
 	for i := int64(2); i <= maxInput; i++ {
 		g.reset(p.InitialConfigN(i))
 		if err := g.explore(limit, nil, nil); err != nil {

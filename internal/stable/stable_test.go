@@ -13,7 +13,7 @@ import (
 
 // configIndex maps configurations to dense ids for the brute-force
 // propagation: open addressing keyed by the raw-coordinate hash
-// (internal/wordhash), the same playbook as the reach node index and the
+// (internal/wordhash), the same playbook as the ideal antichain and the
 // dioph candidate set — no string keys materialized per configuration.
 type configIndex struct {
 	configs []multiset.Vec

@@ -1,10 +1,11 @@
 // Package wordhash is the repository's shared raw-coordinate hasher:
 // FNV-1a over int64 words, finalized with the Murmur3 avalanche so that
 // low-entropy inputs (small counts in few coordinates) still spread over
-// all 64 bits. The reachability core's node index and the Diophantine
+// all 64 bits. The antichain's duplicate filter and the Diophantine
 // solver's candidate-dedup set both key their open-addressing tables with
 // it — one implementation, so the mixing can only ever change in one
-// place.
+// place. (The reachability core's node index uses its own linear hash,
+// which it updates per transition instead of rehashing each successor.)
 package wordhash
 
 // Sum hashes the int64 words of a vector.

@@ -5,7 +5,8 @@
 #
 #   reach   BenchmarkExplore*/BenchmarkCover*/BenchmarkMaxCover*/
 #           BenchmarkVerify* in internal/reach (includes the retained
-#           pre-arena core as the "before" side)    → BENCH_reach.json
+#           pre-arena core as the "before" side), five samples per
+#           benchmark, recorded as median and min/max → BENCH_reach.json
 #   sim     BenchmarkSimStep*/BenchmarkRunReplicas* in internal/sim
 #           (includes the retained linear-scan core as the "before" side)
 #                                                   → BENCH_sim.json
@@ -36,7 +37,9 @@ tmpfiles=()
 trap 'rm -f "${tmpfiles[@]:-}"' EXIT
 
 # render <suite> <notes> <raw-file> <out-file>: turn `go test -bench` output
-# into the committed JSON shape.
+# into the committed JSON shape. A benchmark run with -count k > 1 prints k
+# lines under one name; they become one row with "samples": k, the median
+# of every figure, and the min/max of ns_per_op.
 render() {
   awk -v suite="$1" -v notes="$2" \
       -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
@@ -44,29 +47,42 @@ render() {
       -v benchtime="$benchtime" \
       -v maxprocs="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)}" \
       -v hostcpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)" '
+# median(list): the median of the space-separated numbers in list (the
+# mean of the middle two for an even count); sets lo and hi to the extremes.
+function median(list,    v, k, i, j, x) {
+  k = split(list, v, " ")
+  for (i = 2; i <= k; i++) { # insertion sort, numeric
+    x = v[i] + 0
+    for (j = i - 1; j >= 1 && v[j] + 0 > x; j--) v[j + 1] = v[j]
+    v[j + 1] = x
+  }
+  lo = num(v[1]); hi = num(v[k])
+  if (k % 2) return num(v[(k + 1) / 2])
+  return num((v[k / 2] + v[k / 2 + 1]) / 2)
+}
+# num(x): x as a JSON number; awk would print large values as 1.8e+11.
+function num(x) {
+  if (x == int(x)) return sprintf("%.0f", x)
+  return sprintf("%.10g", x)
+}
 BEGIN { n = 0 }
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ {
-  name = $1; iters = $2
+  name = $1
   sub(/-[0-9]+$/, "", name) # drop the GOMAXPROCS suffix: names must match across machines
-  ns = ""; bytes = ""; allocs = ""; metrics = ""
+  if (!(name in samples)) { order[n++] = name; samples[name] = 0; nm[name] = 0 }
+  samples[name]++
+  iters[name] = iters[name] " " $2
   for (i = 3; i < NF; i += 2) {
     v = $i; u = $(i + 1)
-    if (u == "ns/op") ns = v
-    else if (u == "B/op") bytes = v
-    else if (u == "allocs/op") allocs = v
+    if (u == "ns/op") ns[name] = ns[name] " " v
+    else if (u == "B/op") bytes[name] = bytes[name] " " v
+    else if (u == "allocs/op") allocs[name] = allocs[name] " " v
     else {
-      if (metrics != "") metrics = metrics ", "
-      metrics = metrics "\"" u "\": " v
+      if (!((name, u) in metric)) munit[name, nm[name]++] = u
+      metric[name, u] = metric[name, u] " " v
     }
   }
-  row = "    {\"name\": \"" name "\", \"iterations\": " iters
-  if (ns != "")     row = row ", \"ns_per_op\": " ns
-  if (bytes != "")  row = row ", \"bytes_per_op\": " bytes
-  if (allocs != "") row = row ", \"allocs_per_op\": " allocs
-  if (metrics != "") row = row ", \"metrics\": {" metrics "}"
-  row = row "}"
-  rows[n++] = row
 }
 END {
   print "{"
@@ -79,7 +95,23 @@ END {
   print "  \"benchtime\": \"" benchtime "\","
   print "  \"notes\": \"" notes "\","
   print "  \"benchmarks\": ["
-  for (i = 0; i < n; i++) print rows[i] (i < n - 1 ? "," : "")
+  for (r = 0; r < n; r++) {
+    name = order[r]
+    row = "    {\"name\": \"" name "\", \"samples\": " samples[name] ", \"iterations\": " median(iters[name])
+    if (name in ns) row = row ", \"ns_per_op\": " median(ns[name]) ", \"ns_per_op_min\": " lo ", \"ns_per_op_max\": " hi
+    if (name in bytes)  row = row ", \"bytes_per_op\": " median(bytes[name])
+    if (name in allocs) row = row ", \"allocs_per_op\": " median(allocs[name])
+    if (nm[name] > 0) {
+      metrics = ""
+      for (m = 0; m < nm[name]; m++) {
+        u = munit[name, m]
+        if (metrics != "") metrics = metrics ", "
+        metrics = metrics "\"" u "\": " median(metric[name, u])
+      }
+      row = row ", \"metrics\": {" metrics "}"
+    }
+    print row "}" (r < n - 1 ? "," : "")
+  }
   print "  ]"
   print "}"
 }' "$3" > "$4"
@@ -93,9 +125,9 @@ run_reach() {
   tmpfiles+=("$tmp")
   go test ./internal/reach -run '^$' \
     -bench 'Benchmark(Explore|Cover|MaxCover|Verify)' \
-    -benchmem -benchtime "$benchtime" -count 1 | tee "$tmp" >&2
+    -benchmem -benchtime "$benchtime" -count 5 | tee "$tmp" >&2
   render reach \
-    "*Naive benchmarks run the retained pre-arena core (the before side of the comparison); VerifySweepMix is the 12 verify cells of the perfbench sweep grid (flock 4..7, sizes 2..N-1, N+1, 2N), one reused graph per range" \
+    "*Naive benchmarks run the retained pre-arena core (the before side of the comparison); VerifySweepMix is the 12 verify cells of the perfbench sweep grid (flock 4..7, sizes 2..N-1, N+1, 2N) on pooled graphs; VerifyAfterLargeExplore times flock(7) 2..14 on a pool warmed by itself (steady) and by an untimed flock(6) IC(36) range (after-large); each row is the median of 5 samples with the min/max of ns_per_op" \
     "$tmp" "$out"
 }
 
