@@ -164,85 +164,6 @@ func TestGroupByHashAndChunk(t *testing.T) {
 	}
 }
 
-// TestFamilyDispatchDistribution pins the family-affinity routing
-// contract: every member of a parametric family shares one affinity group
-// (keyed by the family template, not the per-member content hash), so the
-// whole family routes to a single worker where each member can warm-start
-// from its neighbor — while distinct families still spread across the
-// cluster, and a literal (non-parametric) spec keeps its own
-// content-hash group.
-func TestFamilyDispatchDistribution(t *testing.T) {
-	spec := sweep.Spec{
-		Name: "family-routing",
-		Protocols: []sweep.ProtocolAxis{
-			{Spec: "flock:{N}"},
-			{Spec: "binary:{N}"},
-			{Spec: "majority"},
-		},
-		Params: []sweep.ParamRange{{From: 3, To: 7}},
-		Kinds:  []engine.Kind{engine.KindStable},
-	}
-	cells, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5 params × 2 parametric templates + 1 literal cell.
-	if len(cells) != 11 {
-		t.Fatalf("grid: %d cells, want 11", len(cells))
-	}
-	groups, err := groupByHash(cells, EngineResolver(engine.New()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One group per family template plus one for the literal spec — NOT
-	// one per content hash, of which the parametric members have ten.
-	if len(groups) != 3 {
-		t.Fatalf("groups: %d, want 3 (two families + one literal)", len(groups))
-	}
-	byKey := make(map[string][]sweep.Cell, len(groups))
-	for _, g := range groups {
-		byKey[g.hash] = append(byKey[g.hash], g.cells...)
-	}
-	for _, fam := range []string{"family:flock:{N}", "family:binary:{N}"} {
-		members := byKey[fam]
-		if len(members) != 5 {
-			t.Fatalf("%s group has %d cells, want 5", fam, len(members))
-		}
-		for i, c := range members {
-			if c.Request.Family == "" {
-				t.Fatalf("%s cell %d carries no family identity", fam, i)
-			}
-			if i > 0 && members[i-1].Request.FamilyParam >= c.Request.FamilyParam {
-				t.Fatalf("%s members out of param order: %d then %d",
-					fam, members[i-1].Request.FamilyParam, c.Request.FamilyParam)
-			}
-		}
-	}
-	delete(byKey, "family:flock:{N}")
-	delete(byKey, "family:binary:{N}")
-	for key, rest := range byKey { // the literal group
-		if len(rest) != 1 || rest[0].Request.Family != "" {
-			t.Fatalf("literal group %q: %d cells, family %q", key, len(rest), rest[0].Request.Family)
-		}
-	}
-
-	// Routing is per group: each family lands whole on one worker, and the
-	// template choice above spreads the two families across the pair (the
-	// same property integrationSpec relies on).
-	workers := []Worker{{ID: "w1"}, {ID: "w2"}}
-	owner := make(map[string]string, len(groups))
-	for _, g := range groups {
-		w, ok := route(g.hash, workers)
-		if !ok {
-			t.Fatalf("route(%s) found no worker", g.hash)
-		}
-		owner[g.hash] = w.ID
-	}
-	if owner["family:flock:{N}"] == owner["family:binary:{N}"] {
-		t.Fatalf("both families routed to %s: distribution test needs templates that spread", owner["family:flock:{N}"])
-	}
-}
-
 func TestGroupByHashProtocolFree(t *testing.T) {
 	spec := sweep.Spec{
 		Name:   "bounds-test",

@@ -17,16 +17,10 @@ import (
 	"repro/internal/sweep"
 )
 
-// integrationSpec is a 60-cell grid over three family templates, so the
-// rendezvous router has real affinity groups to spread across workers.
+// integrationSpec is a 60-cell grid over twelve protocols (three templates
+// at four parameters). Cells route by protocol content hash, so the
+// rendezvous router has twelve affinity groups to spread across workers.
 func integrationSpec() sweep.Spec {
-	// Three family templates: with family-affinity routing every member of
-	// one template shares a routing group, so spreading across workers (and
-	// exercising retry/breaker paths on more than one worker) needs several
-	// distinct families, not several parameters of one. These three were
-	// picked so rendezvous routing gives every worker at least one group
-	// under both membership sets the integration tests use ({w1,w2} and
-	// {bad,good}).
 	return sweep.Spec{
 		Name: "cluster-test",
 		Protocols: []sweep.ProtocolAxis{
@@ -150,6 +144,39 @@ func TestDispatchEqualsSingleProcess(t *testing.T) {
 	}
 	if served != len(wantCells) {
 		t.Errorf("workers served %d cells, want %d", served, len(wantCells))
+	}
+}
+
+// TestPerHashDispatchDistribution: every cell routes by its own protocol
+// content hash, so the members of one parametric template are separate
+// affinity groups that spread over both workers, and the merged canonical
+// stream is still byte-identical to the single-process run.
+func TestPerHashDispatchDistribution(t *testing.T) {
+	spec := sweep.Spec{
+		Name:      "per-hash-routing",
+		Protocols: []sweep.ProtocolAxis{{Spec: "flock:{N}"}},
+		Params:    []sweep.ParamRange{{From: 3, To: 8}},
+		Kinds:     []engine.Kind{engine.KindStable, engine.KindSimulate},
+		Sizes:     []sweep.Expr{sweep.Lit(9)},
+		Options:   sweep.Options{Seed: 5},
+	}
+	wantCells, wantSummary := singleProcessReference(t, spec)
+
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
+	startWorker(t, coord, "w1", nil)
+	startWorker(t, coord, "w2", nil)
+
+	gotCells, gotSummary := dispatchCanonical(t, coord, spec, cluster.DispatchOptions{RangeCells: 2})
+	assertEqualRuns(t, wantCells, wantSummary, gotCells, gotSummary)
+
+	members := coord.Members()
+	if len(members) != 2 {
+		t.Fatalf("members: %d, want 2", len(members))
+	}
+	for _, w := range members {
+		if w.CellsServed == 0 {
+			t.Errorf("worker %s served no cells: one template's members did not spread", w.ID)
+		}
 	}
 }
 

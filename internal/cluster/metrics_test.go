@@ -119,7 +119,7 @@ func TestMetricsHealthySweepDistribution(t *testing.T) {
 // orphaned to survivors, and the death registers as a deregistration — all
 // with the sweep still completing locally.
 func TestMetricsKilledWorkerOrphansThenRetries(t *testing.T) {
-	spec := integrationSpec() // 60 cells over 3 family groups
+	spec := integrationSpec() // 60 cells over 12 protocols
 	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
 	m := coord.Metrics()
 
@@ -134,7 +134,7 @@ func TestMetricsKilledWorkerOrphansThenRetries(t *testing.T) {
 	}
 	startWorker(t, coord, "w1", killer)
 
-	// 3 family groups of 20 cells → 12 ranges, all routed to the only
+	// 12 protocol groups of 5 cells → 12 ranges, all routed to the only
 	// worker. It dies 2 rows into the first; the dispatcher must retry
 	// that range and orphan the queued 11.
 	res, err := coord.Sweep(context.Background(), spec, cluster.DispatchOptions{

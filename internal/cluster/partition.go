@@ -30,15 +30,9 @@ func EngineResolver(eng *engine.Engine) Resolver {
 }
 
 // refKey is the memoization key of a protocol reference: cheap to compute
-// per cell, stable across cells of the same reference. Family-declaring
-// cells key by the family template, so every member of a parametric family
-// shares one key — and therefore one affinity group — which is what lets
-// the worker that owns the family warm-start each member from its
-// neighbor instead of every member landing cold on a different worker.
+// per cell, stable across cells of the same reference.
 func refKey(req engine.Request) string {
 	switch {
-	case req.Family != "":
-		return "family:" + req.Family
 	case req.Protocol.Spec != "":
 		return "spec:" + req.Protocol.Spec
 	case len(req.Protocol.Inline) > 0:
@@ -68,11 +62,8 @@ func groupByHash(cells []sweep.Cell, resolve Resolver) ([]group, error) {
 		key := refKey(c.Request)
 		h, ok := hashes[key]
 		if !ok {
-			if c.Request.Family != "" || c.Request.Protocol.IsZero() {
-				// Family groups route by template (their members have many
-				// content hashes by design); protocol-free cells' key is
-				// already content-determined. No resolution either way.
-				h = key
+			if c.Request.Protocol.IsZero() {
+				h = key // protocol-free: the key is already content-determined
 			} else {
 				var err error
 				h, err = resolve(c.Request.Protocol)

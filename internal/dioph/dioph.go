@@ -48,8 +48,75 @@ func HilbertBasisEq(a [][]int64, v int, opts Options) ([]multiset.Vec, error) {
 	if err := validate(a, v); err != nil {
 		return nil, err
 	}
-	basis, _, err := hilbertSearch(a, v, opts, nil)
-	return basis, err
+	budget := opts.MaxCandidates
+	if budget <= 0 {
+		budget = 2_000_000
+	}
+	e := len(a)
+	// Precompute A·e_j.
+	cols := make([]multiset.Vec, v)
+	for j := 0; j < v; j++ {
+		col := make(multiset.Vec, e)
+		for i := 0; i < e; i++ {
+			col[i] = a[i][j]
+		}
+		cols[j] = col
+	}
+
+	type node struct {
+		y  multiset.Vec
+		ay multiset.Vec
+	}
+	var minimal []multiset.Vec
+	frontier := make([]node, 0, v)
+	// Frontier dedup hashes raw coordinates (see vecset.go) instead of
+	// building a string key per candidate.
+	seen := newVecSet(v)
+	for j := 0; j < v; j++ {
+		y := multiset.Unit(v, j)
+		frontier = append(frontier, node{y: y, ay: cols[j].Clone()})
+		seen.insert(y)
+	}
+	examined := 0
+	for len(frontier) > 0 {
+		var next []node
+		for _, nd := range frontier {
+			examined++
+			if examined > budget {
+				return nil, fmt.Errorf("%w: %d candidates", ErrSearchTooLarge, examined)
+			}
+			if examined&4095 == 0 && opts.Interrupt != nil {
+				select {
+				case <-opts.Interrupt:
+					return nil, ErrInterrupted
+				default:
+				}
+			}
+			if multiset.DominatesAny(nd.y, minimal) {
+				// nd.y ≥ an existing minimal solution. If equal it is that
+				// solution; otherwise neither it nor its extensions can be
+				// minimal.
+				continue
+			}
+			if nd.ay.IsZero() {
+				minimal = append(minimal, nd.y)
+				continue
+			}
+			for j := 0; j < v; j++ {
+				if dot(nd.ay, cols[j]) >= 0 {
+					continue
+				}
+				y2 := nd.y.Clone()
+				y2[j]++
+				if !seen.insert(y2) {
+					continue
+				}
+				next = append(next, node{y: y2, ay: nd.ay.Add(cols[j])})
+			}
+		}
+		frontier = next
+	}
+	return multiset.Minimal(minimal), nil
 }
 
 // GeneratorsIneq returns a generating basis of {y ∈ ℕ^v : A·y ≥ 0}: every
@@ -60,8 +127,33 @@ func HilbertBasisEq(a [][]int64, v int, opts Options) ([]multiset.Vec, error) {
 // both (1,0) and (1,1) — so minimisation must not be applied to the
 // projections.)
 func GeneratorsIneq(a [][]int64, v int, opts Options) ([]multiset.Vec, error) {
-	out, _, err := GeneratorsIneqSeeded(a, v, opts, nil)
-	return out, err
+	if err := validate(a, v); err != nil {
+		return nil, err
+	}
+	e := len(a)
+	ext := make([][]int64, e)
+	for i := range a {
+		row := make([]int64, v+e)
+		copy(row, a[i])
+		row[v+i] = -1
+		ext[i] = row
+	}
+	basis, err := HilbertBasisEq(ext, v+e, opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []multiset.Vec
+	seen := newVecSet(v)
+	for _, b := range basis {
+		y := b[:v].Clone()
+		if y.IsZero() {
+			continue // pure-slack solutions project to 0
+		}
+		if seen.insert(y) {
+			out = append(out, y)
+		}
+	}
+	return out, nil
 }
 
 // IsSolutionEq reports whether A·y = 0.

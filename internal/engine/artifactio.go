@@ -21,13 +21,10 @@ import (
 const (
 	ArtifactStable = "stable"
 	ArtifactBasis  = "basis"
-	// ArtifactFamily files family member indexes (family.go), keyed by the
-	// hash of the family template string rather than a protocol hash.
-	ArtifactFamily = "family"
 )
 
-// ArtifactKinds lists every artifact family the engine persists.
-var ArtifactKinds = []string{ArtifactStable, ArtifactBasis, ArtifactFamily}
+// ArtifactKinds lists every artifact kind the engine persists.
+var ArtifactKinds = []string{ArtifactStable, ArtifactBasis}
 
 // PeerFetchFunc fetches an artifact payload from a cluster peer: the raw
 // versioned encoding (already CRC-validated by the transport), or
@@ -366,10 +363,10 @@ func (e *Engine) saveArtifact(kind, hash string, encode func() []byte) {
 }
 
 // loadStable tries to satisfy a stable-analysis miss from durable state.
-func (e *Engine) loadStable(ctx context.Context, p *protocol.Protocol, hash string) *stable.Analysis {
+func (e *Engine) loadStable(ctx context.Context, p *protocol.Protocol, hash string) (*stable.Analysis, bool) {
 	payload := e.loadArtifact(ctx, ArtifactStable, hash)
 	if payload == nil {
-		return nil
+		return nil, false
 	}
 	a, err := decodeStableArtifact(p, payload)
 	if err != nil {
@@ -378,9 +375,9 @@ func (e *Engine) loadStable(ctx context.Context, p *protocol.Protocol, hash stri
 		if st, _ := e.durability(); st != nil {
 			_ = st.Delete(ArtifactStable, hash)
 		}
-		return nil
+		return nil, false
 	}
-	return a
+	return a, true
 }
 
 // loadBasis tries to satisfy a realisable-basis miss from durable state.

@@ -89,12 +89,6 @@ type Engine struct {
 	artstore  *store.Store
 	peerFetch PeerFetchFunc
 
-	// families indexes registered family members (template → param → hash)
-	// for the incremental warm paths; incrementalOff disables those paths
-	// (SetIncremental). See family.go.
-	families       map[string]*familyState
-	incrementalOff bool
-
 	// metrics instruments the request path and artifact cache; see
 	// metrics.go. Always non-nil.
 	metrics *Metrics
@@ -354,17 +348,11 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 		entry protocols.Entry
 		hash  string
 	)
-	if err := validateFamily(req); err != nil {
-		return nil, err
-	}
 	if !req.Protocol.IsZero() || req.Kind != KindBounds {
 		var err error
 		entry, hash, err = e.resolveHashed(req.Protocol)
 		if err != nil {
 			return nil, err
-		}
-		if req.Family != "" {
-			e.registerFamilyMember(req.Family, req.FamilyParam, hash)
 		}
 		info := &ProtocolInfo{
 			Name:        entry.Protocol.Name(),
@@ -505,15 +493,22 @@ func (e *Engine) evictIfCurrent(hash string, a *artifacts) {
 	}
 }
 
-// stableFor memoizes the stable-set analysis of a protocol. The second
-// return value reports whether the analysis was complete when the request
-// arrived (waiters on an in-flight computation count as misses — they pay
-// the full latency). A computation interrupted by the computing request's
-// deadline is evicted so it never poisons the cache; waiters whose own
-// context is still live retry on a fresh slot. fam, when non-nil, lets a
-// cache-and-disk miss warm-start from a family neighbor (family.go); the
-// computed artifact is identical either way.
-func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash string, fam *famCtx) (*stable.Analysis, bool, error) {
+// memoized is the single-flight loop behind every memoized artifact. The
+// second return value reports whether the artifact was complete when the
+// request arrived (waiters on an in-flight computation count as misses —
+// they pay the full latency). The first arrival holds an execution slot
+// while it tries durable state (load) and, on a miss, computes and writes
+// the artifact through (encode). A computation interrupted by the
+// computing request's deadline (the interrupted sentinel) is evicted so it
+// never poisons the cache; waiters whose own context is still live retry
+// on a fresh slot.
+func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash string,
+	slot func(*artifacts) *memo[T], interrupted error,
+	load func(context.Context, *protocol.Protocol, string) (T, bool),
+	compute func(context.Context, *protocol.Protocol) (T, error),
+	kind string, encode func(T) []byte,
+) (T, bool, error) {
+	var zero T
 	counted := false
 	count := func(hit bool) {
 		if !counted {
@@ -523,27 +518,27 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 	}
 	for {
 		a := e.artifactsFor(hash)
-		m := &a.stable
+		m := slot(a)
 		hit := m.completed()
 		if m.started.CompareAndSwap(false, true) {
 			count(false)
 			release, err := e.acquire(ctx)
 			if err != nil {
 				// Never got to run: hand the slot race to a retrier.
-				m.err = stable.ErrInterrupted
+				m.err = interrupted
 				close(m.ready)
 				e.evictIfCurrent(hash, a)
-				return nil, false, err
+				return zero, false, err
 			}
-			// Durable state first — a disk or peer hit skips the fixpoint
-			// entirely (and does not count as a computation).
-			if art := e.loadStable(ctx, p, hash); art != nil {
-				m.val = art
+			// Durable state first — a disk or peer hit skips the
+			// computation entirely (and does not count as one).
+			if v, ok := load(ctx, p, hash); ok {
+				m.val = v
 			} else {
 				e.countCompute()
-				m.val, m.err = e.computeStableWarm(ctx, p, hash, fam)
+				m.val, m.err = compute(ctx, p)
 				if m.err == nil {
-					e.saveArtifact(ArtifactStable, hash, func() []byte { return encodeStableArtifact(m.val) })
+					e.saveArtifact(kind, hash, func() []byte { return encode(m.val) })
 				}
 			}
 			release()
@@ -554,14 +549,14 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 			case <-m.ready:
 			case <-ctx.Done():
 				count(hit)
-				return nil, hit, ctx.Err()
+				return zero, hit, ctx.Err()
 			}
 			count(hit)
 		}
-		if errors.Is(m.err, stable.ErrInterrupted) {
+		if errors.Is(m.err, interrupted) {
 			e.evictIfCurrent(hash, a)
 			if err := ctx.Err(); err != nil {
-				return nil, hit, err
+				return zero, hit, err
 			}
 			continue
 		}
@@ -569,58 +564,26 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 	}
 }
 
-// basisFor memoizes the realisable basis of a protocol, with the same
-// semantics as stableFor.
-func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string, fam *famCtx) ([]realise.TransitionMultiset, bool, error) {
-	counted := false
-	count := func(hit bool) {
-		if !counted {
-			e.countLookup(hit)
-			counted = true
-		}
-	}
-	for {
-		a := e.artifactsFor(hash)
-		m := &a.basis
-		hit := m.completed()
-		if m.started.CompareAndSwap(false, true) {
-			count(false)
-			release, err := e.acquire(ctx)
-			if err != nil {
-				m.err = dioph.ErrInterrupted
-				close(m.ready)
-				e.evictIfCurrent(hash, a)
-				return nil, false, err
-			}
-			if basis, ok := e.loadBasis(ctx, p, hash); ok {
-				m.val = basis
-			} else {
-				e.countCompute()
-				m.val, m.err = e.computeBasisWarm(ctx, p, hash, fam)
-				if m.err == nil {
-					e.saveArtifact(ArtifactBasis, hash, func() []byte { return encodeBasisArtifact(m.val) })
-				}
-			}
-			release()
-			close(m.ready)
-		} else {
-			select {
-			case <-m.ready:
-			case <-ctx.Done():
-				count(hit)
-				return nil, hit, ctx.Err()
-			}
-			count(hit)
-		}
-		if errors.Is(m.err, dioph.ErrInterrupted) {
-			e.evictIfCurrent(hash, a)
-			if err := ctx.Err(); err != nil {
-				return nil, hit, err
-			}
-			continue
-		}
-		return m.val, hit, m.err
-	}
+// stableFor memoizes the stable-set analysis of a protocol (see memoized).
+func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash string) (*stable.Analysis, bool, error) {
+	return memoized(ctx, e, p, hash,
+		func(a *artifacts) *memo[*stable.Analysis] { return &a.stable }, stable.ErrInterrupted,
+		e.loadStable,
+		func(ctx context.Context, p *protocol.Protocol) (*stable.Analysis, error) {
+			return stable.Analyze(p, stable.Options{Interrupt: ctx.Done()})
+		},
+		ArtifactStable, encodeStableArtifact)
+}
+
+// basisFor memoizes the realisable basis of a protocol (see memoized).
+func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string) ([]realise.TransitionMultiset, bool, error) {
+	return memoized(ctx, e, p, hash,
+		func(a *artifacts) *memo[[]realise.TransitionMultiset] { return &a.basis }, dioph.ErrInterrupted,
+		e.loadBasis,
+		func(ctx context.Context, p *protocol.Protocol) ([]realise.TransitionMultiset, error) {
+			return realise.Basis(p, dioph.Options{Interrupt: ctx.Done()})
+		},
+		ArtifactBasis, encodeBasisArtifact)
 }
 
 func (e *Engine) doSimulate(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {
@@ -632,7 +595,7 @@ func (e *Engine) doSimulate(ctx context.Context, req Request, entry protocols.En
 	c0 := p.InitialConfig(in)
 	opts := sim.Options{Seed: req.Seed, MaxSteps: req.MaxSteps, TraceEvery: req.TraceEvery, Interrupt: ctx.Done()}
 	if req.ExactOracle {
-		a, hit, err := e.stableFor(ctx, p, hash, famCtxOf(req, res))
+		a, hit, err := e.stableFor(ctx, p, hash)
 		if err != nil {
 			return fmt.Errorf("stable-set analysis: %w", err)
 		}
@@ -741,7 +704,7 @@ func (e *Engine) doVerify(ctx context.Context, req Request, entry protocols.Entr
 }
 
 func (e *Engine) doStable(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {
-	a, hit, err := e.stableFor(ctx, entry.Protocol, hash, famCtxOf(req, res))
+	a, hit, err := e.stableFor(ctx, entry.Protocol, hash)
 	if err != nil {
 		return err
 	}
@@ -764,7 +727,7 @@ func (e *Engine) doCertify(ctx context.Context, req Request, entry protocols.Ent
 	// The finders need the stable-set analysis (and, leaderless, the
 	// realisable basis) — the exact artifacts the engine memoizes. Inject
 	// them so repeated certify requests skip the dominant recomputation.
-	analysis, hit, err := e.stableFor(ctx, p, hash, famCtxOf(req, res))
+	analysis, hit, err := e.stableFor(ctx, p, hash)
 	if err != nil {
 		return fmt.Errorf("stable-set analysis: %w", err)
 	}
@@ -787,7 +750,7 @@ func (e *Engine) doCertify(ctx context.Context, req Request, entry protocols.Ent
 		}
 		res.Certificate = &CertificateResult{Pipeline: "chain", A: cert.A, B: cert.B, Chain: cert}
 	default:
-		basis, basisHit, err := e.basisFor(ctx, p, hash, famCtxOf(req, res))
+		basis, basisHit, err := e.basisFor(ctx, p, hash)
 		if err != nil {
 			return fmt.Errorf("realisable basis: %w", err)
 		}
@@ -825,7 +788,7 @@ func (e *Engine) doSaturate(ctx context.Context, entry protocols.Entry, res *Res
 }
 
 func (e *Engine) doBasis(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {
-	basis, hit, err := e.basisFor(ctx, entry.Protocol, hash, famCtxOf(req, res))
+	basis, hit, err := e.basisFor(ctx, entry.Protocol, hash)
 	if err != nil {
 		return err
 	}

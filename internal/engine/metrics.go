@@ -37,16 +37,6 @@ type Metrics struct {
 	// Interrupted counts analyses abandoned mid-flight by cancellation or
 	// deadline — work that burned CPU without producing a result.
 	Interrupted *metrics.Counter
-	// IncrementalAttempts counts family-declared artifact computations by
-	// how they ran: warm_stable / warm_basis (a neighbor seeded the delta
-	// path), cold_stable / cold_basis (no usable neighbor), disabled
-	// (SetIncremental(false)). A family sweep that shows only cold attempts
-	// has a scheduling problem, not a math one.
-	IncrementalAttempts *metrics.CounterVec
-	// IncrementalSeeds counts neighbor elements by what the delta path did
-	// with them: imported (carried over), certified (validated against the
-	// new protocol), dropped (stale under the new parameter).
-	IncrementalSeeds *metrics.CounterVec
 	// SlotsBusy / SlotsCapacity / SlotQueue read the execution-slot
 	// semaphore at scrape time (Engine.SlotStats): burning analyses,
 	// total capacity, and the queue of requests waiting for a slot.
@@ -74,12 +64,6 @@ func newEngineMetrics(e *Engine) *Metrics {
 			sub("cache_evictions_total", "Artifact slots evicted (capacity pressure or interrupted computations).")),
 		Interrupted: metrics.NewCounter(
 			sub("interrupted_total", "Analyses abandoned mid-flight by cancellation or deadline.")),
-		IncrementalAttempts: metrics.NewCounterVec(
-			sub("incremental_attempts_total", "Family-declared artifact computations by mode (warm/cold/disabled)."),
-			[]string{"mode"}),
-		IncrementalSeeds: metrics.NewCounterVec(
-			sub("incremental_seed_elements_total", "Neighbor basis elements by delta-path outcome (imported/certified/dropped)."),
-			[]string{"outcome"}),
 		SlotsBusy: metrics.NewGaugeFunc(
 			sub("slots_busy", "Execution slots currently burning CPU."),
 			func() float64 { busy, _, _ := e.SlotStats(); return float64(busy) }),
@@ -100,7 +84,6 @@ func (m *Metrics) Collectors() []metrics.Collector {
 	return []metrics.Collector{
 		m.Requests, m.Latency,
 		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.Interrupted,
-		m.IncrementalAttempts, m.IncrementalSeeds,
 		m.SlotsBusy, m.SlotsCapacity, m.SlotQueue,
 	}
 }

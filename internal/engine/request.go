@@ -143,15 +143,6 @@ type Request struct {
 	// TimeoutMillis bounds the request's wall-clock time; 0 means no
 	// request-level deadline (the caller's context still applies).
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
-
-	// Family, when set, declares the protocol as member FamilyParam of a
-	// parametric family — a spec template containing "{N}", e.g.
-	// "flock:{N}". The engine indexes members per family and warm-starts
-	// expensive artifact computations from the nearest analyzed neighbor
-	// (see family.go); results are identical with or without the
-	// declaration, only provenance and cost differ.
-	Family      string `json:"family,omitempty"`
-	FamilyParam int64  `json:"familyParam,omitempty"`
 }
 
 // ValidateInput checks an input multiset against a protocol arity: the

@@ -145,29 +145,6 @@ type CoverResult struct {
 	MaxLen0 int `json:"maxLen0"`
 }
 
-// IncrementalInfo is the provenance of a warm-started artifact
-// computation: which family neighbor seeded it and what the delta path did
-// with the neighbor's elements. It is recorded only by the request that
-// actually computed the artifact — cache hits and waiters report nothing,
-// because they did no incremental work.
-type IncrementalInfo struct {
-	// Family and Param identify the requested member.
-	Family string `json:"family"`
-	Param  int64  `json:"param"`
-	// SeedParam and SeedHash identify the neighbor whose artifact seeded the
-	// computation.
-	SeedParam int64  `json:"seedParam"`
-	SeedHash  string `json:"seedHash"`
-	// Mode is "warm-stable" or "warm-basis".
-	Mode string `json:"mode"`
-	// Imported, Certified and Dropped count neighbor elements carried into
-	// the delta path, validated against the new protocol, and discarded as
-	// stale, respectively.
-	Imported  int `json:"imported"`
-	Certified int `json:"certified"`
-	Dropped   int `json:"dropped"`
-}
-
 // Result is the typed answer to a Request. Exactly one payload field
 // (matching the request kind) is non-nil.
 type Result struct {
@@ -178,9 +155,6 @@ type Result struct {
 	// CacheHit reports whether the request was served from memoized
 	// per-protocol artifacts.
 	CacheHit bool `json:"cacheHit,omitempty"`
-	// Incremental, when set, records that an artifact this request computed
-	// was warm-started from a family neighbor (Request.Family).
-	Incremental *IncrementalInfo `json:"incremental,omitempty"`
 
 	Simulation   *SimulationResult  `json:"simulation,omitempty"`
 	Verification *VerifyResult      `json:"verification,omitempty"`

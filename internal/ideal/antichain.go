@@ -10,7 +10,12 @@ package ideal
 // touched. The companion naive.go retains the pre-arena implementation
 // verbatim for differential tests and benchmarks.
 
-import "repro/internal/wordhash"
+import (
+	"sort"
+
+	"repro/internal/multiset"
+	"repro/internal/wordhash"
+)
 
 // sig is the domination-pruning signature of a minimal element m ∈ ℕ^d:
 //
@@ -181,3 +186,38 @@ func eqWordsRef(a, b []int64) bool {
 // hashWords hashes the coordinates of an element with the shared
 // raw-coordinate hasher (FNV-1a + avalanche; see wordhash).
 func hashWords(w []int64) uint64 { return wordhash.Sum(w) }
+
+// Less is the canonical total order on equal-dimension vectors:
+// lexicographic on coordinates. It is the order SortBasis and
+// CanonicalUpSet normalize to.
+func Less(a, b multiset.Vec) bool {
+	for i, x := range a {
+		if x != b[i] {
+			return x < b[i]
+		}
+	}
+	return false
+}
+
+// SortBasis sorts a basis in place into the canonical (lexicographic)
+// element order and returns it.
+func SortBasis(basis []multiset.Vec) []multiset.Vec {
+	sort.Slice(basis, func(i, j int) bool { return Less(basis[i], basis[j]) })
+	return basis
+}
+
+// CanonicalUpSet rebuilds an UpSet with its antichain in canonical order:
+// the same set, with arena ids assigned in SortBasis order. Two UpSets
+// denoting the same set have identical MinBasis slices after
+// canonicalization, whatever insertion histories produced them — this is
+// what lets a computed fixpoint and one restored from a durable artifact
+// expose identical bases.
+func CanonicalUpSet(u *UpSet) *UpSet {
+	// The input is an antichain, so the sorted basis is one too and
+	// restores without domination scans: arena order == canonical order.
+	out, err := RestoreUpSet(u.d, SortBasis(u.MinBasis()))
+	if err != nil {
+		panic(err) // unreachable: every element has dimension u.d
+	}
+	return out
+}

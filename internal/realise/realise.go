@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/dioph"
+	"repro/internal/ideal"
 	"repro/internal/multiset"
 	"repro/internal/protocol"
 )
@@ -84,6 +86,34 @@ func System(p *protocol.Protocol) (a [][]int64, cols []int, err error) {
 		a = append(a, row)
 	}
 	return a, cols, nil
+}
+
+// Basis computes a generating basis of the potentially realisable multisets:
+// every potentially realisable π (restricted to non-identity transitions) is
+// a sum of a multiset of returned elements. The basis is returned in
+// canonical order (generator vectors sorted lexicographically by column),
+// the order durable artifacts preserve.
+func Basis(p *protocol.Protocol, opts dioph.Options) ([]TransitionMultiset, error) {
+	a, cols, err := System(p)
+	if err != nil {
+		return nil, err
+	}
+	gens, err := dioph.GeneratorsIneq(a, len(cols), opts)
+	if err != nil {
+		return nil, fmt.Errorf("realise: solving Definition 4 system: %w", err)
+	}
+	ideal.SortBasis(gens)
+	out := make([]TransitionMultiset, 0, len(gens))
+	for _, g := range gens {
+		pi := make(TransitionMultiset)
+		for j, n := range g {
+			if n != 0 {
+				pi[cols[j]] = n
+			}
+		}
+		out = append(out, pi)
+	}
+	return out, nil
 }
 
 // IsPotentiallyRealisable checks Definition 4 directly for a leaderless

@@ -66,6 +66,15 @@ func canonicalNDJSON(t *testing.T, body []byte) string {
 	return out.String()
 }
 
+// baselineNDJSON is the canonical stream of a never-interrupted,
+// unjournaled run of crashSpec. A journaled sweep emits cells in grid
+// order while an unjournaled one emits them as they complete, so the
+// baseline runs on one sweep worker, where completion order is grid order.
+func baselineNDJSON(t *testing.T) string {
+	t.Helper()
+	return canonicalNDJSON(t, sweepBody(t, NewHandler(engine.New(), Options{SweepWorkers: 1}), crashSpec))
+}
+
 func sweepBody(t *testing.T, h http.Handler, spec string) []byte {
 	t.Helper()
 	srv := httptest.NewServer(h)
@@ -96,7 +105,7 @@ func sweepBody(t *testing.T, h http.Handler, spec string) []byte {
 // stubs the WAL so a further resubmission re-executes the grid — still
 // byte-identically.
 func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
-	baseline := canonicalNDJSON(t, sweepBody(t, NewHandler(engine.New(), Options{}), crashSpec))
+	baseline := baselineNDJSON(t)
 	if n := strings.Count(baseline, "\n"); n != 13 { // 12 cells + summary
 		t.Fatalf("baseline has %d rows, want 13", n)
 	}

@@ -101,9 +101,9 @@ func Analyze(p *protocol.Protocol, opts Options) (*Analysis, error) {
 }
 
 // setUnstable installs a computed U_b fixpoint: the antichain is rebuilt in
-// canonical element order, so every execution path that arrives at the same
-// set — from-scratch, warm-started, restored from a durable artifact —
-// exposes an identical MinBasis and identical derived structures.
+// canonical element order, so a computed analysis and one restored from a
+// durable artifact expose an identical MinBasis and identical derived
+// structures.
 func (a *Analysis) setUnstable(b int, u *ideal.UpSet, iters, expanded int) {
 	cu := ideal.CanonicalUpSet(u)
 	a.unstable[b] = cu
@@ -206,23 +206,12 @@ func predRows(p *protocol.Protocol) []predRow {
 	return rows
 }
 
-// backwardCover computes U_b by the frontier-driven pred-basis fixpoint.
-// It returns the fixpoint, the number of rounds, and the total number of
-// frontier elements expanded.
+// backwardCover computes U_b by the frontier-driven pred-basis fixpoint,
+// starting from the generator frontier. It returns the fixpoint, the number
+// of rounds, and the total number of frontier elements expanded.
 func backwardCover(p *protocol.Protocol, b, maxBasis int, stop <-chan struct{}) (*ideal.UpSet, int, int, error) {
 	u, frontier := seedGenerators(p, b)
 	rows := predRows(p)
-	iters, expanded, err := runFixpoint(u, frontier, rows, maxBasis, stop)
-	return u, iters, expanded, err
-}
-
-// runFixpoint drives the pred-basis fixpoint to completion from an initial
-// antichain and frontier. The invariant it needs from callers: every live
-// element NOT in the initial frontier already has all its predecessors in
-// the set (true vacuously for the generator seed, and re-established by the
-// warm path by enqueueing every seeded element). It returns the round and
-// expansion counts.
-func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis int, stop <-chan struct{}) (int, int, error) {
 	var (
 		iters    int
 		expanded int
@@ -254,7 +243,7 @@ func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis int,
 			m := u.At(int(id))
 			for ti := range rows {
 				if n%interruptBatch == 0 && stopped(stop) {
-					return iters, expanded, ErrInterrupted
+					return nil, iters, expanded, ErrInterrupted
 				}
 				n++
 				if !rows[ti].lowers(m) {
@@ -267,7 +256,7 @@ func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis int,
 			}
 		}
 		if u.Size() > maxBasis {
-			return iters, expanded, fmt.Errorf("%w: %d elements", ErrBasisTooLarge, u.Size())
+			return nil, iters, expanded, fmt.Errorf("%w: %d elements", ErrBasisTooLarge, u.Size())
 		}
 	}
 	if iters == 0 {
@@ -276,7 +265,7 @@ func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis int,
 		// fixpoint counted.
 		iters = 1
 	}
-	return iters, expanded, nil
+	return u, iters, expanded, nil
 }
 
 // Protocol returns the analyzed protocol.

@@ -1,10 +1,10 @@
 // Package store is the disk layer under the engine's in-memory artifact
 // cache: a content-hash-keyed, file-per-entry blob store that survives
 // restarts, so a recycled worker serves its first repeated-protocol
-// request warm instead of recomputing stable sets from scratch.
+// request from disk instead of recomputing its stable sets.
 //
 // Layout: one file per entry at <dir>/<kind>/<hash>, where kind names the
-// artifact family ("stable", "basis") and hash is the protocol's content
+// artifact kind ("stable", "basis") and hash is the protocol's content
 // hash. Each file is framed
 //
 //	"PPA1" | uint32 LE payload length | uint32 LE CRC32-IEEE(payload) | payload

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -147,39 +148,26 @@ func Run(ctx context.Context, eng *engine.Engine, spec Spec, opts RunOptions) (*
 	}
 
 	start := time.Now()
-	jobs := make(chan []Cell)
 	results := make(chan CellResult)
 
-	// Feeder: hands out family chains — cells of one protocol family as one
-	// sequential unit, everything else as singletons — and stops as soon as
-	// the context ends.
-	go func() {
-		defer close(jobs)
-		for _, chain := range familyChains(cells) {
-			select {
-			case jobs <- chain:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
+	// Workers claim cells in grid order through a shared cursor and stop
+	// as soon as the context ends.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for chain := range jobs {
-				for _, c := range chain {
-					if ctx.Err() != nil {
-						return
-					}
-					cr := RunCell(ctx, eng, spec, c)
-					if Interrupted(ctx, cr) {
-						return
-					}
-					results <- cr
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(len(cells)) || ctx.Err() != nil {
+					return
 				}
+				cr := RunCell(ctx, eng, spec, cells[i])
+				if Interrupted(ctx, cr) {
+					return
+				}
+				results <- cr
 			}
 		}()
 	}
@@ -201,35 +189,6 @@ func Run(ctx context.Context, eng *engine.Engine, spec Spec, opts RunOptions) (*
 		return res, err
 	}
 	return res, nil
-}
-
-// familyChains partitions expanded cells into execution chains: cells
-// declaring the same protocol family form one chain in grid order — which,
-// by expansion order, is ascending parameter order — and every other cell
-// is a singleton chain. A chain executes sequentially on one worker, so
-// each family member's artifacts are complete before the next parameter
-// starts and the engine's delta path always finds its nearest neighbor
-// warm. Chains are ordered by first appearance, keeping the schedule
-// deterministic; results still stream in completion order and aggregate
-// identically to per-cell scheduling.
-func familyChains(cells []Cell) [][]Cell {
-	var chains [][]Cell
-	byFamily := make(map[string]int)
-	for _, c := range cells {
-		fam := c.Request.Family
-		if fam == "" {
-			chains = append(chains, []Cell{c})
-			continue
-		}
-		ci, ok := byFamily[fam]
-		if !ok {
-			ci = len(chains)
-			byFamily[fam] = ci
-			chains = append(chains, nil)
-		}
-		chains[ci] = append(chains[ci], c)
-	}
-	return chains
 }
 
 // Collector folds completed cells into an aggregate Result incrementally,

@@ -686,14 +686,6 @@ func (s Spec) expandEntry(entryIdx int, entry ProtocolAxis, params []int64, emit
 		}
 	}
 
-	// A parametric spec template is a protocol family: declare it on every
-	// member cell so the engine's incremental layer can warm-start each
-	// parameter's artifacts from the previously analyzed neighbor. (The
-	// sweep Param token and the engine's family token are the same "{N}".)
-	family := ""
-	if strings.Contains(entry.Spec, Param) {
-		family = entry.Spec
-	}
 	for _, param := range entryParams {
 		pv := int64(0)
 		if param != nil {
@@ -713,10 +705,6 @@ func (s Spec) expandEntry(entryIdx int, entry ProtocolAxis, params []int64, emit
 					Protocol:      ref,
 					TimeoutMillis: s.Options.TimeoutMillis,
 				},
-			}
-			if family != "" && param != nil {
-				cell.Request.Family = family
-				cell.Request.FamilyParam = pv
 			}
 			if !needsSize(kind) {
 				if err := emit(cell); err != nil {

@@ -16,12 +16,12 @@ type StreamRow struct {
 }
 
 // CanonicalCell returns a copy of a cell result with its volatile fields —
-// wall-clock timings, cache-hit flags, incremental provenance and fixpoint
-// schedule counters, which legitimately differ between runs and between
-// executors (a warm-started analysis reaches the identical antichains in
-// fewer rounds) — zeroed. Everything analysis-determined (verdicts, basis
-// sizes, statistics, seed-driven simulation outcomes) is preserved, so two
-// canonical cells are byte-identical exactly when the analyses agreed.
+// wall-clock timings and cache-hit flags, which legitimately differ between
+// runs and between executors, and the fixpoint schedule counters, which
+// describe how a stable set was computed rather than what it is — zeroed.
+// Everything analysis-determined (verdicts, basis sizes, statistics,
+// seed-driven simulation outcomes) is preserved, so two canonical cells are
+// byte-identical exactly when the analyses agreed.
 func CanonicalCell(cr CellResult) CellResult {
 	cr.ElapsedMillis = 0
 	cr.CacheHit = false
@@ -29,7 +29,6 @@ func CanonicalCell(cr CellResult) CellResult {
 		r := *cr.Result
 		r.ElapsedMillis = 0
 		r.CacheHit = false
-		r.Incremental = nil
 		if r.Stable != nil {
 			s := *r.Stable
 			s.Iterations0, s.Iterations1 = 0, 0

@@ -13,12 +13,11 @@
 #   stable  BenchmarkStableAnalyze* in internal/stable (includes the
 #           retained seed fixpoint as the "before" side; expect the Naive
 #           benchmark to take minutes per iteration)  → BENCH_stable.json
-#   sweep   BenchmarkSweepIncremental/BenchmarkSweepFromScratch in
-#           internal/sweep — extending an analyzed family ramp over a warm
-#           artifact store vs recomputing the grid cold; always runs at
-#           -benchtime 1x (only the first iteration is the extend
-#           scenario: it writes the delta through, so later iterations
-#           would measure a fully warm store)         → BENCH_sweep.json
+#   sweep   BenchmarkSweepStoreHit/BenchmarkSweepCold in internal/sweep —
+#           the binary:{40..70} stable grid on a fresh engine over a
+#           filled artifact store vs with no store; always one grid per
+#           sample (-benchtime 1x), five samples, recorded as median and
+#           min/max                                   → BENCH_sweep.json
 #
 # Usage:
 #   scripts/bench.sh                   # all suites, full run
@@ -158,21 +157,19 @@ run_stable() {
 }
 
 run_sweep() {
-  # The incremental/from-scratch pair is pinned at one iteration each: the
-  # incremental benchmark's first iteration is the extend scenario (29
-  # durable hits + 2 delta computes) and writes the delta through, so any
-  # further iteration would measure a fully warm store instead. BENCHTIME
-  # is deliberately ignored here.
+  # An op is a whole 31-cell grid (about 2 s cold), so each sample runs
+  # one; the five samples give the spread. BENCHTIME is deliberately
+  # ignored here.
   local out="${OUT_SWEEP:-BENCH_sweep.json}"
   local benchtime=1x # shadows the global for the render call below
   local tmp
   tmp="$(mktemp)"
   tmpfiles+=("$tmp")
   go test ./internal/sweep -run '^$' \
-    -bench 'BenchmarkSweep(Incremental|FromScratch)' \
-    -benchtime 1x -count 1 -timeout 1h | tee "$tmp" >&2
+    -bench 'BenchmarkSweep(StoreHit|Cold)$' \
+    -benchmem -benchtime 1x -count 5 -timeout 1h | tee "$tmp" >&2
   render sweep \
-    "Extend scenario for the delta-aware sweep path: the binary-threshold ramp 42..70 is analyzed with a durable artifact store, then the grid is widened to 40..70 (new-cells/op = 2, placed at the cheap end of the superlinear ramp so the ratio measures grid reuse rather than the irreducible delta compute); Incremental restores the 29 analyzed cells and computes only the delta, FromScratch recomputes all 31 cells cold with the delta path disabled — the FromScratch/Incremental ns_per_op ratio is the committed aggregate speedup" \
+    "The binary-threshold stable grid 40..70 (31 cells) run on a fresh engine per sample with one sweep worker: StoreHit over an artifact store filled by an untimed cold run (every cell a disk hit), Cold with no store (every cell computed); the Cold/StoreHit ns_per_op ratio is what the durable store saves a restarted server; each row is the median of 5 samples with the min/max of ns_per_op" \
     "$tmp" "$out"
 }
 

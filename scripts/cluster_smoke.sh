@@ -25,12 +25,10 @@ trap cleanup EXIT
 go build -o "$workdir/ppserve" ./cmd/ppserve
 go build -o "$workdir/ppsweep" ./cmd/ppsweep
 
-# Three parametric families: the dispatcher routes each family WHOLE to
-# one rendezvous owner (members warm-start from their neighbors there), so
-# spreading the grid across both workers needs multiple templates — these
-# three land on both workers under worker IDs w1/w2 (the same property the
-# in-process integration specs rely on).
-# 3 families × 4 params × (2 simulate sizes + 2 verify sizes + 1 stable)
+# The dispatcher routes every protocol by its own content hash, so the
+# twelve protocols below (three templates × four params) are twelve
+# rendezvous groups spread over worker IDs w1/w2.
+# 3 templates × 4 params × (2 simulate sizes + 2 verify sizes + 1 stable)
 # = 60 cells.
 spec="$workdir/spec.json"
 cat > "$spec" <<'EOF'
