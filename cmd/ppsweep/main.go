@@ -12,17 +12,18 @@
 //
 // The spec format is documented in docs/api.md (the same document POST
 // /v1/sweep accepts); examples/sweep holds a runnable flock-of-birds
-// threshold sweep. Rows stream in completion order and carry the cell's
-// grid index, so interrupted output is still attributable; the aggregate
+// threshold sweep. Rows stream in grid order and carry the cell's grid
+// index, so interrupted output is still attributable; the aggregate
 // summary goes to stderr, keeping stdout machine-readable.
 //
 // With -cluster the sweep executes remotely: the spec is POSTed to the
 // coordinator's /v1/sweep and the streamed rows are re-emitted locally, so
 // output is identical in shape whether the grid ran in-process or fanned
 // out across a worker fleet. -canonical emits the deterministic comparison
-// form instead — index-sorted cells with volatile fields (timings, cache
-// flags) zeroed, then a canonical summary row — which is byte-identical
-// between a local run and a cluster run of the same spec.
+// form instead — each cell row as it arrives with volatile fields
+// (timings, cache flags) zeroed, then a canonical summary row — which is
+// byte-identical between a local run and a cluster run of the same spec;
+// a cell arriving out of grid order fails the command.
 package main
 
 import (
@@ -37,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -59,7 +59,7 @@ func run(args []string) error {
 		timeout  = fs.Duration("timeout", 0, "overall sweep deadline (0 = none)")
 		quiet    = fs.Bool("quiet", false, "suppress the stderr summary")
 		cluster  = fs.String("cluster", "", "coordinator base URL: run the sweep remotely via POST /v1/sweep")
-		canon    = fs.Bool("canonical", false, "emit canonical rows: index-sorted cells with volatile fields zeroed, then a canonical summary row (ndjson only; byte-comparable across local and cluster runs)")
+		canon    = fs.Bool("canonical", false, "emit canonical rows: grid-ordered cells with volatile fields zeroed, then a canonical summary row (ndjson only; byte-comparable across local and cluster runs; fails on a cell out of grid order)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,19 +93,23 @@ func run(args []string) error {
 	}
 
 	var emit func(sweep.CellResult) error
-	var canonCells []sweep.CellResult
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetEscapeHTML(false)
 	switch {
 	case *canon:
 		if *format != "ndjson" {
 			return fmt.Errorf("-canonical requires -format ndjson")
 		}
+		last := -1
 		emit = func(cr sweep.CellResult) error {
-			canonCells = append(canonCells, sweep.CanonicalCell(cr))
-			return nil
+			if cr.Index <= last {
+				return fmt.Errorf("cell %d streamed after cell %d: not in grid order", cr.Index, last)
+			}
+			last = cr.Index
+			c := sweep.CanonicalCell(cr)
+			return enc.Encode(sweep.StreamRow{Type: "cell", Cell: &c})
 		}
 	case *format == "ndjson":
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetEscapeHTML(false)
 		emit = func(cr sweep.CellResult) error { return enc.Encode(cr) }
 	case *format == "csv":
 		w := csv.NewWriter(os.Stdout)
@@ -137,15 +141,15 @@ func run(args []string) error {
 		res, err = sweep.Run(ctx, engine.New(), spec, sweep.RunOptions{
 			Workers: *workers,
 			OnCell:  onCell,
-			// Canonical mode buffers cells itself; don't retain them twice.
-			DiscardCells: *canon,
+			// Every cell already went to stdout; keep only the aggregates.
+			DiscardCells: true,
 		})
 	}
 	if emitErr != nil {
 		return emitErr
 	}
 	if *canon && res != nil {
-		if cerr := emitCanonical(os.Stdout, canonCells, res); cerr != nil {
+		if cerr := enc.Encode(sweep.StreamRow{Type: "summary", Summary: sweep.CanonicalResult(res)}); cerr != nil {
 			return cerr
 		}
 	}
@@ -197,20 +201,6 @@ func runCluster(ctx context.Context, base string, spec []byte, onCell func(sweep
 		return nil, errors.New("cluster sweep: stream ended without a summary row")
 	}
 	return res, nil
-}
-
-// emitCanonical writes the deterministic comparison form: cells sorted by
-// grid index (completion order is a race), then the canonical summary.
-func emitCanonical(w io.Writer, cells []sweep.CellResult, res *sweep.Result) error {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Index < cells[j].Index })
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	for i := range cells {
-		if err := enc.Encode(sweep.StreamRow{Type: "cell", Cell: &cells[i]}); err != nil {
-			return err
-		}
-	}
-	return enc.Encode(sweep.StreamRow{Type: "summary", Summary: sweep.CanonicalResult(res)})
 }
 
 // summary renders the aggregate result in one stderr line.

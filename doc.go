@@ -60,7 +60,7 @@
 //	    OnCell: func(c pp.SweepCellResult) { fmt.Println(c.Index, c.Kind, c.OK) },
 //	})
 //
-// Completed cells stream to OnCell as they finish; the returned SweepResult
+// Completed cells stream to OnCell in grid order; the returned SweepResult
 // aggregates verdicts, convergence percentiles and wall time. The same spec
 // runs unchanged via cmd/ppsweep (CSV/NDJSON output) and ppserve's
 // streaming POST /v1/sweep endpoint; see examples/sweep and docs/api.md.

@@ -47,7 +47,7 @@ func main() {
 	}
 	fmt.Printf("sweep %q: %d cells (protocol × population × kind grid)\n\n", spec.Name, len(cells))
 
-	// Execute on a worker pool; cells stream back as they complete.
+	// Execute on a worker pool; cells stream back in grid order.
 	res, err := pp.Sweep(context.Background(), pp.NewEngine(), spec, pp.SweepRunOptions{
 		OnCell: func(cr pp.SweepCellResult) {
 			fmt.Printf("  cell %2d %-9s size=%-2d %-8s ok=%t (%.1f ms)\n",

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -26,12 +28,12 @@ type DispatchOptions struct {
 	// Resolver maps protocol references to routing hashes (default:
 	// EngineResolver(LocalEngine)).
 	Resolver Resolver
-	// LocalEngine executes cells locally when no worker can: an empty
-	// membership runs the whole sweep in-process, and a task that exhausts
-	// MaxAttempts remote attempts completes on the coordinator. Required.
+	// LocalEngine executes the ranges no worker can take — every range
+	// when no worker is routable, and a range that exhausts MaxAttempts
+	// remote attempts. Required.
 	LocalEngine *engine.Engine
-	// LocalWorkers is the worker-pool size of a full-local run (0 =
-	// GOMAXPROCS).
+	// LocalWorkers is how many cells the coordinator's local pool keeps in
+	// flight (0 = GOMAXPROCS).
 	LocalWorkers int
 	// RangeCells caps cells per dispatched range — the retry granularity
 	// (default 64).
@@ -43,17 +45,6 @@ type DispatchOptions struct {
 	// MaxAttempts bounds remote dispatch attempts per range before its
 	// cells fall back to local execution (default 3).
 	MaxAttempts int
-	// OnCell observes every merged cell in grid-index order — the
-	// deterministic stream. Calls are serialized; a slow observer
-	// backpressures the dispatcher.
-	OnCell func(sweep.CellResult)
-	// OnDispatch observes every range handed to a worker (or to
-	// LocalWorkerLabel for local execution) before it runs — the durable
-	// journal's range records. Calls may be concurrent across workers.
-	OnDispatch func(worker string, cells []sweep.IndexRange)
-	// DiscardCells leaves Result.Cells empty (streaming consumers saw each
-	// cell via OnCell).
-	DiscardCells bool
 	// Log receives dispatcher events (nil = discard).
 	Log *slog.Logger
 }
@@ -100,59 +91,50 @@ func (e *shedError) Error() string {
 	return fmt.Sprintf("worker saturated, retry after %s", e.retryAfter)
 }
 
-// Sweep fans a sweep spec out across the registered workers and returns the
-// merged aggregate. Cells are partitioned by protocol content hash (cache
-// affinity), dispatched as ranges with per-range deadlines, and retried on
-// survivors when a worker fails, drains or goes silent; when no live worker
-// remains the remaining cells execute locally. OnCell observes the merged
-// cells in grid-index order, and the final Result is the one the
-// single-process executor would have produced for the same spec.
-func (c *Coordinator) Sweep(ctx context.Context, spec sweep.Spec, opts DispatchOptions) (*sweep.Result, error) {
-	opts, err := opts.withDefaults()
+// Executor returns the cluster executor for sweep.Pipeline: it fans cells
+// out across the routable workers. Cells are partitioned by protocol
+// content hash (cache affinity), dispatched as ranges with per-range
+// deadlines, and retried on survivors when a worker fails, drains or goes
+// silent; a range no worker can take — every range, when none is routable
+// — runs on the coordinator's local pool.
+func (c *Coordinator) Executor(opts DispatchOptions) sweep.Executor {
+	return fanout{coord: c, opts: opts}
+}
+
+// fanout is the cluster sweep.Executor.
+type fanout struct {
+	coord *Coordinator
+	opts  DispatchOptions
+}
+
+// Execute implements sweep.Executor. Its width is the number of routable
+// workers at dispatch time, or the local pool's width when there are none.
+func (f fanout) Execute(ctx context.Context, spec sweep.Spec, cells []sweep.Cell, m *sweep.Merger, onRange func(string, []sweep.IndexRange)) (int, error) {
+	opts, err := f.opts.withDefaults()
 	if err != nil {
-		return nil, err
-	}
-	cells, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
-	live := c.Routable()
-	if len(live) == 0 {
-		// Degraded mode: no workers registered — the coordinator is just a
-		// single-process executor. A collector-less merger still reorders
-		// the stream, so OnCell sees grid order in this mode too.
-		opts.Log.Info("cluster sweep: no live workers, running locally",
-			"sweep", spec.Name, "cells", len(cells))
-		if opts.OnDispatch != nil {
-			opts.OnDispatch(LocalWorkerLabel, sweep.Ranges(indicesOf(cells)))
-		}
-		reorder := sweep.NewMerger(cells, nil, opts.OnCell)
-		return sweep.Run(ctx, opts.LocalEngine, spec, sweep.RunOptions{
-			Workers:      opts.LocalWorkers,
-			OnCell:       func(cr sweep.CellResult) { reorder.Add(cr) },
-			DiscardCells: opts.DiscardCells,
-		})
+		return 0, err
 	}
 	groups, err := groupByHash(cells, opts.Resolver)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	tasks := chunk(groups, opts.RangeCells)
+	live := f.coord.Routable()
+	local := sweep.Pool{Engine: opts.LocalEngine, Workers: opts.LocalWorkers}
 	opts.Log.Info("cluster sweep: dispatching",
 		"sweep", spec.Name, "cells", len(cells), "protocols", len(groups),
 		"ranges", len(tasks), "workers", len(live))
 
-	start := time.Now()
-	col := sweep.NewCollector(spec.Name, len(cells), len(live), opts.DiscardCells)
-	m := sweep.NewMerger(cells, col, opts.OnCell)
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	d := &dispatcher{
 		ctx:     tctx,
-		coord:   c,
+		coord:   f.coord,
 		opts:    opts,
 		spec:    spec,
 		m:       m,
+		local:   local,
+		onRange: onRange,
 		queues:  make(map[string][]*task),
 		info:    make(map[string]Worker),
 		driving: make(map[string]bool),
@@ -175,15 +157,10 @@ func (c *Coordinator) Sweep(ctx context.Context, spec sweep.Spec, opts DispatchO
 	cancel()
 	d.wg.Wait()
 
-	res := col.Finish(time.Since(start))
-	if err := ctx.Err(); err != nil && res.Completed < res.TotalCells {
-		res.Cancelled = true
-		return res, err
+	if len(live) == 0 {
+		return local.Width(len(cells)), nil
 	}
-	opts.Log.Info("cluster sweep: done",
-		"sweep", spec.Name, "completed", res.Completed, "failed", res.Failed,
-		"wallMillis", res.WallMillis)
-	return res, nil
+	return len(live), nil
 }
 
 // dispatcher is the scheduler state of one fanned-out sweep: per-worker
@@ -195,7 +172,10 @@ type dispatcher struct {
 	opts  DispatchOptions
 	spec  sweep.Spec
 	m     *sweep.Merger
-	wg    sync.WaitGroup
+	local sweep.Pool
+	// onRange is the pipeline's range hook (may be nil).
+	onRange func(worker string, cells []sweep.IndexRange)
+	wg      sync.WaitGroup
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -358,41 +338,33 @@ func (d *dispatcher) requeue(id string, t *task, missing []sweep.Cell) {
 }
 
 // driveLocal executes the local queue on the coordinator's own engine —
-// the completion guarantee when no worker can take a range.
+// the completion guarantee when no worker can take a range. Each pass
+// takes every queued range and runs their cells, in grid order, through
+// the local pool.
 func (d *dispatcher) driveLocal() {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
-		for {
-			if d.stop {
-				d.localDriving = false
-				d.mu.Unlock()
-				return
-			}
-			if len(d.localQ) > 0 {
-				break
-			}
+		for !d.stop && len(d.localQ) == 0 {
 			d.cond.Wait()
 		}
-		t := d.localQ[0]
-		d.localQ = d.localQ[1:]
+		if d.stop {
+			d.localDriving = false
+			d.mu.Unlock()
+			return
+		}
+		batch := d.localQ
+		d.localQ = nil
 		d.mu.Unlock()
 
-		d.coord.metrics.RangesDispatched.WithLabelValues(LocalWorkerLabel).Inc()
-		d.opts.Log.Info("cluster sweep: executing range locally", "cells", len(t.cells))
-		if d.opts.OnDispatch != nil {
-			d.opts.OnDispatch(LocalWorkerLabel, sweep.Ranges(t.indices()))
+		var cells []sweep.Cell
+		for _, t := range batch {
+			d.coord.metrics.RangesDispatched.WithLabelValues(LocalWorkerLabel).Inc()
+			cells = append(cells, t.cells...)
 		}
-		for _, c := range t.cells {
-			if d.ctx.Err() != nil {
-				break
-			}
-			cr := sweep.RunCell(d.ctx, d.opts.LocalEngine, d.spec, c)
-			if sweep.Interrupted(d.ctx, cr) {
-				break
-			}
-			d.m.Add(cr)
-		}
+		slices.SortFunc(cells, func(a, b sweep.Cell) int { return cmp.Compare(a.Index, b.Index) })
+		d.opts.Log.Info("cluster sweep: executing ranges locally", "ranges", len(batch), "cells", len(cells))
+		d.local.Execute(d.ctx, d.spec, cells, d.m, d.onRange)
 	}
 }
 
@@ -413,8 +385,8 @@ func (d *dispatcher) rangeDeadline(t *task) time.Duration {
 func (d *dispatcher) runTask(w Worker, t *task) (served int, missing []sweep.Cell, err error) {
 	sub := d.spec
 	sub.Cells = sweep.Ranges(t.indices())
-	if d.opts.OnDispatch != nil {
-		d.opts.OnDispatch(w.ID, sub.Cells)
+	if d.onRange != nil {
+		d.onRange(w.ID, sub.Cells)
 	}
 	body, err := json.Marshal(sub)
 	if err != nil {
@@ -493,14 +465,4 @@ func parseRetryAfter(s string) time.Duration {
 		}
 	}
 	return min(retry, maxRetryAfter)
-}
-
-// indicesOf lists the grid indices of the expanded cells, for the
-// degraded-mode dispatch record.
-func indicesOf(cells []sweep.Cell) []int {
-	out := make([]int, len(cells))
-	for i, c := range cells {
-		out[i] = c.Index
-	}
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,7 +47,6 @@ func singleProcessReference(t *testing.T, spec sweep.Spec) ([]string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Index < cells[j].Index })
 	return canonLines(t, cells), canonSummary(t, res)
 }
 
@@ -95,8 +93,9 @@ func dispatchCanonical(t *testing.T, coord *cluster.Coordinator, spec sweep.Spec
 	t.Helper()
 	var cells []sweep.CellResult
 	opts.LocalEngine = engine.New()
-	opts.OnCell = func(cr sweep.CellResult) { cells = append(cells, sweep.CanonicalCell(cr)) }
-	res, err := coord.Sweep(context.Background(), spec, opts)
+	res, err := sweep.Pipeline(context.Background(), spec, coord.Executor(opts), nil, sweep.Hooks{
+		OnCell: func(cr sweep.CellResult) { cells = append(cells, sweep.CanonicalCell(cr)) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/metrics/testutil"
+	"repro/internal/sweep"
 )
 
 // TestMetricsMembershipGauges pins the scrape-time membership collectors
@@ -76,10 +77,10 @@ func TestMetricsHealthySweepDistribution(t *testing.T) {
 	startWorker(t, coord, "w1", nil)
 	startWorker(t, coord, "w2", nil)
 
-	res, err := coord.Sweep(context.Background(), spec, cluster.DispatchOptions{
+	res, err := sweep.Pipeline(context.Background(), spec, coord.Executor(cluster.DispatchOptions{
 		LocalEngine: engine.New(),
 		RangeCells:  3,
-	})
+	}), nil, sweep.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +138,10 @@ func TestMetricsKilledWorkerOrphansThenRetries(t *testing.T) {
 	// 12 protocol groups of 5 cells → 12 ranges, all routed to the only
 	// worker. It dies 2 rows into the first; the dispatcher must retry
 	// that range and orphan the queued 11.
-	res, err := coord.Sweep(context.Background(), spec, cluster.DispatchOptions{
+	res, err := sweep.Pipeline(context.Background(), spec, coord.Executor(cluster.DispatchOptions{
 		LocalEngine: engine.New(),
 		RangeCells:  5,
-	})
+	}), nil, sweep.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,22 +172,30 @@ func TestMetricsKilledWorkerOrphansThenRetries(t *testing.T) {
 	}
 }
 
-// TestMetricsNoWorkersDegradedMode: with an empty membership the sweep
-// bypasses the dispatcher entirely, so the range counters stay zero — the
-// degraded path is visible as members==0 with no dispatch traffic.
+// TestMetricsNoWorkersDegradedMode: with an empty membership every range
+// routes to the coordinator's local queue, so the degraded path shows up
+// as local routing — every cell routed local, one local dispatch per range
+// — and no worker traffic.
 func TestMetricsNoWorkersDegradedMode(t *testing.T) {
-	spec := integrationSpec()
+	spec := integrationSpec() // 60 cells over 12 protocols
 	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
-	if _, err := coord.Sweep(context.Background(), spec, cluster.DispatchOptions{
+	res, err := sweep.Pipeline(context.Background(), spec, coord.Executor(cluster.DispatchOptions{
 		LocalEngine: engine.New(), LocalWorkers: 2,
-	}); err != nil {
+	}), nil, sweep.Hooks{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := coord.Metrics()
-	if got := testutil.ToFloat64(m.RangesDispatched.WithLabelValues(cluster.LocalWorkerLabel)); got != 0 {
-		t.Errorf("degraded mode must not count dispatcher ranges, got %v", got)
+	if res.Completed != res.TotalCells || res.Workers != 2 {
+		t.Fatalf("completed %d/%d on %d workers, want all on 2", res.Completed, res.TotalCells, res.Workers)
 	}
-	if got := testutil.ToFloat64(m.CellsRouted.WithLabelValues(cluster.LocalWorkerLabel)); got != 0 {
-		t.Errorf("degraded mode must not count routing, got %v", got)
+	m := coord.Metrics()
+	if got := testutil.ToFloat64(m.CellsRouted.WithLabelValues(cluster.LocalWorkerLabel)); got != float64(res.TotalCells) {
+		t.Errorf("cells_routed{local} = %v, want %d", got, res.TotalCells)
+	}
+	if got := testutil.ToFloat64(m.RangesDispatched.WithLabelValues(cluster.LocalWorkerLabel)); got != 12 {
+		t.Errorf("ranges_dispatched{local} = %v, want 12 (one per protocol group)", got)
+	}
+	if got := testutil.ToFloat64(m.RangesRetried.WithLabelValues(cluster.LocalWorkerLabel)); got != 0 {
+		t.Errorf("ranges_retried{local} = %v, want 0", got)
 	}
 }

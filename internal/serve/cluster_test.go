@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -184,11 +183,6 @@ func TestCoordinatorSweepOverHTTP(t *testing.T) {
 
 	local := NewHandler(engine.New(), Options{})
 	_, wantRows := sweepRows(t, local, spec)
-	// Local rows stream in completion order; sort the cells into grid order
-	// for the comparison (the summary row stays last).
-	sort.SliceStable(wantRows[:len(wantRows)-1], func(i, j int) bool {
-		return wantRows[i].Cell.Index < wantRows[j].Cell.Index
-	})
 
 	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
 	h := NewHandler(engine.New(), Options{
@@ -223,11 +217,12 @@ func TestCoordinatorSweepOverHTTP(t *testing.T) {
 			t.Errorf("row %d differs:\n got: %s\nwant: %s", i, g, w)
 		}
 	}
-	// The coordinator stream is grid-ordered (the local one happens to be
-	// too only by luck of completion order — don't assert it there).
-	for i, row := range gotRows[:len(gotRows)-1] {
-		if row.Type != "cell" || row.Cell.Index != i {
-			t.Errorf("cluster row %d: type %s index %v, want cell %d", i, row.Type, row.Cell, i)
+	// Both streams are grid-ordered.
+	for name, rows := range map[string][]SweepRow{"local": wantRows, "cluster": gotRows} {
+		for i, row := range rows[:len(rows)-1] {
+			if row.Type != "cell" || row.Cell.Index != i {
+				t.Errorf("%s row %d: type %s index %v, want cell %d", name, i, row.Type, row.Cell, i)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"runtime"
 	"slices"
 	"time"
 
@@ -48,97 +47,64 @@ func handleArtifact(eng *engine.Engine, opts Options, w http.ResponseWriter, r *
 // dead owner cannot stall the endpoint.
 var artifactClient = &http.Client{Timeout: 10 * time.Second}
 
-// runSweepJournaled executes a sweep under the durable journal: replayed
-// cells are re-emitted verbatim, only the rest run (locally or fanned
-// out), every fresh completion is fsync'd before it streams, and the
-// summary aggregates the whole grid. Because grid indices and per-cell
-// seeds are stable under Cells sub-selection, the merged stream — and its
-// canonical form — is byte-identical to an uninterrupted run's.
-func runSweepJournaled(ctx context.Context, eng *engine.Engine, opts Options, spec sweep.Spec, j *journal.Sweep, onCell func(sweep.CellResult)) (*sweep.Result, error) {
-	cells, err := spec.Expand()
-	if err != nil {
-		return nil, err
+// executor is the sweep executor of this handler: the coordinator's
+// dispatcher under Cluster, else the local pool.
+func (o Options) executor(eng *engine.Engine) sweep.Executor {
+	if o.Cluster == nil {
+		return sweep.Pool{Engine: eng, Workers: o.SweepWorkers}
 	}
-	if err := j.Start(len(cells)); err != nil {
-		return nil, err
+	d := o.ClusterDispatch
+	d.LocalEngine = eng
+	d.LocalWorkers = o.SweepWorkers
+	if d.Log == nil {
+		d.Log = o.RequestLog
 	}
-	workers := opts.SweepWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	col := sweep.NewCollector(spec.Name, len(cells), workers, true)
-	m := sweep.NewMerger(cells, col, func(cr sweep.CellResult) {
-		// Journal before streaming, so every cell a client saw is durable.
-		// Replayed cells are already journaled and skip straight through;
-		// a failed append only costs recomputing that cell on resume.
-		if err := j.AppendCell(cr); err != nil {
-			opts.RequestLog.Warn("sweep journal append failed", "cell", cr.Index, "error", err)
-		}
-		onCell(cr)
-	})
+	return o.Cluster.Executor(d)
+}
 
-	replayed := j.Completed()
-	seen := make(map[int]bool, len(replayed))
-	for _, cr := range replayed {
-		m.Add(cr)
-		seen[cr.Index] = true
-	}
-	var remaining []int
-	for _, c := range cells {
-		if !seen[c.Index] {
-			remaining = append(remaining, c.Index)
+// runSweep runs one /v1/sweep through the sweep pipeline on the handler's
+// executor, streaming cells to onCell in grid order. Under a journal (j
+// non-nil) the journal supplies the replay — replayed cells re-emit
+// verbatim and only the rest execute — logs the start and every
+// dispatched range, fsyncs every cell before it streams, and is sealed
+// once the grid completes. Because grid indices and per-cell seeds are
+// stable under sub-selection, a resumed stream — and its canonical form —
+// is byte-identical to an uninterrupted run's.
+func runSweep(ctx context.Context, eng *engine.Engine, opts Options, spec sweep.Spec, j *journal.Sweep, onCell func(sweep.CellResult)) (*sweep.Result, error) {
+	// DiscardCells keeps server memory flat on huge grids: each cell was
+	// already streamed, so the summary row carries aggregates only.
+	hooks := sweep.Hooks{OnCell: onCell, DiscardCells: true}
+	var replayed []sweep.CellResult
+	if j != nil {
+		replayed = j.Completed()
+		hooks.OnStart = func(total int) error {
+			if len(replayed) > 0 {
+				opts.RequestLog.Info("sweep resumed from journal",
+					"sweep", spec.Name, "replayed", len(replayed), "remaining", total-len(replayed))
+			}
+			return j.Start(total)
 		}
-	}
-	if len(replayed) > 0 {
-		opts.RequestLog.Info("sweep resumed from journal",
-			"sweep", spec.Name, "replayed", len(replayed), "remaining", len(remaining))
-	}
-
-	start := time.Now()
-	// Ranges(nil) means the full grid, so a fully-replayed sweep must skip
-	// execution outright rather than submit an empty selection.
-	if len(remaining) > 0 {
-		sub := spec
-		sub.Cells = sweep.Ranges(remaining)
-		feed := func(cr sweep.CellResult) { m.Add(cr) }
-		logRange := func(worker string, rs []sweep.IndexRange) {
+		hooks.OnCell = func(cr sweep.CellResult) {
+			// Journal before streaming, so every cell a client saw is
+			// durable. Replayed cells are already journaled and skip
+			// straight through; a failed append only costs recomputing
+			// that cell on resume.
+			if err := j.AppendCell(cr); err != nil {
+				opts.RequestLog.Warn("sweep journal append failed", "cell", cr.Index, "error", err)
+			}
+			onCell(cr)
+		}
+		hooks.OnRange = func(worker string, rs []sweep.IndexRange) {
 			if err := j.AppendRange(worker, rs); err != nil {
 				opts.RequestLog.Warn("sweep journal range append failed", "error", err)
 			}
 		}
-		if opts.Cluster != nil {
-			dopts := opts.ClusterDispatch
-			dopts.LocalEngine = eng
-			dopts.LocalWorkers = opts.SweepWorkers
-			dopts.DiscardCells = true
-			dopts.OnCell = feed
-			dopts.OnDispatch = logRange
-			if dopts.Log == nil {
-				dopts.Log = opts.RequestLog
-			}
-			if _, err := opts.Cluster.Sweep(ctx, sub, dopts); err != nil && ctx.Err() == nil {
-				return nil, err
-			}
-		} else {
-			logRange(cluster.LocalWorkerLabel, sub.Cells)
-			if _, err := sweep.Run(ctx, eng, sub, sweep.RunOptions{
-				Workers:      opts.SweepWorkers,
-				DiscardCells: true,
-				OnCell:       feed,
-			}); err != nil && ctx.Err() == nil {
-				return nil, err
-			}
-		}
 	}
-
-	res := col.Finish(time.Since(start))
-	if m.Remaining() == 0 {
+	res, err := sweep.Pipeline(ctx, spec, opts.executor(eng), replayed, hooks)
+	if j != nil && err == nil && res.Completed == res.TotalCells {
 		if err := j.AppendDone(); err != nil {
 			opts.RequestLog.Warn("sweep journal done append failed", "error", err)
 		}
-	} else if err := ctx.Err(); err != nil {
-		res.Cancelled = true
-		return res, err
 	}
-	return res, nil
+	return res, err
 }

@@ -67,12 +67,10 @@ func canonicalNDJSON(t *testing.T, body []byte) string {
 }
 
 // baselineNDJSON is the canonical stream of a never-interrupted,
-// unjournaled run of crashSpec. A journaled sweep emits cells in grid
-// order while an unjournaled one emits them as they complete, so the
-// baseline runs on one sweep worker, where completion order is grid order.
+// unjournaled run of crashSpec.
 func baselineNDJSON(t *testing.T) string {
 	t.Helper()
-	return canonicalNDJSON(t, sweepBody(t, NewHandler(engine.New(), Options{SweepWorkers: 1}), crashSpec))
+	return canonicalNDJSON(t, sweepBody(t, NewHandler(engine.New(), Options{}), crashSpec))
 }
 
 func sweepBody(t *testing.T, h http.Handler, spec string) []byte {
@@ -244,7 +242,7 @@ func TestJournaledSweepSkipsInterruptedCell(t *testing.T) {
 	}()
 	opts := Options{SweepWorkers: 1, RequestLog: slog.New(slog.DiscardHandler)}
 	streamed := 0
-	_, err = runSweepJournaled(ctx, eng, opts, spec, j, func(sweep.CellResult) {
+	_, err = runSweep(ctx, eng, opts, spec, j, func(sweep.CellResult) {
 		if streamed++; streamed == 1 {
 			close(firstDone)
 		}

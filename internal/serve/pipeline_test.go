@@ -1,0 +1,130 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/engine"
+	"repro/internal/journal"
+	"repro/internal/sweep"
+)
+
+// sweepMode is one /v1/sweep execution route.
+type sweepMode struct {
+	name    string
+	workers int  // registered cluster workers; -1 = not a coordinator
+	journal bool // run under a fresh durable journal
+}
+
+// modeOptions builds the handler options of one mode: the given sweep pool
+// size, a coordinator with m.workers live in-process workers when m.workers
+// >= 0, and a fresh journal when m.journal.
+func modeOptions(t *testing.T, m sweepMode, sweepWorkers int) Options {
+	t.Helper()
+	opts := Options{SweepWorkers: sweepWorkers}
+	if m.journal {
+		js, err := journal.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Journal = js
+	}
+	if m.workers >= 0 {
+		coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
+		for i := 0; i < m.workers; i++ {
+			w := httptest.NewServer(NewHandler(engine.New(), Options{}))
+			t.Cleanup(w.Close)
+			coord.Register(fmt.Sprintf("w%d", i), w.URL)
+		}
+		opts.Cluster = coord
+		opts.ClusterDispatch = cluster.DispatchOptions{RangeCells: 2}
+	}
+	return opts
+}
+
+// streamFacts decodes a raw sweep stream into its cell indices, in stream
+// order, and the summary row's worker count.
+func streamFacts(t *testing.T, body []byte) (indices []int, workers int) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	for {
+		var row sweep.StreamRow
+		if err := dec.Decode(&row); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		switch row.Type {
+		case "cell":
+			indices = append(indices, row.Cell.Index)
+		case "summary":
+			workers = row.Summary.Workers
+		}
+	}
+	return indices, workers
+}
+
+// TestSweepModesAgree runs one spec down every execution route of
+// /v1/sweep, each with two sweep workers: local, local under a journal, a
+// coordinator with no workers, a coordinator with two workers, and that
+// coordinator under a journal. Every route must stream strictly increasing
+// cell indices and produce byte-identical canonical NDJSON.
+func TestSweepModesAgree(t *testing.T) {
+	modes := []sweepMode{
+		{name: "local", workers: -1},
+		{name: "local+journal", workers: -1, journal: true},
+		{name: "coordinator/0", workers: 0},
+		{name: "coordinator/2", workers: 2},
+		{name: "coordinator/2+journal", workers: 2, journal: true},
+	}
+	var want string
+	for _, m := range modes {
+		body := sweepBody(t, NewHandler(engine.New(), modeOptions(t, m, 2)), crashSpec)
+		indices, _ := streamFacts(t, body)
+		if len(indices) != 12 {
+			t.Fatalf("%s: streamed %d cells, want 12", m.name, len(indices))
+		}
+		for i := 1; i < len(indices); i++ {
+			if indices[i] <= indices[i-1] {
+				t.Fatalf("%s: cell %d streamed after cell %d", m.name, indices[i], indices[i-1])
+			}
+		}
+		got := canonicalNDJSON(t, body)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("%s: canonical stream differs from %s:\n--- want ---\n%s--- got ---\n%s",
+				m.name, modes[0].name, want, got)
+		}
+	}
+}
+
+// TestJournaledSweepReportsExecutorWidth: summary.workers is the width the
+// executor actually ran with, so a journal does not change it — a 1-cell
+// local sweep reports one worker, and a coordinator sweep its two live
+// workers, whatever the sweep pool size.
+func TestJournaledSweepReportsExecutorWidth(t *testing.T) {
+	oneCell := `{"name": "one", "kinds": ["bounds"], "params": [3]}`
+	for _, tc := range []struct {
+		spec    string
+		workers int
+		want    int
+	}{
+		{oneCell, -1, 1},
+		{crashSpec, 2, 2},
+	} {
+		for _, journaled := range []bool{false, true} {
+			m := sweepMode{workers: tc.workers, journal: journaled}
+			body := sweepBody(t, NewHandler(engine.New(), modeOptions(t, m, 4)), tc.spec)
+			if _, got := streamFacts(t, body); got != tc.want {
+				t.Errorf("cluster workers %d, journaled %v: summary.workers = %d, want %d",
+					tc.workers, journaled, got, tc.want)
+			}
+		}
+	}
+}

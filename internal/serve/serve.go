@@ -56,8 +56,8 @@ type Options struct {
 	// when none are live).
 	Cluster *cluster.Coordinator
 	// ClusterDispatch tunes coordinator fan-out (range size, deadlines,
-	// attempts). LocalEngine, OnCell and the stream wiring are always
-	// supplied by the handler.
+	// attempts). LocalEngine and LocalWorkers are always supplied by the
+	// handler.
 	ClusterDispatch cluster.DispatchOptions
 	// RequestLog, when set, emits one structured line per request (kind,
 	// protocol hash, duration, status, cache hit) and per cluster
@@ -301,8 +301,8 @@ func handleAnalyze(eng *engine.Engine, opts Options, w http.ResponseWriter, r *h
 type SweepRow = sweep.StreamRow
 
 // handleSweep streams a sweep: the spec is validated and expanded up
-// front (client errors are plain 400 JSON), then rows flow as cells
-// complete. Cancellation is end to end: when the client disconnects, the
+// front (client errors are plain 400 JSON), then cell rows flow in grid
+// order. Cancellation is end to end: when the client disconnects, the
 // request context cancels the sweep, which interrupts in-flight cells and
 // skips the rest.
 func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *http.Request) {
@@ -366,31 +366,12 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 	onCell := func(cr sweep.CellResult) { writeRow(SweepRow{Type: "cell", Cell: &cr}) }
 
 	start := time.Now()
-	var res *sweep.Result
-	if jsweep != nil {
-		res, err = runSweepJournaled(ctx, eng, opts, spec, jsweep, onCell)
-	} else if opts.Cluster != nil {
-		dopts := opts.ClusterDispatch
-		dopts.LocalEngine = eng
-		dopts.LocalWorkers = opts.SweepWorkers
-		dopts.DiscardCells = true
-		dopts.OnCell = onCell
-		if dopts.Log == nil {
-			dopts.Log = opts.RequestLog
-		}
-		res, err = opts.Cluster.Sweep(ctx, spec, dopts)
-	} else {
-		// DiscardCells keeps server memory flat on huge grids: each cell was
-		// already streamed, so the summary row carries aggregates only.
-		res, err = sweep.Run(ctx, eng, spec, sweep.RunOptions{
-			Workers:      opts.SweepWorkers,
-			DiscardCells: true,
-			OnCell:       onCell,
-		})
-	}
+	res, err := runSweep(ctx, eng, opts, spec, jsweep, onCell)
 	if res == nil {
-		// Only reachable if re-expansion fails, which ParseSpec precludes;
-		// report it as a stream row since the 200 header is already out.
+		// Only reachable if the sweep cannot start (re-expansion, which
+		// ParseSpec precludes, the journal's start record, or the cluster
+		// routing); report it as a stream row since the 200 header is
+		// already out.
 		writeRow(SweepRow{Type: "error", Error: err.Error()})
 		opts.RequestLog.Info("sweep", "path", "/v1/sweep", "sweep", spec.Name,
 			"mode", mode, "status", http.StatusOK, "error", err.Error())

@@ -20,11 +20,14 @@ func SpecHash(spec Spec) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Merger is the reorder buffer between completion-ordered cell deliveries
-// and the grid-ordered output stream. It dedups on cell index (a retried
-// range — or a journal replay racing fresh execution — may deliver a cell
-// twice), folds every first delivery into the optional shared Collector,
-// and releases the contiguous prefix in index order through onCell.
+// Merger is Pipeline's reorder buffer between an executor's deliveries,
+// which arrive in whatever order cells complete, and the grid-ordered
+// output stream. It dedups on cell index (a retried range — or a journal
+// replay racing fresh execution — may deliver a cell twice), folds every
+// first delivery into the sweep's Collector, and releases the contiguous
+// prefix in index order through onCell. Memory beyond the grid's index
+// tables is bounded by the reorder window: the cells delivered ahead of
+// the first one still missing.
 type Merger struct {
 	mu        sync.Mutex
 	pos       map[int]int // grid index → position in the expanded order
@@ -37,10 +40,10 @@ type Merger struct {
 	done      chan struct{}
 }
 
-// NewMerger builds a reorder buffer over the expanded cells. col (may be
-// nil) receives every first delivery for aggregation; onCell (may be nil)
-// observes cells in grid-index order, serialized.
-func NewMerger(cells []Cell, col *Collector, onCell func(CellResult)) *Merger {
+// newMerger builds a reorder buffer over the expanded cells. col receives
+// every first delivery for aggregation; onCell observes cells in
+// grid-index order, serialized.
+func newMerger(cells []Cell, col *Collector, onCell func(CellResult)) *Merger {
 	m := &Merger{
 		pos:       make(map[int]int, len(cells)),
 		buf:       make([]*CellResult, len(cells)),
@@ -70,13 +73,9 @@ func (m *Merger) Add(cr CellResult) bool {
 	}
 	m.seen[p] = true
 	m.buf[p] = &cr
-	if m.col != nil {
-		m.col.Add(cr)
-	}
+	m.col.Add(cr)
 	for m.next < len(m.buf) && m.buf[m.next] != nil {
-		if m.onCell != nil {
-			m.onCell(*m.buf[m.next])
-		}
+		m.onCell(*m.buf[m.next])
 		m.buf[m.next] = nil // emitted: free the row, keep seen[]
 		m.next++
 	}
@@ -89,10 +88,3 @@ func (m *Merger) Add(cr CellResult) bool {
 
 // Done returns a channel closed once every grid cell has been merged.
 func (m *Merger) Done() <-chan struct{} { return m.done }
-
-// Remaining reports how many grid cells have not been merged yet.
-func (m *Merger) Remaining() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.remaining
-}

@@ -19,8 +19,8 @@ const seedStride = 0x9e3779b9
 // CellResult is the outcome of one executed cell: the cell's coordinates,
 // a success flag, and the (condensed) engine result.
 type CellResult struct {
-	// Index is the cell's grid position (expansion order); results stream
-	// in completion order, so indices identify cells across the two.
+	// Index is the cell's grid position (expansion order) — the order
+	// results stream in, and the cell's identity across runs.
 	Index int `json:"index"`
 	// Protocol, Param, Size and Kind are the cell coordinates (see Cell).
 	Protocol string      `json:"protocol,omitempty"`
@@ -119,39 +119,157 @@ type RunOptions struct {
 	// CPU actually burnt, so oversizing the pool queues rather than
 	// thrashes.
 	Workers int
-	// OnCell, when set, observes every completed cell in completion order.
+	// OnCell, when set, observes every completed cell in grid order.
 	// Calls are serialized; a slow observer backpressures the sweep (this
 	// is what lets an HTTP client's streaming pace bound server work).
 	OnCell func(CellResult)
 	// DiscardCells leaves Result.Cells empty; the aggregates still cover
 	// every cell. Streaming consumers that already saw each cell via
-	// OnCell set this to keep memory flat on very large grids.
+	// OnCell set this to keep memory flat on very large grids — flat up to
+	// the reorder window, the finished cells waiting on a lower index
+	// (see Merger).
 	DiscardCells bool
 }
 
-// Run expands the spec and executes every cell on a worker pool against
-// eng. It returns the aggregated result; on cancellation it returns the
-// partial result together with the context's error, after in-flight cells
-// have been interrupted (the engine's cooperative cancellation) and
-// remaining cells skipped.
+// Run expands the spec and executes every cell on a local worker pool
+// against eng — Pipeline with a Pool executor and no replay. It returns the
+// aggregated result; on cancellation it returns the partial result
+// together with the context's error, after in-flight cells have been
+// interrupted (the engine's cooperative cancellation) and remaining cells
+// skipped.
 func Run(ctx context.Context, eng *engine.Engine, spec Spec, opts RunOptions) (*Result, error) {
+	return Pipeline(ctx, spec, Pool{Engine: eng, Workers: opts.Workers}, nil, Hooks{
+		OnCell:       opts.OnCell,
+		DiscardCells: opts.DiscardCells,
+	})
+}
+
+// LocalWorker is the worker label of cells executed in-process, in the
+// ranges an executor reports through Hooks.OnRange.
+const LocalWorker = "local"
+
+// Executor runs a set of grid cells. The two implementations are the
+// local Pool and the cluster coordinator's dispatcher.
+type Executor interface {
+	// Execute runs cells (a grid-ordered subset of spec's expansion) and
+	// delivers every outcome through m.Add, returning once each cell is
+	// merged or ctx has ended. onRange (may be nil) observes every range
+	// handed to a worker before it runs; calls may be concurrent. It
+	// reports the executor's width — how many cells or workers it ran in
+	// parallel, the sweep's Result.Workers — and an error only when
+	// execution could not start.
+	Execute(ctx context.Context, spec Spec, cells []Cell, m *Merger, onRange func(worker string, cells []IndexRange)) (workers int, err error)
+}
+
+// Hooks observe one Pipeline run.
+type Hooks struct {
+	// OnStart, when set, learns the expanded grid size before any cell
+	// streams or executes; an error aborts the sweep.
+	OnStart func(totalCells int) error
+	// OnCell observes every cell — replayed and freshly executed — in
+	// grid order. Calls are serialized; a slow observer backpressures the
+	// executor.
+	OnCell func(CellResult)
+	// OnRange observes every range an executor hands to a worker
+	// (LocalWorker for in-process execution) before it runs.
+	OnRange func(worker string, cells []IndexRange)
+	// DiscardCells leaves Result.Cells empty (see RunOptions.DiscardCells).
+	DiscardCells bool
+}
+
+// Pipeline is the one sweep execution path: it expands the grid once,
+// folds the replayed cells (a resumed journal's; nil otherwise) into a
+// Merger and Collector, runs the remaining cells on ex, and streams every
+// cell to h.OnCell in grid order. The Result aggregates the whole grid;
+// on cancellation it is partial (Cancelled set) and returned together
+// with the context's error.
+func Pipeline(ctx context.Context, spec Spec, ex Executor, replayed []CellResult, h Hooks) (*Result, error) {
 	cells, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if h.OnStart != nil {
+		if err := h.OnStart(len(cells)); err != nil {
+			return nil, err
+		}
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
 	start := time.Now()
-	results := make(chan CellResult)
+	col := NewCollector(spec.Name, len(cells), 0, h.DiscardCells)
+	// Executors deliver on their own goroutines; released cells hop to
+	// this one, so OnCell runs on the caller's goroutine (an HTTP handler
+	// may panic out of a write) and backpressures the merger.
+	out := make(chan CellResult)
+	m := newMerger(cells, col, func(cr CellResult) { out <- cr })
+	// If OnCell panics, stop the executor and drain it so no delivery
+	// blocks forever.
+	defer func() {
+		for range out {
+		}
+	}()
+	exCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var exErr error
+	go func() {
+		defer close(out)
+		for _, cr := range replayed {
+			m.Add(cr)
+		}
+		todo := cells[:0] // the merger indexed cells already; filter in place
+		for i, c := range cells {
+			if !m.seen[i] {
+				todo = append(todo, c)
+			}
+		}
+		if len(todo) > 0 {
+			col.res.Workers, exErr = ex.Execute(exCtx, spec, todo, m, h.OnRange)
+		}
+	}()
+	for cr := range out {
+		if h.OnCell != nil {
+			h.OnCell(cr)
+		}
+	}
+	if exErr != nil {
+		return nil, exErr
+	}
+	res := col.Finish(time.Since(start))
+	if err := ctx.Err(); err != nil && res.Completed < res.TotalCells {
+		res.Cancelled = true
+		return res, err
+	}
+	return res, nil
+}
 
-	// Workers claim cells in grid order through a shared cursor and stop
-	// as soon as the context ends.
+// Pool is the local executor: workers claim cells in grid order through a
+// shared cursor and run them on Engine, stopping as soon as the context
+// ends.
+type Pool struct {
+	Engine *engine.Engine
+	// Workers is the pool size (0 = GOMAXPROCS).
+	Workers int
+}
+
+// Width is the number of workers the pool runs for n cells: its size,
+// capped at n.
+func (p Pool) Width(n int) int {
+	w := p.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, n)
+}
+
+// Execute implements Executor, reporting the whole batch as one LocalWorker
+// range.
+func (p Pool) Execute(ctx context.Context, spec Spec, cells []Cell, m *Merger, onRange func(string, []IndexRange)) (int, error) {
+	if onRange != nil {
+		idx := make([]int, len(cells))
+		for i, c := range cells {
+			idx[i] = c.Index
+		}
+		onRange(LocalWorker, Ranges(idx))
+	}
+	workers := p.Width(len(cells))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -163,40 +281,23 @@ func Run(ctx context.Context, eng *engine.Engine, spec Spec, opts RunOptions) (*
 				if i >= int64(len(cells)) || ctx.Err() != nil {
 					return
 				}
-				cr := RunCell(ctx, eng, spec, cells[i])
-				if Interrupted(ctx, cr) {
+				cr := runCell(ctx, p.Engine, spec, cells[i])
+				if interrupted(ctx, cr) {
 					return
 				}
-				results <- cr
+				m.Add(cr)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	col := NewCollector(spec.Name, len(cells), workers, opts.DiscardCells)
-	for cr := range results {
-		col.Add(cr)
-		if opts.OnCell != nil {
-			opts.OnCell(cr)
-		}
-	}
-	res := col.Finish(time.Since(start))
-	if err := ctx.Err(); err != nil && res.Completed < res.TotalCells {
-		res.Cancelled = true
-		return res, err
-	}
-	return res, nil
+	wg.Wait()
+	return workers, nil
 }
 
 // Collector folds completed cells into an aggregate Result incrementally,
 // in any arrival order: the aggregates are order-independent, and Finish
-// sorts retained cells back into grid order. It is the single aggregation
-// path — the local executor (Run) and the cluster coordinator's merger both
-// fold through it, which is what makes a fanned-out sweep's summary equal
-// the single-process one. Not safe for concurrent use; serialize Add calls.
+// sorts retained cells back into grid order. Pipeline folds every executor
+// through it, which is what makes a fanned-out sweep's summary equal the
+// single-process one. Not safe for concurrent use; serialize Add calls.
 type Collector struct {
 	res     *Result
 	discard bool
@@ -239,9 +340,6 @@ func (col *Collector) Add(cr CellResult) {
 	}
 }
 
-// Completed reports how many cells have been folded in so far.
-func (col *Collector) Completed() int { return col.res.Completed }
-
 // Finish seals the aggregate: cells sort back into grid order and the
 // percentile statistics are computed. The collector must not be used again.
 func (col *Collector) Finish(wall time.Duration) *Result {
@@ -249,10 +347,8 @@ func (col *Collector) Finish(wall time.Duration) *Result {
 	return col.res
 }
 
-// RunCell executes one expanded cell against eng and condenses its outcome
-// — the single-cell unit of work behind Run, exported so a cluster
-// coordinator's local fallback executes cells identically to a worker.
-func RunCell(ctx context.Context, eng *engine.Engine, spec Spec, c Cell) CellResult {
+// runCell executes one expanded cell against eng and condenses its outcome.
+func runCell(ctx context.Context, eng *engine.Engine, spec Spec, c Cell) CellResult {
 	cr := CellResult{
 		Index:    c.Index,
 		Protocol: c.Protocol,
@@ -274,11 +370,11 @@ func RunCell(ctx context.Context, eng *engine.Engine, spec Spec, c Cell) CellRes
 	return cr
 }
 
-// Interrupted reports whether cr failed because the sweep's own context
-// ended mid-cell. Such a result is not the cell's outcome: executors drop
+// interrupted reports whether cr failed because the sweep's own context
+// ended mid-cell. Such a result is not the cell's outcome: the pool drops
 // it, so the cell stays unrun — skipped by a cancelled sweep, recomputed
 // by a journaled one on resume — instead of being recorded as a failure.
-func Interrupted(ctx context.Context, cr CellResult) bool {
+func interrupted(ctx context.Context, cr CellResult) bool {
 	return !cr.OK && ctx.Err() != nil
 }
 

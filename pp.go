@@ -76,8 +76,8 @@ type (
 func ParseSweepSpec(data []byte) (SweepSpec, error) { return sweep.ParseSpec(data) }
 
 // Sweep expands a spec and executes every cell against eng on a worker
-// pool, streaming completed cells to opts.OnCell and returning the
-// aggregate. Cancelling ctx interrupts in-flight cells and skips the rest.
+// pool, streaming completed cells to opts.OnCell in grid order and
+// returning the aggregate. Cancelling ctx interrupts in-flight cells and skips the rest.
 // (This is the batch entry point beside Engine.Do; it is a function rather
 // than a method because Engine is an alias of the internal engine type.)
 func Sweep(ctx context.Context, eng *Engine, spec SweepSpec, opts SweepRunOptions) (*SweepResult, error) {
