@@ -130,10 +130,7 @@ func TestGroupByHashAndChunk(t *testing.T) {
 	if len(cells) != 6 {
 		t.Fatalf("grid: %d cells, want 6", len(cells))
 	}
-	groups, err := groupByHash(cells, EngineResolver(engine.New()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := groupByHash(cells, EngineResolver(engine.New()))
 	if len(groups) != 2 {
 		t.Fatalf("groups: %d, want 2 (one per protocol)", len(groups))
 	}
@@ -174,10 +171,7 @@ func TestGroupByHashProtocolFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := groupByHash(cells, EngineResolver(engine.New()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := groupByHash(cells, EngineResolver(engine.New()))
 	// One group per state count: a pure bounds sweep still spreads out.
 	if len(groups) != 4 {
 		t.Fatalf("protocol-free groups: %d, want 4", len(groups))

@@ -114,10 +114,7 @@ func (f fanout) Execute(ctx context.Context, spec sweep.Spec, cells []sweep.Cell
 	if err != nil {
 		return 0, err
 	}
-	groups, err := groupByHash(cells, opts.Resolver)
-	if err != nil {
-		return 0, err
-	}
+	groups := groupByHash(cells, opts.Resolver)
 	tasks := chunk(groups, opts.RangeCells)
 	live := f.coord.Routable()
 	local := sweep.Pool{Engine: opts.LocalEngine, Workers: opts.LocalWorkers}

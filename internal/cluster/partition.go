@@ -53,8 +53,10 @@ type group struct {
 }
 
 // groupByHash buckets expanded cells by protocol content hash, preserving
-// the grid order of first appearance (deterministic given the spec).
-func groupByHash(cells []sweep.Cell, resolve Resolver) ([]group, error) {
+// the grid order of first appearance (deterministic given the spec). A
+// reference that does not resolve is grouped under its refKey instead: its
+// cells still run, and each fails on its own, as in a local sweep.
+func groupByHash(cells []sweep.Cell, resolve Resolver) []group {
 	hashes := make(map[string]string) // refKey → content hash
 	index := make(map[string]int)     // content hash → groups position
 	var groups []group
@@ -62,13 +64,10 @@ func groupByHash(cells []sweep.Cell, resolve Resolver) ([]group, error) {
 		key := refKey(c.Request)
 		h, ok := hashes[key]
 		if !ok {
-			if c.Request.Protocol.IsZero() {
-				h = key // protocol-free: the key is already content-determined
-			} else {
-				var err error
-				h, err = resolve(c.Request.Protocol)
-				if err != nil {
-					return nil, fmt.Errorf("resolving %q: %w", key, err)
+			h = key // protocol-free: the key is already content-determined
+			if !c.Request.Protocol.IsZero() {
+				if rh, err := resolve(c.Request.Protocol); err == nil {
+					h = rh
 				}
 			}
 			hashes[key] = h
@@ -81,7 +80,7 @@ func groupByHash(cells []sweep.Cell, resolve Resolver) ([]group, error) {
 		}
 		groups[gi].cells = append(groups[gi].cells, c)
 	}
-	return groups, nil
+	return groups
 }
 
 // task is one dispatchable cell range: a slice of one group, so all its

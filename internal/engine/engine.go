@@ -16,7 +16,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -47,9 +46,10 @@ var ErrBadRequest = errors.New("engine: bad request")
 // without limit.
 const defaultMaxCachedProtocols = 256
 
-// Inline protocols are capped before they are built: Build completes an
-// inline body with one identity transition per state pair, each carrying a
-// d-word displacement vector, so its memory grows as Θ(states³).
+// Inline protocols are capped while they are decoded, before they are
+// built: Build completes an inline body with one identity transition per
+// state pair, each carrying a d-word displacement vector, so its memory
+// grows as Θ(states³).
 const (
 	maxInlineStates      = 128
 	maxInlineTransitions = 16384
@@ -245,17 +245,9 @@ func (e *Engine) Resolve(ref ProtocolRef) (protocols.Entry, error) {
 		}
 		return entry, nil
 	case len(ref.Inline) > 0:
-		var spec protocol.Spec
-		if err := json.Unmarshal(ref.Inline, &spec); err != nil {
-			return protocols.Entry{}, fmt.Errorf("%w: parsing inline protocol: %v", ErrBadRequest, err)
-		}
-		if len(spec.States) > maxInlineStates || len(spec.Transitions) > maxInlineTransitions {
-			return protocols.Entry{}, fmt.Errorf("%w: inline protocol has %d states and %d transitions (limits %d and %d)",
-				ErrBadRequest, len(spec.States), len(spec.Transitions), maxInlineStates, maxInlineTransitions)
-		}
-		p, err := protocol.FromSpec(spec)
+		p, err := protocol.ParseBounded(ref.Inline, maxInlineStates, maxInlineTransitions)
 		if err != nil {
-			return protocols.Entry{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return protocols.Entry{}, fmt.Errorf("%w: inline protocol: %v", ErrBadRequest, err)
 		}
 		return protocols.Entry{Protocol: p}, nil
 	default:
@@ -297,14 +289,12 @@ func (e *Engine) resolveHashed(ref ProtocolRef) (protocols.Entry, string, error)
 }
 
 // Hash returns the content hash of a protocol: SHA-256 over its canonical
-// JSON form. Two protocols with equal specs hash equally however they were
-// referenced (registry spec or inline JSON).
+// JSON form (protocol.AppendJSON). Two protocols with equal specs hash
+// equally however they were referenced (registry spec or inline JSON). The
+// error is always nil.
 func Hash(p *protocol.Protocol) (string, error) {
-	data, err := p.MarshalJSON()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
+	var buf [4096]byte
+	sum := sha256.Sum256(p.AppendJSON(buf[:0]))
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/multiset"
 )
@@ -26,21 +27,22 @@ type Builder struct {
 	name        string
 	states      []string
 	outputs     []bool
-	leaders     map[State]int64
+	leaders     []leaderAdd
 	inputs      []string
 	inputMap    []State
-	transitions []Transition
-	seen        map[Transition]bool
+	transitions []Transition // normalized, repeats included
 	autoIdent   bool
+}
+
+// leaderAdd is one AddLeader call.
+type leaderAdd struct {
+	q State
+	n int64
 }
 
 // NewBuilder returns a Builder for a protocol with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{
-		name:    name,
-		leaders: make(map[State]int64),
-		seen:    make(map[Transition]bool),
-	}
+	return &Builder{name: name}
 }
 
 // AddState adds a state with the given name and output (0 or 1) and returns
@@ -62,19 +64,15 @@ func (b *Builder) AddStates(output int, names ...string) []State {
 }
 
 // AddTransition adds the transition ⟅p,q⟆ ↦ ⟅p2,q2⟆. Transitions are
-// normalized (both sides unordered) and deduplicated.
+// normalized (both sides unordered) and deduplicated: Build keeps the first
+// addition of each.
 func (b *Builder) AddTransition(p, q, p2, q2 State) {
-	t := Transition{p, q, p2, q2}.normalize()
-	if b.seen[t] {
-		return
-	}
-	b.seen[t] = true
-	b.transitions = append(b.transitions, t)
+	b.transitions = append(b.transitions, Transition{p, q, p2, q2}.normalize())
 }
 
 // AddLeader adds n leader agents in state q to the leader multiset L.
 func (b *Builder) AddLeader(q State, n int64) {
-	b.leaders[q] += n
+	b.leaders = append(b.leaders, leaderAdd{q, n})
 }
 
 // AddInput declares an input variable mapped to state q by I. Duplicate
@@ -119,7 +117,7 @@ func (b *Builder) Build() (*Protocol, error) {
 		}
 	}
 	for _, t := range b.transitions {
-		for _, q := range []State{t.P, t.Q, t.P2, t.Q2} {
+		for _, q := range [4]State{t.P, t.Q, t.P2, t.Q2} {
 			if q < 0 || int(q) >= n {
 				return nil, fmt.Errorf("%w: transition uses state %d", ErrUnknownState, q)
 			}
@@ -127,78 +125,139 @@ func (b *Builder) Build() (*Protocol, error) {
 	}
 
 	leaders := multiset.New(n)
-	for q, c := range b.leaders {
+	for _, l := range b.leaders {
+		if l.q < 0 || int(l.q) >= n {
+			return nil, fmt.Errorf("%w: leader state %d", ErrUnknownState, l.q)
+		}
+		leaders[l.q] += l.n
+	}
+	for q, c := range leaders {
 		if c < 0 {
 			return nil, fmt.Errorf("%w: state %q has %d", ErrNegativeLeaders, b.states[q], c)
 		}
-		if q < 0 || int(q) >= n {
-			return nil, fmt.Errorf("%w: leader state %d", ErrUnknownState, q)
-		}
-		leaders[q] = c
 	}
 
 	p := &Protocol{
-		name:        b.name,
-		states:      append([]string(nil), b.states...),
-		outputs:     append([]bool(nil), b.outputs...),
-		leaders:     leaders,
-		inputs:      append([]string(nil), b.inputs...),
-		inputMap:    append([]State(nil), b.inputMap...),
-		transitions: append([]Transition(nil), b.transitions...),
+		name:     b.name,
+		states:   slices.Clone(b.states),
+		outputs:  slices.Clone(b.outputs),
+		leaders:  leaders,
+		inputs:   slices.Clone(b.inputs),
+		inputMap: slices.Clone(b.inputMap),
 	}
+	if err := p.setTransitions(b.transitions, b.autoIdent); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
-	// Index transitions by unordered pre-pair, optionally completing with
-	// identity transitions.
-	p.byPair = make([][]int, n*(n+1)/2)
-	for i, t := range p.transitions {
-		idx := p.pairIndex(t.P, t.Q)
-		p.byPair[idx] = append(p.byPair[idx], i)
+// setTransitions fills the transition table and its indexes from the
+// added (normalized, in-range) transitions ts. The table is ts without
+// repeats, each kept at its first addition, followed — when autoIdent is
+// set — by an identity transition for every pair of states that has none,
+// in pair order. Repeats share a pre-pair, so they are dropped within the
+// pre-pair buckets of a counting sort: a post-pair stamped with the
+// bucket's number was seen earlier in it. The pair index and the
+// displacement tables are laid out flat, one backing array each.
+func (p *Protocol) setTransitions(ts []Transition, autoIdent bool) error {
+	n := len(p.states)
+	npairs := n * (n + 1) / 2
+	m := len(ts)
+	// start: bucket offsets; bucketed: indices into ts grouped by pre-pair,
+	// ascending within a bucket; stamp: a cursor, then per-post-pair
+	// stamps, then each empty bucket's identity transition; renum: the
+	// table index of each ts entry, -1 for a repeat.
+	scratch := make([]int32, 2*npairs+1+2*m)
+	start, scratch := scratch[:npairs+1], scratch[npairs+1:]
+	stamp, scratch := scratch[:npairs], scratch[npairs:]
+	bucketed, renum := scratch[:m], scratch[m:]
+	for _, t := range ts {
+		start[p.pairIndex(t.P, t.Q)+1]++
 	}
-	for a := State(0); int(a) < n; a++ {
-		for c := a; int(c) < n; c++ {
-			idx := p.pairIndex(a, c)
-			if len(p.byPair[idx]) > 0 {
-				continue
+	for k := range npairs {
+		start[k+1] += start[k]
+	}
+	copy(stamp, start)
+	for i, t := range ts {
+		k := p.pairIndex(t.P, t.Q)
+		bucketed[stamp[k]] = int32(i)
+		stamp[k]++
+	}
+	clear(stamp)
+	empty := 0
+	for k := range npairs {
+		if start[k] == start[k+1] {
+			empty++
+		}
+		for _, i := range bucketed[start[k]:start[k+1]] {
+			post := p.pairIndex(ts[i].P2, ts[i].Q2)
+			if stamp[post] == int32(k+1) {
+				renum[i] = -1
+			} else {
+				stamp[post] = int32(k + 1)
 			}
-			if !b.autoIdent {
-				return nil, fmt.Errorf("%w: ⟅%s,%s⟆", ErrIncomplete, p.states[a], p.states[c])
-			}
-			t := Transition{a, c, a, c}
-			p.transitions = append(p.transitions, t)
-			p.byPair[idx] = append(p.byPair[idx], len(p.transitions)-1)
 		}
 	}
 
-	// Precompute displacements and their supports (the ≤4 states a firing
-	// touches), so hot loops apply transitions without scanning all of Q.
-	p.deltas = make([]multiset.Vec, len(p.transitions))
-	p.supStates = make([][]State, len(p.transitions))
-	p.supDeltas = make([][]int64, len(p.transitions))
+	p.transitions = make([]Transition, 0, m+empty)
+	for i, t := range ts {
+		if renum[i] == 0 {
+			renum[i] = int32(len(p.transitions))
+			p.transitions = append(p.transitions, t)
+		}
+	}
+	for a := State(0); int(a) < n; a++ {
+		for c := a; int(c) < n; c++ {
+			k := p.pairIndex(a, c)
+			if start[k] != start[k+1] {
+				continue
+			}
+			if !autoIdent {
+				return fmt.Errorf("%w: ⟅%s,%s⟆", ErrIncomplete, p.states[a], p.states[c])
+			}
+			stamp[k] = int32(len(p.transitions))
+			p.transitions = append(p.transitions, Transition{a, c, a, c})
+		}
+	}
+
+	// Pair index (CSR): bucket k lists its transitions in table order.
+	p.pairOff = make([]int32, npairs+1)
+	p.pairTrans = make([]int, 0, len(p.transitions))
+	for k := range npairs {
+		if start[k] == start[k+1] {
+			p.pairTrans = append(p.pairTrans, int(stamp[k]))
+		}
+		for _, i := range bucketed[start[k]:start[k+1]] {
+			if renum[i] >= 0 {
+				p.pairTrans = append(p.pairTrans, int(renum[i]))
+			}
+		}
+		p.pairOff[k+1] = int32(len(p.pairTrans))
+	}
+
+	// Displacements and their supports (the ≤4 states a firing touches),
+	// so hot loops apply transitions without scanning all of Q.
+	nt := len(p.transitions)
+	p.deltas = make([]int64, nt*n)
+	p.supOff = make([]int32, nt+1)
+	p.supStates = make([]State, 0, 4*nt)
+	p.supDeltas = make([]int64, 0, 4*nt)
 	for i, t := range p.transitions {
-		d := multiset.New(n)
+		d := p.deltas[i*n : (i+1)*n]
 		d[t.P]--
 		d[t.Q]--
 		d[t.P2]++
 		d[t.Q2]++
-		p.deltas[i] = d
+		from := len(p.supStates)
 		for _, q := range [4]State{t.P, t.Q, t.P2, t.Q2} {
-			if d[q] == 0 {
-				continue
-			}
-			dup := false
-			for _, s := range p.supStates[i] {
-				if s == q {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				p.supStates[i] = append(p.supStates[i], q)
-				p.supDeltas[i] = append(p.supDeltas[i], d[q])
+			if d[q] != 0 && !slices.Contains(p.supStates[from:], q) {
+				p.supStates = append(p.supStates, q)
+				p.supDeltas = append(p.supDeltas, d[q])
 			}
 		}
+		p.supOff[i+1] = int32(len(p.supStates))
 	}
-	return p, nil
+	return nil
 }
 
 // MustBuild is Build for protocols known to be valid, such as the library's

@@ -62,10 +62,12 @@ type Protocol struct {
 	inputs      []string // input variable names X
 	inputMap    []State  // I: X → Q
 	transitions []Transition
-	deltas      []multiset.Vec // displacement Δt per transition
-	byPair      [][]int        // unordered pair index → transition indices
-	supStates   [][]State      // support of Δt: the states whose count changes
-	supDeltas   [][]int64      // per-state change, aligned with supStates
+	deltas      []int64 // displacement Δt of transition i at [i·|Q|, (i+1)·|Q|)
+	pairOff     []int32 // pairTrans offsets per unordered pair index (CSR)
+	pairTrans   []int   // transition indices, grouped by unordered pre-pair
+	supOff      []int32 // supStates/supDeltas offsets per transition (CSR)
+	supStates   []State // support of Δt: the states whose count changes
+	supDeltas   []int64 // per-state change, aligned with supStates
 }
 
 // Name returns the protocol's human-readable name.
@@ -161,14 +163,15 @@ func (p *Protocol) pairIndex(a, b State) int {
 // ⟅a,b⟆. The returned slice is owned by the protocol and must not be
 // modified.
 func (p *Protocol) TransitionsForPair(a, b State) []int {
-	return p.byPair[p.pairIndex(a, b)]
+	k := p.pairIndex(a, b)
+	return p.pairTrans[p.pairOff[k]:p.pairOff[k+1]:p.pairOff[k+1]]
 }
 
 // Deterministic reports whether every pair of states has exactly one
 // transition.
 func (p *Protocol) Deterministic() bool {
-	for _, ts := range p.byPair {
-		if len(ts) != 1 {
+	for k := range len(p.pairOff) - 1 {
+		if p.pairOff[k+1]-p.pairOff[k] != 1 {
 			return false
 		}
 	}
@@ -178,7 +181,10 @@ func (p *Protocol) Deterministic() bool {
 // Displacement returns Δt for transition index i: the change in agent counts
 // caused by firing it (Section 5.1). The returned vector is owned by the
 // protocol and must not be modified.
-func (p *Protocol) Displacement(i int) multiset.Vec { return p.deltas[i] }
+func (p *Protocol) Displacement(i int) multiset.Vec {
+	n := len(p.states)
+	return p.deltas[i*n : (i+1)*n : (i+1)*n]
+}
 
 // DeltaSupport returns the support of Δt for transition i: the states whose
 // count changes when it fires, with the matching per-state changes. Identity
@@ -187,7 +193,8 @@ func (p *Protocol) Displacement(i int) multiset.Vec { return p.deltas[i] }
 // the table the simulator's incremental bookkeeping runs on: applying a
 // transition touches only the returned states, never the whole vector.
 func (p *Protocol) DeltaSupport(i int) ([]State, []int64) {
-	return p.supStates[i], p.supDeltas[i]
+	from, to := p.supOff[i], p.supOff[i+1]
+	return p.supStates[from:to:to], p.supDeltas[from:to:to]
 }
 
 // ParikhDisplacement returns Δπ = Σ_t π(t)·Δt for a multiset π of transition
@@ -195,7 +202,7 @@ func (p *Protocol) DeltaSupport(i int) ([]State, []int64) {
 func (p *Protocol) ParikhDisplacement(pi map[int]int64) multiset.Vec {
 	d := multiset.New(p.NumStates())
 	for t, n := range pi {
-		d = d.AddScaled(n, p.deltas[t])
+		d = d.AddScaled(n, p.Displacement(t))
 	}
 	return d
 }
@@ -272,7 +279,7 @@ func (p *Protocol) EnabledTransitions(c Config) []int {
 // no interaction can change C. Silent configurations are trivially stable.
 func (p *Protocol) Silent(c Config) bool {
 	for i := range p.transitions {
-		if p.Enabled(c, i) && !p.deltas[i].IsZero() {
+		if p.Enabled(c, i) && !p.Displacement(i).IsZero() {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -69,7 +70,24 @@ func streamFacts(t *testing.T, body []byte) (indices []int, workers int) {
 	return indices, workers
 }
 
-// TestSweepModesAgree runs one spec down every execution route of
+// badRefSpec mixes protocol references that resolve with two that do not
+// (an unknown registry family and an inline body with no states): every
+// route must record one failed cell per unresolvable cell, not fail the
+// sweep.
+const badRefSpec = `{
+  "name": "badref",
+  "protocols": [
+    {"spec": "flock:{N}"},
+    {"spec": "nosuch:{N}"},
+    {"inline": {"name": "empty", "states": [], "inputs": {"x": "q"}}, "label": "empty"}
+  ],
+  "params": [{"from": 3, "to": 4}],
+  "kinds": ["simulate"],
+  "sizes": ["{N}+1"],
+  "options": {"seed": 7}
+}`
+
+// TestSweepModesAgree runs each spec down every execution route of
 // /v1/sweep, each with two sweep workers: local, local under a journal, a
 // coordinator with no workers, a coordinator with two workers, and that
 // coordinator under a journal. Every route must stream strictly increasing
@@ -82,24 +100,35 @@ func TestSweepModesAgree(t *testing.T) {
 		{name: "coordinator/2", workers: 2},
 		{name: "coordinator/2+journal", workers: 2, journal: true},
 	}
-	var want string
-	for _, m := range modes {
-		body := sweepBody(t, NewHandler(engine.New(), modeOptions(t, m, 2)), crashSpec)
-		indices, _ := streamFacts(t, body)
-		if len(indices) != 12 {
-			t.Fatalf("%s: streamed %d cells, want 12", m.name, len(indices))
-		}
-		for i := 1; i < len(indices); i++ {
-			if indices[i] <= indices[i-1] {
-				t.Fatalf("%s: cell %d streamed after cell %d", m.name, indices[i], indices[i-1])
+	for _, tc := range []struct {
+		name, spec   string
+		cells, fails int
+	}{
+		{"crash", crashSpec, 12, 0},
+		{"badref", badRefSpec, 6, 4},
+	} {
+		var want string
+		for _, m := range modes {
+			body := sweepBody(t, NewHandler(engine.New(), modeOptions(t, m, 2)), tc.spec)
+			indices, _ := streamFacts(t, body)
+			if len(indices) != tc.cells {
+				t.Fatalf("%s/%s: streamed %d cells, want %d", tc.name, m.name, len(indices), tc.cells)
 			}
-		}
-		got := canonicalNDJSON(t, body)
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Errorf("%s: canonical stream differs from %s:\n--- want ---\n%s--- got ---\n%s",
-				m.name, modes[0].name, want, got)
+			for i := 1; i < len(indices); i++ {
+				if indices[i] <= indices[i-1] {
+					t.Fatalf("%s/%s: cell %d streamed after cell %d", tc.name, m.name, indices[i], indices[i-1])
+				}
+			}
+			got := canonicalNDJSON(t, body)
+			if fails := strings.Count(got, `"error":`); fails != tc.fails {
+				t.Errorf("%s/%s: %d failed cells, want %d:\n%s", tc.name, m.name, fails, tc.fails, got)
+			}
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("%s/%s: canonical stream differs from %s:\n--- want ---\n%s--- got ---\n%s",
+					tc.name, m.name, modes[0].name, want, got)
+			}
 		}
 	}
 }

@@ -8,7 +8,8 @@
 #           pre-arena core as the "before" side), five samples per
 #           benchmark, recorded as median and min/max → BENCH_reach.json
 #   sim     BenchmarkSimStep*/BenchmarkRunReplicas* in internal/sim
-#           (includes the retained linear-scan core as the "before" side)
+#           (includes the retained linear-scan core as the "before" side),
+#           five samples per benchmark, recorded as median and min/max
 #                                                   → BENCH_sim.json
 #   stable  BenchmarkStableAnalyze* in internal/stable (includes the
 #           retained seed fixpoint as the "before" side; expect the Naive
@@ -137,9 +138,9 @@ run_sim() {
   tmpfiles+=("$tmp")
   go test ./internal/sim -run '^$' \
     -bench 'Benchmark(SimStep|RunReplicas)' \
-    -benchmem -benchtime "$benchtime" -count 1 | tee "$tmp" >&2
+    -benchmem -benchtime "$benchtime" -count 5 | tee "$tmp" >&2
   render sim \
-    "SimStepReference runs the retained linear-scan core and RunReplicasRebuild the per-replica-rebuild baseline (the before sides); the SimStep/SimStepReference interactions/sec ratio is the pinned single-thread speedup on the Q=132 product workload" \
+    "SimStepReference runs the retained linear-scan core and RunReplicasRebuild the per-replica-rebuild baseline (the before sides); the SimStep/SimStepReference interactions/sec ratio is the pinned single-thread speedup on the Q=132 product workload; each row is the median of 5 samples with the min/max of ns_per_op" \
     "$tmp" "$out"
 }
 
