@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/metrics/testutil"
 	"repro/internal/serve"
 	"repro/internal/sweep"
 )
@@ -180,10 +181,15 @@ func TestPerHashDispatchDistribution(t *testing.T) {
 }
 
 // abortAfter kills the response stream (connection abort, not a clean
-// close) after n NDJSON rows — a worker crashing mid-range.
+// close) after n NDJSON rows — a worker crashing mid-range. It flushes each
+// row it passes through, so the worker dies after delivering exactly n
+// rows; with buffered set it flushes nothing, not even on the stream's own
+// deadline, so the rows written before the crash die in the response
+// buffer.
 type abortAfter struct {
 	http.ResponseWriter
-	rows, n int
+	rows, n  int
+	buffered bool
 }
 
 func (a *abortAfter) Write(p []byte) (int, error) {
@@ -191,7 +197,20 @@ func (a *abortAfter) Write(p []byte) (int, error) {
 		panic(http.ErrAbortHandler)
 	}
 	a.rows += bytes.Count(p, []byte("\n"))
-	return a.ResponseWriter.Write(p)
+	n, err := a.ResponseWriter.Write(p)
+	if !a.buffered {
+		_ = http.NewResponseController(a.ResponseWriter).Flush()
+	}
+	return n, err
+}
+
+// FlushError is what http.ResponseController finds before unwrapping: a
+// buffered abortAfter swallows the stream's flushes.
+func (a *abortAfter) FlushError() error {
+	if a.buffered {
+		return nil
+	}
+	return http.NewResponseController(a.ResponseWriter).Flush()
 }
 
 func (a *abortAfter) Unwrap() http.ResponseWriter { return a.ResponseWriter }
@@ -231,6 +250,36 @@ func TestDispatchWorkerDeathMidSweep(t *testing.T) {
 	}
 	if members[0].CellsServed == 0 {
 		t.Error("survivor served no cells")
+	}
+}
+
+// TestDispatchWorkerDeathLosesBufferedRows: the only worker dies 2 rows
+// into its first range, but those rows were still in its response buffer
+// and never reached the dispatcher. The lost cells are recomputed locally
+// and the sweep still matches the single-process run byte for byte.
+func TestDispatchWorkerDeathLosesBufferedRows(t *testing.T) {
+	spec := integrationSpec()
+	wantCells, wantSummary := singleProcessReference(t, spec)
+
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
+	var died atomic.Bool
+	startWorker(t, coord, "w1", func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep" && died.CompareAndSwap(false, true) {
+				w = &abortAfter{ResponseWriter: w, n: 2, buffered: true}
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
+
+	gotCells, gotSummary := dispatchCanonical(t, coord, spec, cluster.DispatchOptions{RangeCells: 5})
+	assertEqualRuns(t, wantCells, wantSummary, gotCells, gotSummary)
+
+	if !died.Load() {
+		t.Fatal("fault injection never fired")
+	}
+	if got := testutil.ToFloat64(coord.Metrics().CellsServed.WithLabelValues("w1")); got != 0 {
+		t.Errorf("cells_served{w1} = %v, want 0: the dying worker's rows were never flushed", got)
 	}
 }
 

@@ -115,10 +115,11 @@ func (m *memo[T]) completed() bool {
 	}
 }
 
-// resolvedSpec is a resolved protocol entry with its content hash.
+// resolvedSpec is a resolved protocol entry with the ProtocolInfo every
+// Result for it carries, content hash included.
 type resolvedSpec struct {
 	entry protocols.Entry
-	hash  string
+	info  ProtocolInfo
 }
 
 // artifacts holds the memoized per-protocol computations, keyed by the
@@ -255,37 +256,49 @@ func (e *Engine) Resolve(ref ProtocolRef) (protocols.Entry, error) {
 	}
 }
 
-// resolveHashed is Resolve followed by Hash. A builtin spec names the same
-// protocol in every registry (protocols.IsBuiltin), so its result is
-// memoized; inline protocols and user-constructor specs are resolved on
-// every call.
-func (e *Engine) resolveHashed(ref ProtocolRef) (protocols.Entry, string, error) {
+// resolveHashed is Resolve followed by Hash and the ProtocolInfo summary.
+// A builtin spec names the same protocol in every registry
+// (protocols.IsBuiltin), so its result is memoized — the info too, which
+// spares rendering the predicate per request; inline protocols and
+// user-constructor specs are resolved on every call.
+func (e *Engine) resolveHashed(ref ProtocolRef) (resolvedSpec, error) {
 	memoize := len(ref.Inline) == 0 && protocols.IsBuiltin(ref.Spec)
 	if memoize {
 		e.mu.Lock()
 		r, ok := e.specs[ref.Spec]
 		e.mu.Unlock()
 		if ok {
-			return r.entry, r.hash, nil
+			return r, nil
 		}
 	}
 	entry, err := e.Resolve(ref)
 	if err != nil {
-		return protocols.Entry{}, "", err
+		return resolvedSpec{}, err
 	}
 	hash, err := Hash(entry.Protocol)
 	if err != nil {
-		return protocols.Entry{}, "", err
+		return resolvedSpec{}, err
+	}
+	r := resolvedSpec{entry: entry, info: ProtocolInfo{
+		Name:        entry.Protocol.Name(),
+		States:      entry.Protocol.NumStates(),
+		Transitions: entry.Protocol.NumTransitions(),
+		Inputs:      entry.Protocol.NumInputs(),
+		Leaderless:  entry.Protocol.Leaderless(),
+		Hash:        hash,
+	}}
+	if entry.Pred != nil {
+		r.info.Predicate = entry.Pred.String()
 	}
 	if memoize {
 		e.mu.Lock()
 		if len(e.specs) >= e.maxCache {
 			clear(e.specs)
 		}
-		e.specs[ref.Spec] = resolvedSpec{entry: entry, hash: hash}
+		e.specs[ref.Spec] = r
 		e.mu.Unlock()
 	}
-	return entry, hash, nil
+	return r, nil
 }
 
 // Hash returns the content hash of a protocol: SHA-256 over its canonical
@@ -339,23 +352,13 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 		hash  string
 	)
 	if !req.Protocol.IsZero() || req.Kind != KindBounds {
-		var err error
-		entry, hash, err = e.resolveHashed(req.Protocol)
+		r, err := e.resolveHashed(req.Protocol)
 		if err != nil {
 			return nil, err
 		}
-		info := &ProtocolInfo{
-			Name:        entry.Protocol.Name(),
-			States:      entry.Protocol.NumStates(),
-			Transitions: entry.Protocol.NumTransitions(),
-			Inputs:      entry.Protocol.NumInputs(),
-			Leaderless:  entry.Protocol.Leaderless(),
-			Hash:        hash,
-		}
-		if entry.Pred != nil {
-			info.Predicate = entry.Pred.String()
-		}
-		res.Protocol = info
+		entry, hash = r.entry, r.info.Hash
+		info := r.info // a copy: the memoized value is never shared
+		res.Protocol = &info
 	}
 
 	// Run the dispatch in a goroutine so a context deadline interrupts the

@@ -177,6 +177,27 @@ func TestCacheSharedAcrossRefForms(t *testing.T) {
 	}
 }
 
+// TestProtocolInfoMemoizedPerResult: a builtin spec's ProtocolInfo is
+// built once and memoized, but every Result gets its own copy, so a caller
+// editing one cannot change what the next request reports.
+func TestProtocolInfoMemoizedPerResult(t *testing.T) {
+	eng := New()
+	req := Request{Kind: KindSimulate, Protocol: ProtocolRef{Spec: "flock:4"}, Input: []int64{8}, Seed: 3}
+	first := do(t, eng, req)
+	want := *first.Protocol
+	if want.Predicate == "" || want.Hash == "" || want.States != 5 {
+		t.Fatalf("protocol info incomplete: %+v", want)
+	}
+	first.Protocol.Name, first.Protocol.Predicate = "edited", "edited"
+	second := do(t, eng, req)
+	if second.Protocol == first.Protocol {
+		t.Fatal("two results share one ProtocolInfo")
+	}
+	if *second.Protocol != want {
+		t.Errorf("second request's info = %+v, want %+v", *second.Protocol, want)
+	}
+}
+
 func TestSimulate(t *testing.T) {
 	eng := New()
 	res := do(t, eng, Request{

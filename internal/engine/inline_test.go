@@ -113,7 +113,7 @@ func BenchmarkResolveInline(b *testing.B) {
 			ref := ProtocolRef{Inline: data}
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := eng.resolveHashed(ref); err != nil {
+				if _, err := eng.resolveHashed(ref); err != nil {
 					b.Fatal(err)
 				}
 			}

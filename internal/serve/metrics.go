@@ -65,7 +65,7 @@ func (m *Metrics) Register(reg *metrics.Registry) {
 
 // statusWriter records the status code a handler writes. Unwrap keeps
 // http.NewResponseController working through the wrapper (the sweep
-// handler flushes after every row).
+// handler's rowWriter flushes through it on a deadline).
 type statusWriter struct {
 	http.ResponseWriter
 	status int

@@ -28,6 +28,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -302,9 +303,10 @@ type SweepRow = sweep.StreamRow
 
 // handleSweep streams a sweep: the spec is validated and expanded up
 // front (client errors are plain 400 JSON), then cell rows flow in grid
-// order. Cancellation is end to end: when the client disconnects, the
-// request context cancels the sweep, which interrupts in-flight cells and
-// skips the rest.
+// order, each reaching the client at most streamFlushDelay after its cell
+// finishes (see rowWriter). Cancellation is end to end: when the client
+// disconnects, the request context cancels the sweep, which interrupts
+// in-flight cells and skips the rest.
 func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
@@ -348,20 +350,13 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	// Push the 200 + content type out before the first cell completes:
-	// streaming clients (and the cluster dispatcher) should not wait on a
-	// slow first cell to learn the request was accepted.
-	_ = rc.Flush()
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	rw := newRowWriter(w)
+	// The summary row is written last and leaves with the handler's
+	// return, when net/http finishes the response.
+	defer rw.close()
 	writeRow := func(row SweepRow) {
-		// Write errors mean the client went away; the context will cancel
-		// the sweep, so there is nothing to handle here.
 		opts.sm.StreamRows.WithLabelValues(row.Type).Inc()
-		_ = enc.Encode(row)
-		_ = rc.Flush()
+		rw.writeRow(row)
 	}
 	onCell := func(cr sweep.CellResult) { writeRow(SweepRow{Type: "cell", Cell: &cr}) }
 
@@ -371,7 +366,7 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 		// Only reachable if the sweep cannot start (re-expansion, which
 		// ParseSpec precludes, the journal's start record, or the cluster
 		// routing); report it as a stream row since the 200 header is
-		// already out.
+		// already committed.
 		writeRow(SweepRow{Type: "error", Error: err.Error()})
 		opts.RequestLog.Info("sweep", "path", "/v1/sweep", "sweep", spec.Name,
 			"mode", mode, "status", http.StatusOK, "error", err.Error())
@@ -390,6 +385,67 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 		"status", http.StatusOK,
 		"durationMillis", time.Since(start).Milliseconds(),
 	)
+}
+
+// streamFlushDelay is the longest a sweep row, or the 200 header, waits
+// in the response buffer before it is flushed. Rows finishing within it
+// of each other leave in one socket write.
+const streamFlushDelay = 5 * time.Millisecond
+
+// rowWriter encodes sweep rows into the response buffer and flushes on a
+// deadline instead of after every row: the first write after a flush
+// arms one timer, which flushes whatever is waiting when it fires. The
+// timer goroutine and the handler share mu, so the ResponseWriter is never
+// touched concurrently, and close makes sure it is not touched after the
+// handler returns.
+type rowWriter struct {
+	mu     sync.Mutex
+	rc     *http.ResponseController
+	enc    *json.Encoder
+	timer  *time.Timer
+	armed  bool
+	closed bool
+}
+
+// newRowWriter commits the 200 header; it goes out with the first flush.
+func newRowWriter(w http.ResponseWriter) *rowWriter {
+	w.WriteHeader(http.StatusOK)
+	rw := &rowWriter{rc: http.NewResponseController(w), enc: json.NewEncoder(w), armed: true}
+	rw.enc.SetEscapeHTML(false)
+	rw.timer = time.AfterFunc(streamFlushDelay, rw.flush)
+	return rw
+}
+
+// writeRow buffers one row. Write errors mean the client went away; the
+// request context then cancels the sweep, so there is nothing to handle.
+// A panicking write (http.ErrAbortHandler) releases mu on its way out.
+func (rw *rowWriter) writeRow(row SweepRow) {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	_ = rw.enc.Encode(row)
+	if !rw.armed {
+		rw.armed = true
+		rw.timer.Reset(streamFlushDelay)
+	}
+}
+
+func (rw *rowWriter) flush() {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	if rw.closed {
+		return
+	}
+	rw.armed = false
+	_ = rw.rc.Flush()
+}
+
+// close stops the timer; once it returns, no flush touches the
+// ResponseWriter.
+func (rw *rowWriter) close() {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	rw.closed = true
+	rw.timer.Stop()
 }
 
 func handleCatalog(eng *engine.Engine, w http.ResponseWriter) {

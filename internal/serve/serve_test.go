@@ -285,17 +285,23 @@ func TestSweepBadSpecs(t *testing.T) {
 }
 
 // flushCountingWriter is a ResponseWriter that signals each written row, so
-// a test can react to streaming progress deterministically.
+// a test can react to streaming progress deterministically, and counts the
+// flushes it is asked for.
 type flushCountingWriter struct {
-	mu     sync.Mutex
-	header http.Header
-	rows   int
-	notify chan struct{}
+	mu      sync.Mutex
+	header  http.Header
+	rows    int
+	flushes int
+	notify  chan struct{}
 }
 
 func (w *flushCountingWriter) Header() http.Header { return w.header }
 func (w *flushCountingWriter) WriteHeader(int)     {}
-func (w *flushCountingWriter) Flush()              {}
+func (w *flushCountingWriter) Flush() {
+	w.mu.Lock()
+	w.flushes++
+	w.mu.Unlock()
+}
 func (w *flushCountingWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	w.rows += bytes.Count(p, []byte("\n"))
@@ -310,6 +316,11 @@ func (w *flushCountingWriter) writtenRows() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.rows
+}
+func (w *flushCountingWriter) flushCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flushes
 }
 
 // TestSweepClientDisconnectCancels: cancelling the request context after

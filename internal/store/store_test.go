@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -176,4 +177,32 @@ func TestEncodeDecode(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("Decode(nil) accepted")
 	}
+}
+
+// FuzzStoreDecode: the frame decoder is the first code disk and
+// peer-fetched bytes reach. It must never panic, every frame it accepts
+// must re-encode byte for byte (so there is one framing per payload), and
+// every payload must survive Encode then Decode.
+func FuzzStoreDecode(f *testing.F) {
+	for _, payload := range [][]byte{nil, []byte("x"), []byte(`{"v":1,"basis":[[1,2]]}`), make([]byte, 64)} {
+		raw := Encode(payload)
+		f.Add(raw)
+		f.Add(raw[:len(raw)-1])          // torn write
+		f.Add(append(raw[:12:12], 0xff)) // payload that fails the length or CRC check
+	}
+	f.Add([]byte("PPA1"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if payload, err := Decode(raw); err == nil {
+			if again := Encode(payload); !bytes.Equal(again, raw) {
+				t.Fatalf("accepted frame re-encodes differently:\n in: %x\nout: %x", raw, again)
+			}
+		}
+		got, err := Decode(Encode(raw))
+		if err != nil {
+			t.Fatalf("Decode(Encode(%d bytes)): %v", len(raw), err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("round trip mangled a %d-byte payload", len(raw))
+		}
+	})
 }
