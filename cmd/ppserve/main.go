@@ -24,7 +24,6 @@
 //	GET  /v1/catalog   resolvable specs + built-in protocol zoo
 //	GET  /healthz      liveness probe
 //	GET  /metrics      Prometheus text exposition (engine, serve, cluster collectors)
-//	GET  /v1/artifacts/{kind}/{hash}   CRC-framed memoized artifact (peer fetch)
 //	POST /v1/cluster/register, /v1/cluster/heartbeat, /v1/cluster/deregister
 //	GET  /v1/cluster/members        (coordinator mode only)
 //
@@ -49,10 +48,10 @@
 // restarted over the same directory, resumes the sweep on resubmission
 // (replayed cells verbatim, only the remainder recomputed) and the
 // canonical stream is byte-identical to a never-crashed run. With
-// -artifact-dir the engine's memoized artifacts persist to disk and
-// cluster nodes peer-fetch them over /v1/artifacts. See docs/api.md for
-// the full HTTP reference and docs/operations.md for durability and
-// fault injection.
+// -artifact-dir the engine's memoized artifacts persist to disk, so a
+// restarted node serves repeated protocols without recomputing them. See
+// docs/api.md for the full HTTP reference and docs/operations.md for
+// durability and fault injection.
 package main
 
 import (
@@ -152,11 +151,6 @@ func run(args []string) error {
 			defer st.CloseGC()
 		}
 		eng.SetArtifactStore(st)
-		// Workers fill disk misses from the coordinator's /v1/artifacts,
-		// which forwards to the rendezvous owner when it misses locally.
-		if *workerMode {
-			eng.SetPeerFetch(cluster.PeerFetch(nil, strings.TrimSuffix(*join, "/")))
-		}
 	}
 	reg := metrics.NewRegistry()
 	if *metricsAddr != "" {

@@ -78,7 +78,13 @@ func canonSummary(t *testing.T, res *sweep.Result) string {
 // intercepts the handler (fault injection).
 func startWorker(t *testing.T, coord *cluster.Coordinator, id string, wrap func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
-	var h http.Handler = serve.NewHandler(engine.New(), serve.Options{})
+	return startEngineWorker(t, coord, id, engine.New(), wrap)
+}
+
+// startEngineWorker is startWorker over a caller-owned engine.
+func startEngineWorker(t *testing.T, coord *cluster.Coordinator, id string, eng *engine.Engine, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
+	var h http.Handler = serve.NewHandler(eng, serve.Options{})
 	if wrap != nil {
 		h = wrap(h)
 	}
@@ -89,11 +95,14 @@ func startWorker(t *testing.T, coord *cluster.Coordinator, id string, wrap func(
 }
 
 // dispatchCanonical fans the spec out via the coordinator and returns the
-// canonical cell lines in stream order plus the canonical summary.
+// canonical cell lines in stream order plus the canonical summary. A nil
+// opts.LocalEngine gets a fresh engine.
 func dispatchCanonical(t *testing.T, coord *cluster.Coordinator, spec sweep.Spec, opts cluster.DispatchOptions) ([]string, string) {
 	t.Helper()
 	var cells []sweep.CellResult
-	opts.LocalEngine = engine.New()
+	if opts.LocalEngine == nil {
+		opts.LocalEngine = engine.New()
+	}
 	res, err := sweep.Pipeline(context.Background(), spec, coord.Executor(opts), nil, sweep.Hooks{
 		OnCell: func(cr sweep.CellResult) { cells = append(cells, sweep.CanonicalCell(cr)) },
 	})

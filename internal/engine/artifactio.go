@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,20 +15,11 @@ import (
 	"repro/internal/store"
 )
 
-// Artifact kinds under which the disk store files engine artifacts (and
-// under which /v1/artifacts serves them to cluster peers).
+// Artifact kinds under which the disk store files engine artifacts.
 const (
 	ArtifactStable = "stable"
 	ArtifactBasis  = "basis"
 )
-
-// ArtifactKinds lists every artifact kind the engine persists.
-var ArtifactKinds = []string{ArtifactStable, ArtifactBasis}
-
-// PeerFetchFunc fetches an artifact payload from a cluster peer: the raw
-// versioned encoding (already CRC-validated by the transport), or
-// (nil, nil) when no peer has it. Errors are treated as misses.
-type PeerFetchFunc func(ctx context.Context, kind, hash string) ([]byte, error)
 
 // SetArtifactStore puts a disk store behind the in-memory artifact cache:
 // computed artifacts are written through, and cache misses try the store
@@ -45,21 +35,6 @@ func (e *Engine) ArtifactStore() *store.Store {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.artstore
-}
-
-// SetPeerFetch installs the cluster peer-fetch path, consulted when both
-// the in-memory cache and the disk store miss. Call before serving
-// traffic.
-func (e *Engine) SetPeerFetch(f PeerFetchFunc) {
-	e.mu.Lock()
-	e.peerFetch = f
-	e.mu.Unlock()
-}
-
-func (e *Engine) durability() (*store.Store, PeerFetchFunc) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.artstore, e.peerFetch
 }
 
 // Stable and basis artifacts share one compact binary codec. A payload
@@ -88,8 +63,8 @@ func (e *Engine) durability() (*store.Store, PeerFetchFunc) {
 // trailing bytes are rejected, and a section's size is checked against
 // the bytes that remain before anything is allocated for it. The JSON
 // payloads of earlier releases (versions 1 and 2) begin with '{' and fail
-// the version check; loadStable and loadBasis then delete and recompute
-// them like any other undecodable entry.
+// the version check; memoized then deletes and recomputes them like any
+// other undecodable entry.
 const artifactVersion = 3
 
 // artifactReader consumes a binary artifact payload. The first failure
@@ -315,114 +290,4 @@ func decodeBasisArtifact(p *protocol.Protocol, payload []byte) ([]realise.Transi
 		return nil, fmt.Errorf("basis artifact: %w", err)
 	}
 	return out, nil
-}
-
-// loadArtifact fetches the versioned payload for (kind, hash): disk store
-// first, then cluster peers. A peer hit is written through to the local
-// store so the next restart is warm without the network. Every failure —
-// corruption, decode, transport — degrades to a miss; durable state is
-// never trusted over recomputation.
-func (e *Engine) loadArtifact(ctx context.Context, kind, hash string) []byte {
-	st, peers := e.durability()
-	if st == nil {
-		return nil
-	}
-	if payload, err := st.Get(kind, hash); err == nil && payload != nil {
-		return payload
-	}
-	if peers == nil {
-		return nil
-	}
-	payload, err := peers(ctx, kind, hash)
-	switch {
-	case err != nil:
-		st.Metrics().PeerFetches.WithLabelValues("error").Inc()
-		return nil
-	case payload == nil:
-		st.Metrics().PeerFetches.WithLabelValues("miss").Inc()
-		return nil
-	}
-	st.Metrics().PeerFetches.WithLabelValues("hit").Inc()
-	// Best effort: a failed write-through only costs the next restart. The
-	// pin keeps the GC from evicting the entry in the warming window while
-	// this fetch is the store's only reason to believe it is hot.
-	st.Pin(kind, hash)
-	_ = st.Put(kind, hash, payload)
-	st.Unpin(kind, hash)
-	return payload
-}
-
-// saveArtifact writes a computed artifact through to the disk store, best
-// effort (failures are visible in pp_store_writes_total{result="error"}).
-// encode runs only when a store is configured: without one nobody reads
-// the bytes, and peers get them encoded on demand by ArtifactBytes.
-func (e *Engine) saveArtifact(kind, hash string, encode func() []byte) {
-	if st, _ := e.durability(); st != nil {
-		_ = st.Put(kind, hash, encode())
-	}
-}
-
-// loadStable tries to satisfy a stable-analysis miss from durable state.
-func (e *Engine) loadStable(ctx context.Context, p *protocol.Protocol, hash string) (*stable.Analysis, bool) {
-	payload := e.loadArtifact(ctx, ArtifactStable, hash)
-	if payload == nil {
-		return nil, false
-	}
-	a, err := decodeStableArtifact(p, payload)
-	if err != nil {
-		// Decoded frame but bogus content (e.g. a hash collision across
-		// protocol versions): delete so it cannot resurface, recompute.
-		if st, _ := e.durability(); st != nil {
-			_ = st.Delete(ArtifactStable, hash)
-		}
-		return nil, false
-	}
-	return a, true
-}
-
-// loadBasis tries to satisfy a realisable-basis miss from durable state.
-func (e *Engine) loadBasis(ctx context.Context, p *protocol.Protocol, hash string) ([]realise.TransitionMultiset, bool) {
-	payload := e.loadArtifact(ctx, ArtifactBasis, hash)
-	if payload == nil {
-		return nil, false
-	}
-	basis, err := decodeBasisArtifact(p, payload)
-	if err != nil {
-		if st, _ := e.durability(); st != nil {
-			_ = st.Delete(ArtifactBasis, hash)
-		}
-		return nil, false
-	}
-	return basis, true
-}
-
-// ArtifactBytes serves the durable encoding of a completed artifact, for
-// the /v1/artifacts peer-fetch endpoint: the in-memory cache if the
-// artifact is complete, else the disk store. ok is false when this node
-// has nothing to offer (in-flight computations are not waited on).
-func (e *Engine) ArtifactBytes(kind, hash string) ([]byte, bool) {
-	e.mu.Lock()
-	a := e.cache[hash]
-	st := e.artstore
-	e.mu.Unlock()
-	if a != nil {
-		switch kind {
-		case ArtifactStable:
-			if a.stable.completed() && a.stable.err == nil {
-				return encodeStableArtifact(a.stable.val), true
-			}
-		case ArtifactBasis:
-			if a.basis.completed() && a.basis.err == nil {
-				return encodeBasisArtifact(a.basis.val), true
-			}
-		}
-	}
-	if st == nil {
-		return nil, false
-	}
-	payload, err := st.Get(kind, hash)
-	if err != nil || payload == nil {
-		return nil, false
-	}
-	return payload, true
 }

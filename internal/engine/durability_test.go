@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -123,92 +121,14 @@ func TestCorruptDiskEntryRecomputed(t *testing.T) {
 	}
 }
 
-// TestPeerFetchFallback pins the peer-fetch path: disk miss → peer hit →
-// local write-through, and peer errors degrade to recomputation.
-func TestPeerFetchFallback(t *testing.T) {
-	source := New()
-	sdir := t.TempDir()
-	ss, err := store.Open(sdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source.SetArtifactStore(ss)
-	want := do(t, source, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "majority"}})
-
-	fetches := 0
-	peer := func(ctx context.Context, kind, hash string) ([]byte, error) {
-		fetches++
-		payload, ok := source.ArtifactBytes(kind, hash)
-		if !ok {
-			return nil, nil
-		}
-		return payload, nil
-	}
-
-	eng := New()
-	s, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetArtifactStore(s)
-	eng.SetPeerFetch(peer)
-	got := do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "majority"}})
-	if fetches != 1 {
-		t.Fatalf("peer fetched %d times, want 1", fetches)
-	}
-	if eng.Computations() != 0 {
-		t.Fatal("peer hit did not prevent recomputation")
-	}
-	if !reflect.DeepEqual(got.Stable, want.Stable) {
-		t.Fatal("peer-fetched result differs")
-	}
-	if v := testutil.ToFloat64(s.Metrics().PeerFetches.WithLabelValues("hit")); v != 1 {
-		t.Fatalf("pp_store_peer_fetches_total{result=hit} = %v, want 1", v)
-	}
-	// Write-through: the same engine restarted is warm without the peer.
-	again := New()
-	s2, err := store.Open(s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	again.SetArtifactStore(s2)
-	again.SetPeerFetch(func(context.Context, string, string) ([]byte, error) {
-		return nil, errors.New("peer down")
-	})
-	do(t, again, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "majority"}})
-	if again.Computations() != 0 {
-		t.Fatal("peer hit was not written through to the local store")
-	}
-}
-
-// TestPeerErrorDegradesToRecompute: a failing peer never blocks a result.
-func TestPeerErrorDegradesToRecompute(t *testing.T) {
-	eng := New()
-	s, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetArtifactStore(s)
-	eng.SetPeerFetch(func(context.Context, string, string) ([]byte, error) {
-		return nil, errors.New("peer down")
-	})
-	do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:5"}})
-	if eng.Computations() != 1 {
-		t.Fatal("peer error should fall back to computing")
-	}
-	if v := testutil.ToFloat64(s.Metrics().PeerFetches.WithLabelValues("error")); v != 1 {
-		t.Fatalf("peer_fetches{error} = %v, want 1", v)
-	}
-}
-
-// TestStoreGCRacingPeerFetch is the pressure drill for size governance: a
-// worker warming its disk store from a coordinator peer while the GC —
-// budgeted below the working set, with deletes failing on a faultinject
-// schedule — evicts the same hashes concurrently. Every analysis must
-// come back correct (refetched or recomputed), and no read may ever
-// surface a torn artifact: eviction unlinks whole files, so a racing Get
-// sees either the full old bytes or a clean miss.
-func TestStoreGCRacingPeerFetch(t *testing.T) {
+// TestStoreGCRacingDiskReads is the pressure drill for size governance:
+// fresh engines warm from one shared disk store while the GC — budgeted
+// below the working set, with deletes failing on a faultinject schedule —
+// evicts the same hashes concurrently. Every analysis must come back
+// correct (restored or recomputed), and no read may ever surface a torn
+// artifact: eviction unlinks whole files, so a racing Get sees either the
+// full old bytes or a clean miss.
+func TestStoreGCRacingDiskReads(t *testing.T) {
 	if err := faultinject.Configure(faultinject.PointStoreDelete + "=every:4"); err != nil {
 		t.Fatal(err)
 	}
@@ -240,31 +160,15 @@ func TestStoreGCRacingPeerFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget below the working set: warming all five protocols must force
-	// evictions, and the 1ms pass interval keeps the GC racing every fetch.
+	// evictions, and the 1ms pass interval keeps the GC racing every read.
 	if err := ws.EnableGC(store.GCOptions{MaxBytes: workingSet / 2, LowWater: 0.5, Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	defer ws.CloseGC()
 
-	peerDown := false
-	peer := func(ctx context.Context, kind, hash string) ([]byte, error) {
-		if peerDown {
-			return nil, nil
-		}
-		payload, ok := source.ArtifactBytes(kind, hash)
-		if !ok {
-			return nil, nil
-		}
-		return payload, nil
-	}
-
 	for round := 0; round < 6; round++ {
-		// Halfway in, the coordinator goes away: evicted artifacts must now
-		// be recomputed rather than refetched — still never served torn.
-		peerDown = round >= 3
-		eng := New() // fresh memory cache: every artifact rides the disk/peer path
+		eng := New() // fresh memory cache: every artifact rides the disk path
 		eng.SetArtifactStore(ws)
-		eng.SetPeerFetch(peer)
 		for _, p := range protos {
 			got := do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: p}})
 			if !reflect.DeepEqual(got.Stable, want[p].Stable) {
@@ -272,11 +176,11 @@ func TestStoreGCRacingPeerFetch(t *testing.T) {
 			}
 		}
 	}
-	// The final round recomputed and wrote through every artifact, so the
-	// store ends over budget whether or not the background ticker got a
-	// pass in during the rounds (fast artifact decodes can finish the whole
-	// drill inside one interval): one synchronous pass makes the eviction
-	// assertion deterministic.
+	// Every recompute wrote its artifact through, so the store ends over
+	// budget whether or not the background ticker got a pass in during the
+	// rounds (fast artifact decodes can finish the whole drill inside one
+	// interval): one synchronous pass makes the eviction assertion
+	// deterministic.
 	ws.RunGC()
 	if v := testutil.ToFloat64(ws.Metrics().GCEvictions); v == 0 {
 		t.Fatal("budget below working set but the GC evicted nothing")

@@ -84,10 +84,8 @@ type Engine struct {
 
 	// artstore, when set, is the disk layer under the in-memory cache:
 	// misses try it before recomputing, computed artifacts write through.
-	// peerFetch, when set, is consulted after a disk miss (cluster mode).
-	// See artifactio.go.
-	artstore  *store.Store
-	peerFetch PeerFetchFunc
+	// See memoized and artifactio.go.
+	artstore *store.Store
 
 	// metrics instruments the request path and artifact cache; see
 	// metrics.go. Always non-nil.
@@ -486,20 +484,20 @@ func (e *Engine) evictIfCurrent(hash string, a *artifacts) {
 	}
 }
 
-// memoized is the single-flight loop behind every memoized artifact. The
-// second return value reports whether the artifact was complete when the
-// request arrived (waiters on an in-flight computation count as misses —
-// they pay the full latency). The first arrival holds an execution slot
-// while it tries durable state (load) and, on a miss, computes and writes
-// the artifact through (encode). A computation interrupted by the
-// computing request's deadline (the interrupted sentinel) is evicted so it
-// never poisons the cache; waiters whose own context is still live retry
-// on a fresh slot.
+// memoized is the single-flight loop behind every memoized artifact: one
+// path, memory → disk → compute. The second return value reports whether
+// the artifact was complete when the request arrived (waiters on an
+// in-flight computation count as misses — they pay the full latency). The
+// first arrival holds an execution slot while it tries the disk store
+// (decode) and, on a miss, computes and writes the artifact through
+// (encode). A computation interrupted by the computing request's deadline
+// (the interrupted sentinel) is evicted so it never poisons the cache;
+// waiters whose own context is still live retry on a fresh slot.
 func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash string,
-	slot func(*artifacts) *memo[T], interrupted error,
-	load func(context.Context, *protocol.Protocol, string) (T, bool),
+	slot func(*artifacts) *memo[T], interrupted error, kind string,
+	decode func(*protocol.Protocol, []byte) (T, error),
 	compute func(context.Context, *protocol.Protocol) (T, error),
-	kind string, encode func(T) []byte,
+	encode func(T) []byte,
 ) (T, bool, error) {
 	var zero T
 	counted := false
@@ -523,15 +521,28 @@ func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash 
 				e.evictIfCurrent(hash, a)
 				return zero, false, err
 			}
-			// Durable state first — a disk or peer hit skips the
-			// computation entirely (and does not count as one).
-			if v, ok := load(ctx, p, hash); ok {
-				m.val = v
-			} else {
+			// Disk first: a decodable entry skips the computation (and does
+			// not count as one). Every failure degrades to a recompute, and
+			// a payload that frames but does not decode (an older version,
+			// a content-hash collision) is deleted so it cannot resurface.
+			st := e.ArtifactStore()
+			loaded := false
+			if st != nil {
+				if payload, err := st.Get(kind, hash); err == nil && payload != nil {
+					if m.val, err = decode(p, payload); err == nil {
+						loaded = true
+					} else {
+						_ = st.Delete(kind, hash)
+					}
+				}
+			}
+			if !loaded {
 				e.countCompute()
 				m.val, m.err = compute(ctx, p)
-				if m.err == nil {
-					e.saveArtifact(kind, hash, func() []byte { return encode(m.val) })
+				// Best effort: a failed write only costs the next restart
+				// (visible in pp_store_writes_total{result="error"}).
+				if m.err == nil && st != nil {
+					_ = st.Put(kind, hash, encode(m.val))
 				}
 			}
 			release()
@@ -561,22 +572,22 @@ func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash 
 func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash string) (*stable.Analysis, bool, error) {
 	return memoized(ctx, e, p, hash,
 		func(a *artifacts) *memo[*stable.Analysis] { return &a.stable }, stable.ErrInterrupted,
-		e.loadStable,
+		ArtifactStable, decodeStableArtifact,
 		func(ctx context.Context, p *protocol.Protocol) (*stable.Analysis, error) {
 			return stable.Analyze(p, stable.Options{Interrupt: ctx.Done()})
 		},
-		ArtifactStable, encodeStableArtifact)
+		encodeStableArtifact)
 }
 
 // basisFor memoizes the realisable basis of a protocol (see memoized).
 func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string) ([]realise.TransitionMultiset, bool, error) {
 	return memoized(ctx, e, p, hash,
 		func(a *artifacts) *memo[[]realise.TransitionMultiset] { return &a.basis }, dioph.ErrInterrupted,
-		e.loadBasis,
+		ArtifactBasis, decodeBasisArtifact,
 		func(ctx context.Context, p *protocol.Protocol) ([]realise.TransitionMultiset, error) {
 			return realise.Basis(p, dioph.Options{Interrupt: ctx.Done()})
 		},
-		ArtifactBasis, encodeBasisArtifact)
+		encodeBasisArtifact)
 }
 
 func (e *Engine) doSimulate(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {

@@ -1,12 +1,8 @@
 package journal
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -182,35 +178,8 @@ func scanWAL(path string) (walInfo, error) {
 	if err != nil {
 		return walInfo{}, err
 	}
-	info := walInfo{path: path, size: st.Size(), mtime: st.ModTime(), clean: true}
-	var header [8]byte
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return info, nil
-			}
-			info.clean = false
-			return info, nil
-		}
-		n := binary.LittleEndian.Uint32(header[:4])
-		if n == 0 || n > maxRecord {
-			info.clean = false
-			return info, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			info.clean = false
-			return info, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:]) {
-			info.clean = false
-			return info, nil
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			info.clean = false
-			return info, nil
-		}
+	info := walInfo{path: path, size: st.Size(), mtime: st.ModTime()}
+	_, info.clean = readRecords(f, info.size, func(rec record) {
 		switch rec.Type {
 		case "start":
 			if info.total == 0 {
@@ -221,7 +190,8 @@ func scanWAL(path string) (walInfo, error) {
 		case "range", "cell":
 			info.extras++
 		}
-	}
+	})
+	return info, nil
 }
 
 // writeStub atomically replaces a done WAL with its two-record stub,

@@ -206,56 +206,58 @@ func (j *Sweep) replay() error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	var (
-		offset int64
-		header [8]byte
-	)
-	for {
-		if _, err := io.ReadFull(j.f, header[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end
-			}
-			// Torn header: a crash mid-append. Repair below.
-			return j.truncate(offset)
-		}
-		n := binary.LittleEndian.Uint32(header[:4])
-		if n == 0 || n > maxRecord {
-			return j.truncate(offset)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(j.f, payload); err != nil {
-			return j.truncate(offset)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:]) {
-			return j.truncate(offset)
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return j.truncate(offset)
-		}
-		j.apply(rec)
-		offset += 8 + int64(n)
+	st, err := j.f.Stat()
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
-	// Position at the end for appends (ReadFull stopped exactly there on a
-	// clean EOF, but be explicit).
-	if _, err := j.f.Seek(offset, io.SeekStart); err != nil {
+	valid, clean := readRecords(j.f, st.Size(), j.apply)
+	if !clean {
+		// A torn or corrupt tail — a crash mid-append. Everything before
+		// valid replayed cleanly and is kept; the tail is cut so the next
+		// append extends a valid log.
+		j.store.metrics.Truncations.Inc()
+		if err := j.f.Truncate(valid); err != nil {
+			return fmt.Errorf("journal: truncating corrupt tail: %w", err)
+		}
+	}
+	if _, err := j.f.Seek(valid, io.SeekStart); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
 
-// truncate repairs a corrupt tail: everything before offset replayed
-// cleanly and is kept; the tail is cut so the next append extends a valid
-// log.
-func (j *Sweep) truncate(offset int64) error {
-	j.store.metrics.Truncations.Inc()
-	if err := j.f.Truncate(offset); err != nil {
-		return fmt.Errorf("journal: truncating corrupt tail: %w", err)
+// readRecords is the one WAL record reader, shared by replay and the
+// compactor's scan. It decodes the records of a size-byte WAL from r in
+// order, handing each to fn, and stops at the first torn header, length
+// out of range (zero, over maxRecord, or past the end of the file), CRC
+// mismatch or undecodable payload; a corrupt length therefore never
+// allocates more than the file holds. valid is the length of the longest
+// valid prefix (the offset just past the last good record); clean reports
+// whether the input ended exactly there.
+func readRecords(r io.Reader, size int64, fn func(record)) (valid int64, clean bool) {
+	var header [8]byte
+	for {
+		if _, err := io.ReadFull(r, header[:]); err != nil {
+			return valid, errors.Is(err, io.EOF)
+		}
+		n := binary.LittleEndian.Uint32(header[:4])
+		if n == 0 || n > maxRecord || int64(n) > size-valid-8 {
+			return valid, false
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return valid, false
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:]) {
+			return valid, false
+		}
+		var rec record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return valid, false
+		}
+		fn(rec)
+		valid += 8 + int64(n)
 	}
-	if _, err := j.f.Seek(offset, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
 }
 
 // apply folds one replayed record into the in-memory state. Duplicate

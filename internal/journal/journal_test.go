@@ -1,8 +1,13 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -218,4 +223,133 @@ func TestAppendFaultInjection(t *testing.T) {
 	if v := testutil.ToFloat64(s.Metrics().AppendErrors); v != 2 {
 		t.Fatalf("append errors = %v, want 2", v)
 	}
+}
+
+// walPrefix is the replay oracle: an in-memory walk over data's frames
+// that returns the longest valid prefix and the records in it.
+func walPrefix(data []byte) (int, []record) {
+	var recs []record
+	off := 0
+	for len(data)-off >= 8 {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n == 0 || n > maxRecord || len(data)-off-8 < n {
+			break
+		}
+		payload := data[off+8 : off+8+n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
+			break
+		}
+		var rec record
+		if json.Unmarshal(payload, &rec) != nil {
+			break
+		}
+		recs = append(recs, rec)
+		off += 8 + n
+	}
+	return off, recs
+}
+
+// FuzzJournalReplay: whatever a crash or bit rot leaves in a WAL, replay
+// never panics, truncates the file to exactly the longest valid prefix,
+// recovers the first occurrence of every cell in it, and leaves a log
+// that an append extends: a second replay yields that prefix plus the new
+// record, cleanly.
+func FuzzJournalReplay(f *testing.F) {
+	var head []byte
+	c0, c1 := cell(0), cell(1)
+	for _, rec := range []record{
+		{Type: "start", Spec: "f00d", Total: 3},
+		{Type: "range", Worker: "w1", Cells: []sweep.IndexRange{{From: 0, To: 2}}},
+		{Type: "cell", Cell: &c0},
+		{Type: "cell", Cell: &c1},
+		{Type: "cell", Cell: &c0},
+		{Type: "done"},
+	} {
+		frame, err := encodeRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		head = append(head, frame...)
+	}
+	f.Add(head)
+	f.Add([]byte{})
+	f.Add(head[:len(head)-3])                                            // torn payload
+	f.Add(head[:len(head)-len(`{"type":"done"}`)-5])                     // torn header
+	f.Add(append(bytes.Clone(head), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // huge length
+	flipped := bytes.Clone(head)
+	flipped[len(flipped)/2] ^= 1
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "f00d.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		valid, recs := walPrefix(data)
+		var want []sweep.CellResult
+		seen := map[int]bool{}
+		for _, rec := range recs {
+			if rec.Type == "cell" && rec.Cell != nil && !seen[rec.Cell.Index] {
+				seen[rec.Cell.Index] = true
+				want = append(want, *rec.Cell)
+			}
+		}
+
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Sweep("f00d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[:valid]) {
+			t.Fatalf("replay left %d bytes, want the %d-byte valid prefix of %d", len(got), valid, len(data))
+		}
+		if v, dirty := testutil.ToFloat64(s.Metrics().Truncations), valid < len(data); (v == 1) != dirty || v > 1 {
+			t.Fatalf("truncations = %v for a %d-byte tail", v, len(data)-valid)
+		}
+		if !reflect.DeepEqual(j.Completed(), want) {
+			t.Fatalf("replayed cells %+v, want %+v", j.Completed(), want)
+		}
+
+		next := 0
+		for seen[next] {
+			next++
+		}
+		added := cell(next)
+		if err := j.AppendCell(added); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		frame, err := encodeRecord(record{Type: "cell", Cell: &added})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(bytes.Clone(data[:valid]), frame...)) {
+			t.Fatal("append did not extend the valid prefix")
+		}
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j2, err := s2.Sweep("f00d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if v := testutil.ToFloat64(s2.Metrics().Truncations); v != 0 {
+			t.Fatal("second replay found a dirty tail")
+		}
+		if !reflect.DeepEqual(j2.Completed(), append(want, added)) {
+			t.Fatalf("second replay: %d cells, want the %d replayed plus the appended one", len(j2.Completed()), len(want))
+		}
+	})
 }

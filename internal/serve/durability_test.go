@@ -16,7 +16,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/metrics/testutil"
-	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -321,60 +320,5 @@ func TestJournaledSweepConflict(t *testing.T) {
 	defer dup.Body.Close()
 	if dup.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate in-flight sweep got status %d, want 409", dup.StatusCode)
-	}
-}
-
-// TestArtifactEndpoint pins the peer-fetch wire format: a served artifact
-// round-trips the CRC frame and decodes into the payload ArtifactBytes
-// returns; unknown kinds and absent hashes are 404.
-func TestArtifactEndpoint(t *testing.T) {
-	eng := engine.New()
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetArtifactStore(st)
-	h := NewHandler(eng, Options{})
-	_, res := post(t, h, "/v1/analyze", `{"kind":"stable","protocol":{"spec":"binary:5"}}`)
-	hash := res.Protocol.Hash
-
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/artifacts/stable/" + hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("artifact fetch status %d", resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := store.Decode(raw)
-	if err != nil {
-		t.Fatalf("served artifact frame invalid: %v", err)
-	}
-	want, ok := eng.ArtifactBytes("stable", hash)
-	if !ok {
-		t.Fatal("ArtifactBytes: engine has no stable artifact")
-	}
-	if !bytes.Equal(payload, want) {
-		t.Fatal("served artifact differs from the engine's encoding")
-	}
-
-	for _, path := range []string{
-		"/v1/artifacts/stable/deadbeef",
-		"/v1/artifacts/nosuchkind/" + hash,
-	} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
-		}
 	}
 }

@@ -65,8 +65,8 @@ func TestRateLimit429(t *testing.T) {
 }
 
 // TestRateLimitExemptions: cluster-internal endpoints and probes bypass the
-// limiter entirely — a coordinator must never 429 its own workers' leases
-// or peer artifact fetches, and health/metrics scrapes stay unconditional.
+// limiter entirely — a coordinator must never 429 its own workers' leases,
+// and health/metrics scrapes stay unconditional.
 func TestRateLimitExemptions(t *testing.T) {
 	js := `{"id":"w1","url":"http://127.0.0.1:1"}`
 	h, _ := newHandler(engine.New(), Options{RateLimit: 0.01, RateBurst: 1})
@@ -84,13 +84,6 @@ func TestRateLimitExemptions(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/register", bytes.NewBufferString(js)))
 		if rec.Code == http.StatusTooManyRequests {
 			t.Fatalf("cluster endpoint rate-limited on request %d", i)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/artifacts/stable/deadbeef", nil))
-		if rec.Code == http.StatusTooManyRequests {
-			t.Fatalf("artifact endpoint rate-limited on request %d", i)
 		}
 	}
 

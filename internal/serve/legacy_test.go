@@ -64,28 +64,31 @@ func writeLegacyFamilyEntry(t *testing.T, dir, hash string) string {
 	return path
 }
 
-// TestArtifactEndpointLegacyFamilyKind: "family" is no longer an artifact
-// kind, so GET /v1/artifacts/family/<hash> is 404 even when the store
-// directory still holds such an entry.
-func TestArtifactEndpointLegacyFamilyKind(t *testing.T) {
-	dir := t.TempDir()
-	const hash = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
-	writeLegacyFamilyEntry(t, dir, hash)
-	st, err := store.Open(dir)
+// TestArtifactRouteRemoved: the artifact transfer route is gone, so GET
+// /v1/artifacts/stable/<hash> is 404 even when the disk store holds that
+// very artifact.
+func TestArtifactRouteRemoved(t *testing.T) {
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := engine.New()
 	eng.SetArtifactStore(st)
-	srv := httptest.NewServer(NewHandler(eng, Options{}))
+	h := NewHandler(eng, Options{})
+	_, res := post(t, h, "/v1/analyze", `{"kind":"stable","protocol":{"spec":"binary:5"}}`)
+	hash := res.Protocol.Hash
+	if p, err := st.Get(engine.ArtifactStable, hash); err != nil || p == nil {
+		t.Fatalf("stable artifact not on disk: (%d bytes, %v)", len(p), err)
+	}
+	srv := httptest.NewServer(h)
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/artifacts/family/" + hash)
+	resp, err := http.Get(srv.URL + "/v1/artifacts/stable/" + hash)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /v1/artifacts/family/<hash>: status %d, want 404", resp.StatusCode)
+		t.Fatalf("GET /v1/artifacts/stable/<hash>: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -83,8 +83,8 @@ type Options struct {
 	// RateLimit requests/second. Over-budget requests answer 429 with a
 	// Retry-After computed from the bucket's actual refill time,
 	// deterministically jittered per client. Cluster-internal endpoints
-	// (/v1/cluster/*, /v1/artifacts) and probes (/healthz, /metrics) are
-	// exempt — a worker must never rate-limit its coordinator. 0 disables.
+	// (/v1/cluster/*) and probes (/healthz, /metrics) are exempt — a
+	// worker must never rate-limit its coordinator. 0 disables.
 	RateLimit float64
 	// RateBurst is the limiter's bucket size — how many back-to-back
 	// requests a quiet client may issue (0 = max(1, 2×RateLimit)).
@@ -209,9 +209,6 @@ func newHandler(eng *engine.Engine, opts Options) (http.Handler, *Metrics) {
 	})))
 	mux.HandleFunc("GET /healthz", sm.instrumented("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-	mux.HandleFunc("GET /v1/artifacts/{kind}/{hash}", sm.instrumented("/v1/artifacts", func(w http.ResponseWriter, r *http.Request) {
-		handleArtifact(eng, opts, w, r)
 	}))
 	if opts.Cluster != nil {
 		mountCluster(mux, opts)

@@ -44,7 +44,6 @@ func (o GCOptions) withDefaults() GCOptions {
 type gcEntry struct {
 	kind, hash string
 	size       int64
-	pins       int
 	elem       *list.Element
 }
 
@@ -65,9 +64,9 @@ type gcState struct {
 
 // EnableGC turns on size governance: the store keeps an in-memory LRU
 // index of every on-disk entry (rebuilt by a scan at enable time, ordered
-// by file mtime) and a background goroutine evicts least-recently-used,
-// unpinned entries whenever the total exceeds opts.MaxBytes. Eviction is
-// safe against concurrent readers: entries are whole-file reads, so a Get
+// by file mtime) and a background goroutine evicts least-recently-used
+// entries whenever the total exceeds opts.MaxBytes. Eviction is safe
+// against concurrent readers: entries are whole-file reads, so a Get
 // racing an unlink either sees the complete old bytes or a clean miss —
 // never a torn artifact.
 //
@@ -134,33 +133,6 @@ func (s *Store) GCBytes() int64 {
 	return g.total
 }
 
-// Pin marks (kind, hash) as in use: the GC will not evict it until a
-// matching Unpin. Pinning a not-yet-written entry is allowed — the engine
-// pins around a peer-fetch write-through so the artifact cannot be evicted
-// between the Put and the read that needs it. No-op when GC is disabled.
-func (s *Store) Pin(kind, hash string) {
-	g := s.gc.Load()
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.get(kind, hash).pins++
-}
-
-// Unpin releases a Pin. No-op when GC is disabled.
-func (s *Store) Unpin(kind, hash string) {
-	g := s.gc.Load()
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e := g.entries[kind+"/"+hash]; e != nil && e.pins > 0 {
-		e.pins--
-	}
-}
-
 // scan walks the store directory and builds the LRU index, oldest mtime at
 // the back, so a restarted server starts evicting from genuinely cold
 // entries instead of treating everything as fresh.
@@ -206,24 +178,17 @@ func (g *gcState) scan() error {
 	return nil
 }
 
-// get returns the tracked entry for (kind, hash), creating a zero-size
-// placeholder at the LRU front if unknown. Caller holds g.mu.
-func (g *gcState) get(kind, hash string) *gcEntry {
+// record notes a write (or an observed read) of size bytes and moves the
+// entry, tracked from now on if it was not, to the LRU front.
+func (g *gcState) record(kind, hash string, size int64) {
 	key := kind + "/" + hash
+	g.mu.Lock()
 	e := g.entries[key]
 	if e == nil {
 		e = &gcEntry{kind: kind, hash: hash}
 		e.elem = g.lru.PushFront(e)
 		g.entries[key] = e
 	}
-	return e
-}
-
-// record notes a write (or an observed read) of size bytes and moves the
-// entry to the LRU front.
-func (g *gcState) record(kind, hash string, size int64) {
-	g.mu.Lock()
-	e := g.get(kind, hash)
 	g.total += size - e.size
 	e.size = size
 	g.lru.MoveToFront(e.elem)
@@ -272,9 +237,8 @@ func (g *gcState) loop() {
 }
 
 // pass evicts LRU entries until the store is back under the low-water
-// mark. Pinned entries are skipped; a failed delete (including the
-// store.delete failpoint) is counted, skipped for this pass and retried
-// on the next one.
+// mark. A failed delete (including the store.delete failpoint) is
+// counted, skipped for this pass and retried on the next one.
 func (g *gcState) pass() {
 	m := g.store.metrics
 	m.GCRuns.Inc()
@@ -295,19 +259,18 @@ func (g *gcState) pass() {
 		var victim *gcEntry
 		for el := g.lru.Back(); el != nil; el = el.Prev() {
 			e := el.Value.(*gcEntry)
-			if e.pins > 0 || failed[e] {
-				continue
+			if !failed[e] {
+				victim = e
+				break
 			}
-			victim = e
-			break
 		}
-		if victim == nil { // everything left is pinned or failed this pass
+		if victim == nil { // every entry left failed this pass
 			g.mu.Unlock()
 			return
 		}
-		// Delete under the lock so a Pin cannot race in between the
-		// decision and the unlink; concurrent Gets are lock-free and rely
-		// on whole-file read-vs-unlink atomicity instead.
+		// Delete under the lock so the index and the disk change
+		// together; concurrent Gets are lock-free and rely on whole-file
+		// read-vs-unlink atomicity instead.
 		err := faultinject.Hit(faultinject.PointStoreDelete)
 		if err == nil {
 			p := filepath.Join(g.store.dir, victim.kind, victim.hash)

@@ -83,32 +83,6 @@ func TestGCEvictsColdEntriesFirst(t *testing.T) {
 	}
 }
 
-func TestGCNeverEvictsPinned(t *testing.T) {
-	s := gcStore(t, 2000, 0.9)
-	mustPut(t, s, "aa", 1000)
-	s.Pin("stable", "aa")
-	mustPut(t, s, "bb", 1000)
-	mustPut(t, s, "cc", 1000)
-	s.RunGC()
-	if !present(t, s, "aa") {
-		t.Fatal("pinned entry evicted")
-	}
-	// Everything unpinned went; aa alone is under the low-water mark.
-	if present(t, s, "bb") || present(t, s, "cc") {
-		t.Fatal("unpinned entries survived under pressure")
-	}
-
-	s.Unpin("stable", "aa")
-	mustPut(t, s, "dd", 1000)
-	s.RunGC()
-	if present(t, s, "aa") {
-		t.Fatal("unpinned entry not evicted")
-	}
-	if !present(t, s, "dd") {
-		t.Fatal("fresh entry evicted instead of the unpinned one")
-	}
-}
-
 func TestGCScanOnStartOrdersByMtime(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -195,8 +169,6 @@ func TestGCDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPut(t, s, "aa", 1000)
-	s.Pin("stable", "aa")
-	s.Unpin("stable", "aa")
 	s.RunGC()
 	s.CloseGC()
 	if got := s.GCBytes(); got != 0 {

@@ -59,11 +59,6 @@ type Metrics struct {
 	Reads *metrics.CounterVec
 	// Writes counts Put calls by result: ok, error.
 	Writes *metrics.CounterVec
-	// PeerFetches counts artifacts obtained from cluster peers rather
-	// than local disk or recomputation, by result: hit, miss, error. The
-	// store itself never fetches; the engine's peer-fetch path records
-	// here so the whole artifact-durability story is one subsystem.
-	PeerFetches *metrics.CounterVec
 	// GCEvictions counts entries the size-governance GC deleted.
 	GCEvictions *metrics.Counter
 	// GCErrors counts eviction deletes that failed (retried next pass).
@@ -86,9 +81,6 @@ func newStoreMetrics(s *Store) *Metrics {
 		Writes: metrics.NewCounterVec(
 			sub("writes_total", "Disk artifact-store writes, by result (ok, error)."),
 			[]string{"result"}),
-		PeerFetches: metrics.NewCounterVec(
-			sub("peer_fetches_total", "Artifacts fetched from cluster peers, by result (hit, miss, error)."),
-			[]string{"result"}),
 		GCEvictions: metrics.NewCounter(
 			sub("gc_evictions_total", "Artifact-store entries evicted by the size-governance GC.")),
 		GCErrors: metrics.NewCounter(
@@ -106,7 +98,7 @@ func (s *Store) Metrics() *Metrics { return s.metrics }
 
 // Collectors returns every collector of the set, for registration.
 func (m *Metrics) Collectors() []metrics.Collector {
-	return []metrics.Collector{m.Reads, m.Writes, m.PeerFetches, m.GCEvictions, m.GCErrors, m.GCRuns, m.GCBytes}
+	return []metrics.Collector{m.Reads, m.Writes, m.GCEvictions, m.GCErrors, m.GCRuns, m.GCBytes}
 }
 
 // Register registers the whole set into reg.
@@ -272,9 +264,7 @@ func (s *Store) Delete(kind, hash string) error {
 	return nil
 }
 
-// Encode frames a payload for storage or transport: magic, length, CRC,
-// payload. The same frame travels over /v1/artifacts so peers validate
-// fetched artifacts with the same code path as disk reads.
+// Encode frames a payload for storage: magic, length, CRC, payload.
 func Encode(payload []byte) []byte {
 	out := make([]byte, 12+len(payload))
 	copy(out, magic[:])

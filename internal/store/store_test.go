@@ -179,10 +179,10 @@ func TestEncodeDecode(t *testing.T) {
 	}
 }
 
-// FuzzStoreDecode: the frame decoder is the first code disk and
-// peer-fetched bytes reach. It must never panic, every frame it accepts
-// must re-encode byte for byte (so there is one framing per payload), and
-// every payload must survive Encode then Decode.
+// FuzzStoreDecode: the frame decoder is the first code on-disk bytes
+// reach. It must never panic, every frame it accepts must re-encode byte
+// for byte (so there is one framing per payload), and every payload must
+// survive Encode then Decode.
 func FuzzStoreDecode(f *testing.F) {
 	for _, payload := range [][]byte{nil, []byte("x"), []byte(`{"v":1,"basis":[[1,2]]}`), make([]byte, 64)} {
 		raw := Encode(payload)
