@@ -101,7 +101,7 @@ func run(args []string) error {
 		heartbeatTTL  = fs.Duration("heartbeat-ttl", cluster.DefaultTTL, "worker lease duration; workers heartbeat at a third of it (coordinator mode)")
 		rangeCells    = fs.Int("range-cells", 0, "cells per dispatched range, the retry granularity (coordinator mode; 0 = 64)")
 		rangeTimeout  = fs.Duration("range-timeout", 0, "flat per-range dispatch deadline (coordinator mode; 0 = 2m)")
-		journalDir    = fs.String("journal-dir", "", "durable sweep journal directory: /v1/sweep logs dispatched ranges and completed cells, and a resubmitted spec resumes instead of recomputing")
+		journalDir    = fs.String("journal-dir", "", "durable sweep journal directory: /v1/sweep logs completed cells, and a resubmitted spec resumes instead of recomputing")
 		artifactDir   = fs.String("artifact-dir", "", "disk-backed artifact store directory behind the engine's in-memory cache; restarts serve repeated protocols from disk")
 		rateLimit     = fs.Float64("rate-limit", 0, "per-client request rate (requests/second) on the public endpoints; over-budget requests get 429 + Retry-After (0 = unlimited)")
 		rateBurst     = fs.Int("rate-burst", 0, "per-client burst allowance of -rate-limit (0 = 2x the rate, at least 1)")

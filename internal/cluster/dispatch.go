@@ -109,7 +109,7 @@ type fanout struct {
 
 // Execute implements sweep.Executor. Its width is the number of routable
 // workers at dispatch time, or the local pool's width when there are none.
-func (f fanout) Execute(ctx context.Context, spec sweep.Spec, cells []sweep.Cell, m *sweep.Merger, onRange func(string, []sweep.IndexRange)) (int, error) {
+func (f fanout) Execute(ctx context.Context, spec sweep.Spec, cells []sweep.Cell, m *sweep.Merger) (int, error) {
 	opts, err := f.opts.withDefaults()
 	if err != nil {
 		return 0, err
@@ -131,7 +131,6 @@ func (f fanout) Execute(ctx context.Context, spec sweep.Spec, cells []sweep.Cell
 		spec:    spec,
 		m:       m,
 		local:   local,
-		onRange: onRange,
 		queues:  make(map[string][]*task),
 		info:    make(map[string]Worker),
 		driving: make(map[string]bool),
@@ -170,9 +169,7 @@ type dispatcher struct {
 	spec  sweep.Spec
 	m     *sweep.Merger
 	local sweep.Pool
-	// onRange is the pipeline's range hook (may be nil).
-	onRange func(worker string, cells []sweep.IndexRange)
-	wg      sync.WaitGroup
+	wg    sync.WaitGroup
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -361,7 +358,7 @@ func (d *dispatcher) driveLocal() {
 		}
 		slices.SortFunc(cells, func(a, b sweep.Cell) int { return cmp.Compare(a.Index, b.Index) })
 		d.opts.Log.Info("cluster sweep: executing ranges locally", "ranges", len(batch), "cells", len(cells))
-		d.local.Execute(d.ctx, d.spec, cells, d.m, d.onRange)
+		d.local.Execute(d.ctx, d.spec, cells, d.m)
 	}
 }
 
@@ -382,9 +379,6 @@ func (d *dispatcher) rangeDeadline(t *task) time.Duration {
 func (d *dispatcher) runTask(w Worker, t *task) (served int, missing []sweep.Cell, err error) {
 	sub := d.spec
 	sub.Cells = sweep.Ranges(t.indices())
-	if d.onRange != nil {
-		d.onRange(w.ID, sub.Cells)
-	}
 	body, err := json.Marshal(sub)
 	if err != nil {
 		return 0, t.cells, fmt.Errorf("marshalling sub-spec: %w", err)

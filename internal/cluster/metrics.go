@@ -4,12 +4,11 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/sweep"
 )
 
 // LocalWorkerLabel is the worker label of ranges and cells the coordinator
 // executed itself (no live worker could take them).
-const LocalWorkerLabel = sweep.LocalWorker
+const LocalWorkerLabel = "local"
 
 // Metrics is the coordinator's exported instrumentation: membership state
 // and heartbeat freshness read live at scrape time, plus dispatcher

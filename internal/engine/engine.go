@@ -78,8 +78,6 @@ type Engine struct {
 	// specs memoizes builtin specs resolved by do (see resolveHashed);
 	// it holds at most maxCache entries and is cleared when full.
 	specs    map[string]resolvedSpec
-	hits     uint64
-	misses   uint64
 	computes uint64
 
 	// artstore, when set, is the disk layer under the in-memory cache:
@@ -169,11 +167,9 @@ func (e *Engine) Registry() *protocols.Registry { return e.reg }
 // CacheStats reports how many artifact lookups hit and missed the
 // content-hash cache. A hit means the artifact was complete when the
 // request arrived; a request that waits on an in-flight computation counts
-// as a miss.
+// as a miss. It reads the pp_engine_cache_{hits,misses}_total counters.
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits, e.misses
+	return uint64(e.metrics.CacheHits.Value()), uint64(e.metrics.CacheMisses.Value())
 }
 
 // Computations reports how many artifact computations actually ran —
@@ -454,13 +450,6 @@ func (e *Engine) artifactsFor(hash string) *artifacts {
 }
 
 func (e *Engine) countLookup(hit bool) {
-	e.mu.Lock()
-	if hit {
-		e.hits++
-	} else {
-		e.misses++
-	}
-	e.mu.Unlock()
 	if hit {
 		e.metrics.CacheHits.Inc()
 	} else {

@@ -28,7 +28,7 @@ type Metrics struct {
 	Latency *metrics.HistogramVec
 	// CacheHits / CacheMisses count artifact-cache lookups (a request
 	// waiting on another request's in-flight computation counts as a
-	// miss, exactly like Engine.CacheStats). CacheEvictions counts
+	// miss); Engine.CacheStats reads them. CacheEvictions counts
 	// artifact slots dropped — capacity evictions and interrupted
 	// computations alike.
 	CacheHits      *metrics.Counter

@@ -44,13 +44,12 @@ type walInfo struct {
 	mtime  time.Time
 	clean  bool // no torn or corrupt tail
 	done   bool
-	total  int
-	extras int // range + cell records a stub would drop
+	extras int // records a stub would drop: everything but done
 }
 
 // Compact shrinks the journal directory under the given policy. Completed
-// sweeps' WALs are rewritten to a two-record stub (start + done) — replay
-// of a stub reports the sweep done with zero completed cells, so a
+// sweeps' WALs are rewritten to a stub, a lone done record — replay of a
+// stub reports the sweep done with zero completed cells, so a
 // resubmission re-executes the whole grid, which is deterministic and
 // therefore byte-identical to the archived run. Aged-out and over-budget
 // done WALs are deleted entirely. In-progress WALs — no done record, or a
@@ -154,7 +153,7 @@ func (s *Store) compactOne(hash string, now time.Time, retain time.Duration, sta
 	if info.extras == 0 {
 		return info, false // already a stub
 	}
-	if err := writeStub(path, hash, info.total, info.mtime); err != nil {
+	if err := writeStub(path, hash, info.mtime); err != nil {
 		return info, false // keep the full WAL; nothing lost
 	}
 	if st, err := os.Stat(path); err == nil {
@@ -180,34 +179,22 @@ func scanWAL(path string) (walInfo, error) {
 	}
 	info := walInfo{path: path, size: st.Size(), mtime: st.ModTime()}
 	_, info.clean = readRecords(f, info.size, func(rec record) {
-		switch rec.Type {
-		case "start":
-			if info.total == 0 {
-				info.total = rec.Total
-			}
-		case "done":
+		if rec.Type == "done" {
 			info.done = true
-		case "range", "cell":
+		} else {
 			info.extras++
 		}
 	})
 	return info, nil
 }
 
-// writeStub atomically replaces a done WAL with its two-record stub,
-// preserving the original mtime so age-based retention still sees the
-// sweep's completion time, not the compaction's.
-func writeStub(path, hash string, total int, mtime time.Time) error {
-	var buf []byte
-	for _, rec := range []record{
-		{Type: "start", Spec: hash, Total: total},
-		{Type: "done"},
-	} {
-		frame, err := encodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, frame...)
+// writeStub atomically replaces a done WAL with its stub, a lone done
+// record, preserving the original mtime so age-based retention still sees
+// the sweep's completion time, not the compaction's.
+func writeStub(path, hash string, mtime time.Time) error {
+	buf, err := encodeRecord(record{Type: "done"})
+	if err != nil {
+		return err
 	}
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+hash+".stub*")

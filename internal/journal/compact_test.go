@@ -5,22 +5,14 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/sweep"
 )
 
-// writeSweep journals a start, n cells and (optionally) a done record
-// under hash, then closes it.
+// writeSweep journals n cells and (optionally) a done record under hash,
+// then closes it.
 func writeSweep(t *testing.T, s *Store, hash string, n int, done bool) {
 	t.Helper()
 	j, err := s.Sweep(hash)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Start(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendRange("w1", []sweep.IndexRange{{From: 0, To: n - 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -63,14 +55,14 @@ func TestCompactStubsDoneWALs(t *testing.T) {
 	if stats.Compacted != 1 || stats.Removed != 0 {
 		t.Fatalf("stats = %+v, want 1 compaction, 0 removals", stats)
 	}
-	// The stub replays as started+done with zero completed cells, so a
+	// The stub replays as done with zero completed cells, so a
 	// resubmission re-executes the whole (deterministic) grid.
 	j, err := s.Sweep("donesweep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !j.Started() || !j.Done() {
-		t.Fatalf("stub replay: started=%v done=%v, want both", j.Started(), j.Done())
+	if !j.Done() {
+		t.Fatal("stub replay: not done")
 	}
 	if len(j.Completed()) != 0 {
 		t.Fatalf("stub replay carries %d cells, want 0", len(j.Completed()))

@@ -1,7 +1,8 @@
 // Package journal is the coordinator's durable sweep log: an append-only,
 // CRC-framed, fsync'd write-ahead file per sweep spec (keyed by the
-// spec's content hash) recording each dispatched range and each completed
-// cell. After a crash, reopening the journal replays the completed cells,
+// spec's content hash) recording each completed cell and, once the grid
+// is complete, a done record. After a crash, reopening the journal replays
+// the completed cells,
 // so the coordinator re-emits them verbatim and executes only the rest —
 // grid indices and per-cell seeds are split-stable, which is what makes
 // the resumed run's canonical output byte-identical to an uninterrupted
@@ -12,10 +13,12 @@
 //
 //	uint32 LE payload length | uint32 LE CRC32-IEEE(payload) | payload
 //
-// where each payload is one JSON record ({"type": "start" | "range" |
-// "cell" | "done", ...}). Replay stops at the first torn or corrupt
-// record and truncates the file there — the tail a crash mid-append
-// leaves behind is repaired, never trusted. Appends fsync before
+// where each payload is one JSON record ({"type": "cell" | "done", ...}).
+// Replay skips records of any other type, such as the start and range
+// records earlier releases wrote, so their WALs still resume. It stops at
+// the first torn or corrupt record and truncates the file there — the
+// tail a crash mid-append leaves behind is repaired, never trusted.
+// Appends fsync before
 // returning, so a record the coordinator acted on (streamed to a client)
 // survives a kill -9.
 package journal
@@ -128,14 +131,8 @@ func validHash(h string) bool {
 
 // record is the JSON payload of one journal entry.
 type record struct {
-	// Type is "start", "range", "cell" or "done".
+	// Type is "cell" or "done".
 	Type string `json:"type"`
-	// Spec (start) echoes the spec hash; Total (start) the grid size.
-	Spec  string `json:"spec,omitempty"`
-	Total int    `json:"total,omitempty"`
-	// Worker and Cells describe a dispatched range.
-	Worker string             `json:"worker,omitempty"`
-	Cells  []sweep.IndexRange `json:"cells,omitempty"`
 	// Cell is a completed cell's full result — replay re-emits it
 	// verbatim, which is what keeps resumed output byte-identical.
 	Cell *sweep.CellResult `json:"cell,omitempty"`
@@ -155,7 +152,6 @@ type Sweep struct {
 	completed []sweep.CellResult
 	seen      map[int]bool
 	done      bool
-	started   bool
 }
 
 // Sweep opens (or creates) the journal of one sweep spec and replays it.
@@ -262,11 +258,9 @@ func readRecords(r io.Reader, size int64, fn func(record)) (valid int64, clean b
 
 // apply folds one replayed record into the in-memory state. Duplicate
 // cell indices keep the first occurrence (appends happen post-dedup, but
-// replay never trusts that).
+// replay never trusts that). Other record types are skipped.
 func (j *Sweep) apply(rec record) {
 	switch rec.Type {
-	case "start":
-		j.started = true
 	case "cell":
 		if rec.Cell != nil && !j.seen[rec.Cell.Index] {
 			j.seen[rec.Cell.Index] = true
@@ -285,30 +279,6 @@ func (j *Sweep) Completed() []sweep.CellResult { return j.completed }
 // Done reports whether a prior run appended its completion record — every
 // cell is in Completed and nothing remains to execute.
 func (j *Sweep) Done() bool { return j.done }
-
-// Started reports whether the journal carries a start record from a prior
-// run.
-func (j *Sweep) Started() bool { return j.started }
-
-// Start logs the sweep's start (idempotent: a recovered journal already
-// has one).
-func (j *Sweep) Start(total int) error {
-	if j.started {
-		return nil
-	}
-	if err := j.append(record{Type: "start", Spec: j.hash, Total: total}); err != nil {
-		return err
-	}
-	j.started = true
-	return nil
-}
-
-// AppendRange logs a dispatched range: which worker got which cell
-// indices. Ranges are observability (and post-mortem fodder); resume
-// correctness rides on cell records alone.
-func (j *Sweep) AppendRange(worker string, cells []sweep.IndexRange) error {
-	return j.append(record{Type: "range", Worker: worker, Cells: cells})
-}
 
 // AppendCell logs one completed cell, fsync'd: once this returns, the
 // cell survives a crash. Duplicate indices (already journaled or
@@ -410,22 +380,4 @@ func (j *Sweep) Close() error {
 	delete(j.store.busy, j.hash)
 	j.store.mu.Unlock()
 	return err
-}
-
-// Remove deletes a sweep's journal file (e.g. after a completed sweep's
-// results were archived elsewhere). The journal must not be open.
-func (s *Store) Remove(specHash string) error {
-	if !validHash(specHash) {
-		return fmt.Errorf("journal: invalid spec hash %q", specHash)
-	}
-	s.mu.Lock()
-	busy := s.busy[specHash]
-	s.mu.Unlock()
-	if busy {
-		return fmt.Errorf("journal: sweep %s is in progress", specHash)
-	}
-	if err := os.Remove(filepath.Join(s.dir, specHash+".wal")); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
 }

@@ -381,29 +381,6 @@ func (cv *CounterVec) Family() Family {
 	return f
 }
 
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ v *vec[Gauge] }
-
-// NewGaugeVec returns a gauge vector over the given label names.
-func NewGaugeVec(opts Opts, labelNames []string) *GaugeVec {
-	return &GaugeVec{v: newVec(opts, labelNames, func(labels []Label) *Gauge {
-		return &Gauge{opts: opts, labels: labels}
-	})}
-}
-
-// WithLabelValues returns (creating on first use) the child for the given
-// label values.
-func (gv *GaugeVec) WithLabelValues(values ...string) *Gauge { return gv.v.with(values...) }
-
-// Family implements Collector.
-func (gv *GaugeVec) Family() Family {
-	f := Family{Name: gv.v.opts.fullName(), Help: gv.v.opts.Help, Type: "gauge"}
-	for _, g := range gv.v.snapshot() {
-		f.Samples = append(f.Samples, Sample{Labels: g.labels, Value: g.Value()})
-	}
-	return f
-}
-
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ v *vec[Histogram] }
 

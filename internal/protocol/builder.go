@@ -54,15 +54,6 @@ func (b *Builder) AddState(name string, output int) State {
 	return q
 }
 
-// AddStates adds consecutive states sharing one output and returns their ids.
-func (b *Builder) AddStates(output int, names ...string) []State {
-	out := make([]State, len(names))
-	for i, n := range names {
-		out[i] = b.AddState(n, output)
-	}
-	return out
-}
-
 // AddTransition adds the transition ⟅p,q⟆ ↦ ⟅p2,q2⟆. Transitions are
 // normalized (both sides unordered) and deduplicated: Build keeps the first
 // addition of each.

@@ -85,13 +85,6 @@ func (p *Protocol) NumInputs() int { return len(p.inputs) }
 // StateName returns the name of state q.
 func (p *Protocol) StateName(q State) string { return p.states[q] }
 
-// StateNames returns a copy of the state-name table.
-func (p *Protocol) StateNames() []string {
-	out := make([]string, len(p.states))
-	copy(out, p.states)
-	return out
-}
-
 // StateByName returns the state with the given name.
 func (p *Protocol) StateByName(name string) (State, bool) {
 	for i, s := range p.states {

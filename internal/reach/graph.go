@@ -416,12 +416,6 @@ func ReplayPath(p *protocol.Protocol, from protocol.Config, steps []Step, g *Gra
 	return c, nil
 }
 
-// CanReach reports whether target is reachable from the start configuration.
-func (g *Graph) CanReach(target protocol.Config) bool {
-	_, ok := g.IndexOf(target)
-	return ok
-}
-
 // Filter returns the indices of configurations satisfying keep.
 func (g *Graph) Filter(keep func(protocol.Config) bool) []int {
 	var out []int

@@ -26,11 +26,10 @@ func (o Options) executor(eng *engine.Engine) sweep.Executor {
 // runSweep runs one /v1/sweep through the sweep pipeline on the handler's
 // executor, streaming cells to onCell in grid order. Under a journal (j
 // non-nil) the journal supplies the replay — replayed cells re-emit
-// verbatim and only the rest execute — logs the start and every
-// dispatched range, fsyncs every cell before it streams, and is sealed
-// once the grid completes. Because grid indices and per-cell seeds are
-// stable under sub-selection, a resumed stream — and its canonical form —
-// is byte-identical to an uninterrupted run's.
+// verbatim and only the rest execute — fsyncs every cell before it
+// streams, and is sealed once the grid completes. Because grid indices
+// and per-cell seeds are stable under sub-selection, a resumed stream —
+// and its canonical form — is byte-identical to an uninterrupted run's.
 func runSweep(ctx context.Context, eng *engine.Engine, opts Options, spec sweep.Spec, j *journal.Sweep, onCell func(sweep.CellResult)) (*sweep.Result, error) {
 	// DiscardCells keeps server memory flat on huge grids: each cell was
 	// already streamed, so the summary row carries aggregates only.
@@ -38,12 +37,8 @@ func runSweep(ctx context.Context, eng *engine.Engine, opts Options, spec sweep.
 	var replayed []sweep.CellResult
 	if j != nil {
 		replayed = j.Completed()
-		hooks.OnStart = func(total int) error {
-			if len(replayed) > 0 {
-				opts.RequestLog.Info("sweep resumed from journal",
-					"sweep", spec.Name, "replayed", len(replayed), "remaining", total-len(replayed))
-			}
-			return j.Start(total)
+		if len(replayed) > 0 {
+			opts.RequestLog.Info("sweep resumed from journal", "sweep", spec.Name, "replayed", len(replayed))
 		}
 		hooks.OnCell = func(cr sweep.CellResult) {
 			// Journal before streaming, so every cell a client saw is
@@ -54,11 +49,6 @@ func runSweep(ctx context.Context, eng *engine.Engine, opts Options, spec sweep.
 				opts.RequestLog.Warn("sweep journal append failed", "cell", cr.Index, "error", err)
 			}
 			onCell(cr)
-		}
-		hooks.OnRange = func(worker string, rs []sweep.IndexRange) {
-			if err := j.AppendRange(worker, rs); err != nil {
-				opts.RequestLog.Warn("sweep journal range append failed", "error", err)
-			}
 		}
 	}
 	res, err := sweep.Pipeline(ctx, spec, opts.executor(eng), replayed, hooks)

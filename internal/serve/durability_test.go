@@ -3,12 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -320,5 +324,91 @@ func TestJournaledSweepConflict(t *testing.T) {
 	defer dup.Body.Close()
 	if dup.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate in-flight sweep got status %d, want 409", dup.StatusCode)
+	}
+}
+
+// TestJournalWritesOnlyCellsAndDone: a journaled sweep appends exactly the
+// records replay reads back — one cell record per grid cell and one done
+// record, nothing else — on the local pool and when a coordinator fans
+// the grid out to a worker.
+func TestJournalWritesOnlyCellsAndDone(t *testing.T) {
+	const want = `
+		# HELP pp_journal_appends_total Journal records appended, by record type.
+		# TYPE pp_journal_appends_total counter
+		pp_journal_appends_total{type="cell"} 12
+		pp_journal_appends_total{type="done"} 1
+	`
+	for _, m := range []sweepMode{
+		{name: "local+journal", workers: -1, journal: true},
+		{name: "coordinator/1+journal", workers: 1, journal: true},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			opts := modeOptions(t, m, 2)
+			sweepBody(t, NewHandler(engine.New(), opts), crashSpec)
+			if err := testutil.CollectAndCompare(opts.Journal.Metrics().Appends, strings.NewReader(want)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// walFrame frames one journal record payload the way the WAL stores it:
+// uint32 LE length, uint32 LE CRC32-IEEE, payload.
+func walFrame(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// TestLegacyWALResumes: a WAL left by an interrupted sweep of an earlier
+// release, which also journaled a start record and the dispatched ranges,
+// still resumes through POST /v1/sweep. Replay skips the start and range
+// records, re-emits exactly the journaled cells, and the resumed canonical
+// stream is byte-identical to an uninterrupted run's.
+func TestLegacyWALResumes(t *testing.T) {
+	const k = 5
+	raw := sweepBody(t, NewHandler(engine.New(), Options{}), crashSpec)
+	baseline := canonicalNDJSON(t, raw)
+	spec, err := sweep.ParseSpec([]byte(crashSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := sweep.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wal := walFrame([]byte(`{"type":"start","spec":"` + hash + `","total":12}`))
+	wal = append(wal, walFrame([]byte(`{"type":"range","worker":"local","cells":[{"from":0,"to":11}]}`))...)
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	for i := 0; i < k; i++ {
+		var row sweep.StreamRow
+		if err := dec.Decode(&row); err != nil || row.Type != "cell" {
+			t.Fatalf("row %d: %v %+v", i, err, row)
+		}
+		payload, err := json.Marshal(map[string]any{"type": "cell", "cell": row.Cell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, walFrame(payload)...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, hash+".wal"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	js, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := canonicalNDJSON(t, sweepBody(t, NewHandler(engine.New(), Options{Journal: js}), crashSpec))
+	if got := testutil.ToFloat64(js.Metrics().ReplayedCells); got != k {
+		t.Fatalf("resume replayed %v cells, want %d", got, k)
+	}
+	if got := testutil.ToFloat64(js.Metrics().Truncations); got != 0 {
+		t.Fatalf("legacy WAL replayed dirty: %v truncations", got)
+	}
+	if resumed != baseline {
+		t.Fatalf("resumed canonical stream differs from baseline:\n--- baseline ---\n%s--- resumed ---\n%s", baseline, resumed)
 	}
 }

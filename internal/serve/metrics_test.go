@@ -6,14 +6,19 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/metrics/testutil"
+	"repro/internal/store"
 )
 
 // TestMetricsShedIncrementsExactly503Counter: a shed analyze request lands
@@ -198,5 +203,65 @@ func TestMetricsEndpointServesAllThreeLayers(t *testing.T) {
 	}
 	if vals2[`pp_serve_requests_total{endpoint="/metrics",status="200"}`] != 1 {
 		t.Error("the /metrics endpoint must count its own requests")
+	}
+}
+
+// TestDocumentedMetricsRegistered: every full pp_* family name the README
+// and docs/*.md tell operators to watch is registered by a handler mounted
+// with all four collector sets (engine, artifact store, journal and
+// coordinator). Wildcards and prefixes (pp_store_*, pp_store_gc_*) are not
+// names and are skipped.
+func TestDocumentedMetricsRegistered(t *testing.T) {
+	eng := engine.New()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetArtifactStore(st)
+	js, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(eng, Options{
+		Cluster: cluster.NewCoordinator(cluster.CoordinatorOptions{}),
+		Journal: js,
+		Metrics: metrics.NewRegistry(),
+	})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", rec.Code)
+	}
+	registered := map[string]bool{}
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			registered[f[2]] = true
+		}
+	}
+
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`pp_[a-z0-9_]+`)
+	checked := 0
+	for _, path := range append(docs, "../../README.md") {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range name.FindAllString(string(text), -1) {
+			if strings.HasSuffix(n, "_") {
+				continue // a prefix or wildcard, not a family
+			}
+			checked++
+			if !registered[n] {
+				t.Errorf("%s names %s, which no collector registers", filepath.Base(path), n)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pp_* family names found in the docs")
 	}
 }

@@ -64,8 +64,8 @@ type Options struct {
 	// protocol hash, duration, status, cache hit) and per cluster
 	// membership event.
 	RequestLog *slog.Logger
-	// Journal, when set, makes every /v1/sweep durable: dispatched ranges
-	// and completed cells are logged to a per-spec write-ahead file, and a
+	// Journal, when set, makes every /v1/sweep durable: completed cells
+	// are logged to a per-spec write-ahead file, and a
 	// resubmitted spec (same content hash) replays its journaled cells and
 	// executes only the rest — crash recovery with byte-identical canonical
 	// output. A spec whose journal is already being written concurrently is
@@ -361,8 +361,7 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 	res, err := runSweep(ctx, eng, opts, spec, jsweep, onCell)
 	if res == nil {
 		// Only reachable if the sweep cannot start (re-expansion, which
-		// ParseSpec precludes, the journal's start record, or the cluster
-		// routing); report it as a stream row since the 200 header is
+		// ParseSpec precludes, or the cluster routing); report it as a stream row since the 200 header is
 		// already committed.
 		writeRow(SweepRow{Type: "error", Error: err.Error()})
 		opts.RequestLog.Info("sweep", "path", "/v1/sweep", "sweep", spec.Name,

@@ -144,35 +144,23 @@ func Run(ctx context.Context, eng *engine.Engine, spec Spec, opts RunOptions) (*
 	})
 }
 
-// LocalWorker is the worker label of cells executed in-process, in the
-// ranges an executor reports through Hooks.OnRange.
-const LocalWorker = "local"
-
 // Executor runs a set of grid cells. The two implementations are the
 // local Pool and the cluster coordinator's dispatcher.
 type Executor interface {
 	// Execute runs cells (a grid-ordered subset of spec's expansion) and
 	// delivers every outcome through m.Add, returning once each cell is
-	// merged or ctx has ended. onRange (may be nil) observes every range
-	// handed to a worker before it runs; calls may be concurrent. It
-	// reports the executor's width — how many cells or workers it ran in
-	// parallel, the sweep's Result.Workers — and an error only when
-	// execution could not start.
-	Execute(ctx context.Context, spec Spec, cells []Cell, m *Merger, onRange func(worker string, cells []IndexRange)) (workers int, err error)
+	// merged or ctx has ended. It reports the executor's width — how many
+	// cells or workers it ran in parallel, the sweep's Result.Workers — and
+	// an error only when execution could not start.
+	Execute(ctx context.Context, spec Spec, cells []Cell, m *Merger) (workers int, err error)
 }
 
 // Hooks observe one Pipeline run.
 type Hooks struct {
-	// OnStart, when set, learns the expanded grid size before any cell
-	// streams or executes; an error aborts the sweep.
-	OnStart func(totalCells int) error
 	// OnCell observes every cell — replayed and freshly executed — in
 	// grid order. Calls are serialized; a slow observer backpressures the
 	// executor.
 	OnCell func(CellResult)
-	// OnRange observes every range an executor hands to a worker
-	// (LocalWorker for in-process execution) before it runs.
-	OnRange func(worker string, cells []IndexRange)
 	// DiscardCells leaves Result.Cells empty (see RunOptions.DiscardCells).
 	DiscardCells bool
 }
@@ -187,11 +175,6 @@ func Pipeline(ctx context.Context, spec Spec, ex Executor, replayed []CellResult
 	cells, err := spec.Expand()
 	if err != nil {
 		return nil, err
-	}
-	if h.OnStart != nil {
-		if err := h.OnStart(len(cells)); err != nil {
-			return nil, err
-		}
 	}
 	start := time.Now()
 	col := NewCollector(spec.Name, len(cells), 0, h.DiscardCells)
@@ -221,7 +204,7 @@ func Pipeline(ctx context.Context, spec Spec, ex Executor, replayed []CellResult
 			}
 		}
 		if len(todo) > 0 {
-			col.res.Workers, exErr = ex.Execute(exCtx, spec, todo, m, h.OnRange)
+			col.res.Workers, exErr = ex.Execute(exCtx, spec, todo, m)
 		}
 	}()
 	for cr := range out {
@@ -259,16 +242,8 @@ func (p Pool) Width(n int) int {
 	return min(w, n)
 }
 
-// Execute implements Executor, reporting the whole batch as one LocalWorker
-// range.
-func (p Pool) Execute(ctx context.Context, spec Spec, cells []Cell, m *Merger, onRange func(string, []IndexRange)) (int, error) {
-	if onRange != nil {
-		idx := make([]int, len(cells))
-		for i, c := range cells {
-			idx[i] = c.Index
-		}
-		onRange(LocalWorker, Ranges(idx))
-	}
+// Execute implements Executor.
+func (p Pool) Execute(ctx context.Context, spec Spec, cells []Cell, m *Merger) (int, error) {
 	workers := p.Width(len(cells))
 	var next atomic.Int64
 	var wg sync.WaitGroup

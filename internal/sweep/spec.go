@@ -413,49 +413,43 @@ type IndexRange struct {
 // into the minimal sorted list of maximal inclusive ranges — the Spec.Cells
 // form of that selection.
 func Ranges(indices []int) []IndexRange {
-	if len(indices) == 0 {
-		return nil
+	rs := make([]IndexRange, len(indices))
+	for i, x := range indices {
+		rs[i] = IndexRange{From: x, To: x}
 	}
-	sorted := append([]int(nil), indices...)
-	sort.Ints(sorted)
-	var out []IndexRange
-	for _, i := range sorted {
-		if n := len(out); n > 0 && i <= out[n-1].To+1 {
-			if i > out[n-1].To {
-				out[n-1].To = i
-			}
-			continue
-		}
-		out = append(out, IndexRange{From: i, To: i})
-	}
-	return out
+	return mergeRanges(rs)
 }
 
 // normalizeRanges validates a cells selection and returns it sorted with
 // overlapping and adjacent ranges merged (nil for an empty selection).
 func normalizeRanges(rs []IndexRange) ([]IndexRange, error) {
-	if len(rs) == 0 {
-		return nil, nil
-	}
-	sorted := append([]IndexRange(nil), rs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].From < sorted[j].From })
-	var out []IndexRange
-	for _, r := range sorted {
+	for _, r := range rs {
 		switch {
 		case r.From < 0:
 			return nil, badSpec("cells range [%d, %d] has a negative index", r.From, r.To)
 		case r.To < r.From:
 			return nil, badSpec("cells range [%d, %d] is inverted", r.From, r.To)
 		}
-		if n := len(out); n > 0 && r.From <= out[n-1].To+1 {
-			if r.To > out[n-1].To {
-				out[n-1].To = r.To
-			}
+	}
+	return mergeRanges(append([]IndexRange(nil), rs...)), nil
+}
+
+// mergeRanges sorts rs in place and merges its overlapping and adjacent
+// ranges into the minimal list of maximal ones (nil when rs is empty).
+func mergeRanges(rs []IndexRange) []IndexRange {
+	if len(rs) == 0 {
+		return nil
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].From < rs[j].From })
+	out := rs[:1]
+	for _, r := range rs[1:] {
+		if last := &out[len(out)-1]; r.From <= last.To+1 {
+			last.To = max(last.To, r.To)
 			continue
 		}
 		out = append(out, r)
 	}
-	return out, nil
+	return out
 }
 
 // ParseSpec decodes and validates a JSON sweep spec. Unknown fields are

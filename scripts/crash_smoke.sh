@@ -10,7 +10,8 @@
 #      baseline run (replayed cells verbatim + resumed remainder), and
 #   2. report the recovery on /metrics (pp_journal_recoveries_total,
 #      replayed cells, and disk-store artifact hits for the protocols the
-#      crashed run already computed).
+#      crashed run already computed), and
+#   3. append only cell and done records, the two types replay reads.
 #
 # Usage: scripts/crash_smoke.sh
 set -euo pipefail
@@ -141,6 +142,15 @@ replayed="$(awk '/^pp_journal_replayed_cells_total/ {print $2}' <<< "$metrics")"
 replayed="${replayed:-0}"
 if [ "${replayed%.*}" -lt "$rows" ]; then
   echo "FAIL: journal replayed ${replayed%.*} cells, streamed $rows before the kill" >&2
+  exit 1
+fi
+# The journal writes only what replay reads back: every
+# pp_journal_appends_total series is type="cell" or type="done", and the
+# completed resume sealed its journal.
+append_types="$(sed -n 's/^pp_journal_appends_total{type="\([^"]*\)"}.*/\1/p' <<< "$metrics" | sort | tr '\n' ' ')"
+if [ -z "$append_types" ] || grep -qvE '^(cell )?done $' <<< "$append_types"; then
+  echo "FAIL: pp_journal_appends_total has series [${append_types}], want only cell and done" >&2
+  grep '^pp_journal_appends_total' <<< "$metrics" >&2 || true
   exit 1
 fi
 store_hits="$(awk '/^pp_store_reads_total\{result="hit"\}/ {print $2}' <<< "$metrics")"
