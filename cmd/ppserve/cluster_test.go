@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/serve"
+	"repro/internal/sweep"
 )
 
 func TestAdvertiseURL(t *testing.T) {
@@ -116,30 +117,21 @@ func TestClusterEndToEndWithDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status %d", resp.StatusCode)
 	}
-	var cells, summaries int
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var row serve.SweepRow
-		if err := dec.Decode(&row); err != nil {
-			t.Fatal(err)
+	cells := 0
+	sum, err := sweep.ReadRows(resp.Body, func(cr sweep.CellResult) {
+		if cr.Index != cells {
+			t.Errorf("cell %d arrived at position %d (stream must be grid-ordered)", cr.Index, cells)
 		}
-		switch row.Type {
-		case "cell":
-			if row.Cell.Index != cells {
-				t.Errorf("cell %d arrived at position %d (stream must be grid-ordered)", row.Cell.Index, cells)
-			}
-			cells++
-		case "summary":
-			summaries++
-			if row.Summary.Completed != 4 || row.Summary.Failed != 0 {
-				t.Errorf("bad summary: %+v", row.Summary)
-			}
-		case "error":
-			t.Fatalf("stream error: %s", row.Error)
-		}
+		cells++
+	})
+	if err != nil {
+		t.Fatalf("stream error: %v", err)
 	}
-	if cells != 4 || summaries != 1 {
-		t.Fatalf("got %d cells and %d summaries, want 4 and 1", cells, summaries)
+	if cells != 4 || sum == nil {
+		t.Fatalf("got %d cells and summary %+v, want 4 and a summary", cells, sum)
+	}
+	if sum.Completed != 4 || sum.Failed != 0 {
+		t.Errorf("bad summary: %+v", sum)
 	}
 	// The worker actually served ranges (the coordinator did not fall back
 	// to local execution).

@@ -107,7 +107,8 @@ func run(args []string) error {
 			}
 			last = cr.Index
 			c := sweep.CanonicalCell(cr)
-			return enc.Encode(sweep.StreamRow{Type: "cell", Cell: &c})
+			_, err := os.Stdout.Write(sweep.AppendRow(nil, sweep.StreamRow{Type: "cell", Cell: &c}))
+			return err
 		}
 	case *format == "ndjson":
 		emit = func(cr sweep.CellResult) error { return enc.Encode(cr) }
@@ -149,7 +150,8 @@ func run(args []string) error {
 		return emitErr
 	}
 	if *canon && res != nil {
-		if cerr := enc.Encode(sweep.StreamRow{Type: "summary", Summary: sweep.CanonicalResult(res)}); cerr != nil {
+		row := sweep.StreamRow{Type: "summary", Summary: sweep.CanonicalResult(res)}
+		if _, cerr := os.Stdout.Write(sweep.AppendRow(nil, row)); cerr != nil {
 			return cerr
 		}
 	}
@@ -176,26 +178,9 @@ func runCluster(ctx context.Context, base string, spec []byte, onCell func(sweep
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
 		return nil, fmt.Errorf("cluster sweep: status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var res *sweep.Result
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var row sweep.StreamRow
-		if err := dec.Decode(&row); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return res, fmt.Errorf("cluster sweep: reading stream: %w", err)
-		}
-		switch row.Type {
-		case "cell":
-			if row.Cell != nil {
-				onCell(*row.Cell)
-			}
-		case "summary":
-			res = row.Summary
-		case "error":
-			return res, fmt.Errorf("cluster sweep: %s", row.Error)
-		}
+	res, err := sweep.ReadRows(resp.Body, onCell)
+	if err != nil {
+		return nil, fmt.Errorf("cluster sweep: %w", err)
 	}
 	if res == nil {
 		return nil, errors.New("cluster sweep: stream ended without a summary row")

@@ -410,37 +410,21 @@ func (d *dispatcher) runTask(w Worker, t *task) (served int, missing []sweep.Cel
 	}
 
 	got := make(map[int]bool, len(t.cells))
-	sawSummary := false
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var row sweep.StreamRow
-		if derr := dec.Decode(&row); derr != nil {
-			if derr == io.EOF {
-				break
-			}
-			err = fmt.Errorf("worker %s: reading stream: %w", w.ID, derr)
-			break
+	sum, err := sweep.ReadRows(resp.Body, func(cr sweep.CellResult) {
+		got[cr.Index] = true
+		if d.m.Add(cr) {
+			served++
 		}
-		switch row.Type {
-		case "cell":
-			if row.Cell != nil {
-				got[row.Cell.Index] = true
-				if d.m.Add(*row.Cell) {
-					served++
-				}
-			}
-		case "summary":
-			sawSummary = true
-		case "error":
-			err = fmt.Errorf("worker %s: %s", w.ID, row.Error)
-		}
-	}
+	})
 	for _, c := range t.cells {
 		if !got[c.Index] {
 			missing = append(missing, c)
 		}
 	}
-	if err == nil && !sawSummary && len(missing) > 0 {
+	switch {
+	case err != nil:
+		err = fmt.Errorf("worker %s: %w", w.ID, err)
+	case sum == nil && len(missing) > 0:
 		err = fmt.Errorf("worker %s: stream truncated (%d cells missing)", w.ID, len(missing))
 	}
 	return served, missing, err

@@ -25,7 +25,7 @@ func EngineResolver(eng *engine.Engine) Resolver {
 		if err != nil {
 			return "", err
 		}
-		return engine.Hash(entry.Protocol)
+		return engine.Hash(entry.Protocol), nil
 	}
 }
 

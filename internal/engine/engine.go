@@ -269,10 +269,7 @@ func (e *Engine) resolveHashed(ref ProtocolRef) (resolvedSpec, error) {
 	if err != nil {
 		return resolvedSpec{}, err
 	}
-	hash, err := Hash(entry.Protocol)
-	if err != nil {
-		return resolvedSpec{}, err
-	}
+	hash := Hash(entry.Protocol)
 	r := resolvedSpec{entry: entry, info: ProtocolInfo{
 		Name:        entry.Protocol.Name(),
 		States:      entry.Protocol.NumStates(),
@@ -297,12 +294,11 @@ func (e *Engine) resolveHashed(ref ProtocolRef) (resolvedSpec, error) {
 
 // Hash returns the content hash of a protocol: SHA-256 over its canonical
 // JSON form (protocol.AppendJSON). Two protocols with equal specs hash
-// equally however they were referenced (registry spec or inline JSON). The
-// error is always nil.
-func Hash(p *protocol.Protocol) (string, error) {
+// equally however they were referenced (registry spec or inline JSON).
+func Hash(p *protocol.Protocol) string {
 	var buf [4096]byte
 	sum := sha256.Sum256(p.AppendJSON(buf[:0]))
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // Do executes one request. The context carries cancellation and deadlines;

@@ -547,10 +547,7 @@ func TestBuiltinSpecMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Hash(e.Protocol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := Hash(e.Protocol)
 	eng := New()
 	for i := 0; i < 2; i++ {
 		res := do(t, eng, Request{Kind: KindVerify, Protocol: ProtocolRef{Spec: "flock:5"}, MaxSize: 6})

@@ -49,33 +49,21 @@ func goldenHashLines(t *testing.T) string {
 	eng := New()
 	var lines []string
 	for name, entry := range protocols.Catalog() {
-		h, err := Hash(entry.Protocol)
-		if err != nil {
-			t.Fatalf("catalog %s: %v", name, err)
-		}
-		lines = append(lines, fmt.Sprintf("%s catalog/%s", h, name))
+		lines = append(lines, fmt.Sprintf("%s catalog/%s", Hash(entry.Protocol), name))
 	}
 	for name, body := range inlineHashCases {
 		entry, err := eng.Resolve(ProtocolRef{Inline: []byte(body)})
 		if err != nil {
 			t.Fatalf("inline %s: %v", name, err)
 		}
-		h, err := Hash(entry.Protocol)
-		if err != nil {
-			t.Fatalf("inline %s: %v", name, err)
-		}
-		lines = append(lines, fmt.Sprintf("%s inline/%s", h, name))
+		lines = append(lines, fmt.Sprintf("%s inline/%s", Hash(entry.Protocol), name))
 	}
 	// A builder-made protocol never passes the decoder, so its names may
 	// hold raw invalid UTF-8 the encoder itself must replace.
 	b := protocol.NewBuilder("raw\xffname\u2028")
 	q := b.AddState("s\x80<", 1)
 	b.AddInput("in\xc3", q)
-	h, err := Hash(b.CompleteWithIdentity().MustBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines = append(lines, fmt.Sprintf("%s builder/invalid-utf8", h))
+	lines = append(lines, fmt.Sprintf("%s builder/invalid-utf8", Hash(b.CompleteWithIdentity().MustBuild())))
 	slices.SortFunc(lines, func(a, b string) int {
 		return strings.Compare(a[strings.IndexByte(a, ' '):], b[strings.IndexByte(b, ' '):])
 	})

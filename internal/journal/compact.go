@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 // Retention is the journal store's compaction policy.
@@ -178,8 +180,8 @@ func scanWAL(path string) (walInfo, error) {
 		return walInfo{}, err
 	}
 	info := walInfo{path: path, size: st.Size(), mtime: st.ModTime()}
-	_, info.clean = readRecords(f, info.size, func(rec record) {
-		if rec.Type == "done" {
+	_, info.clean = readRecords(f, info.size, func(row sweep.StreamRow) {
+		if row.Type == "done" {
 			info.done = true
 		} else {
 			info.extras++
@@ -192,7 +194,7 @@ func scanWAL(path string) (walInfo, error) {
 // record, preserving the original mtime so age-based retention still sees
 // the sweep's completion time, not the compaction's.
 func writeStub(path, hash string, mtime time.Time) error {
-	buf, err := encodeRecord(record{Type: "done"})
+	buf, err := encodeFrame(doneRow)
 	if err != nil {
 		return err
 	}

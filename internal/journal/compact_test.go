@@ -16,7 +16,7 @@ func writeSweep(t *testing.T, s *Store, hash string, n int, done bool) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := j.AppendCell(cell(i)); err != nil {
+		if err := j.AppendCell(i, cellRow(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,25 +2,24 @@
 // CRC-framed, fsync'd write-ahead file per sweep spec (keyed by the
 // spec's content hash) recording each completed cell and, once the grid
 // is complete, a done record. After a crash, reopening the journal replays
-// the completed cells,
-// so the coordinator re-emits them verbatim and executes only the rest —
-// grid indices and per-cell seeds are split-stable, which is what makes
-// the resumed run's canonical output byte-identical to an uninterrupted
-// one.
+// the completed cells, so the coordinator re-emits them verbatim and
+// executes only the rest — grid indices and per-cell seeds are
+// split-stable, which is what makes the resumed run's canonical output
+// byte-identical to an uninterrupted one.
 //
 // File format: one file per sweep at <dir>/<specHash>.wal, a sequence of
 // records framed
 //
 //	uint32 LE payload length | uint32 LE CRC32-IEEE(payload) | payload
 //
-// where each payload is one JSON record ({"type": "cell" | "done", ...}).
-// Replay skips records of any other type, such as the start and range
-// records earlier releases wrote, so their WALs still resume. It stops at
-// the first torn or corrupt record and truncates the file there — the
-// tail a crash mid-append leaves behind is repaired, never trusted.
-// Appends fsync before
-// returning, so a record the coordinator acted on (streamed to a client)
-// survives a kill -9.
+// where a payload is a sweep.StreamRow: a cell record holds the very line
+// the sweep streamed, and the done record is {"type":"done"}. Replay also
+// reads the HTML-escaped payloads of earlier releases, and skips rows of
+// any other type, such as their start and range records. It stops at the
+// first torn or corrupt record and truncates the file there — the tail a
+// crash mid-append leaves behind is repaired, never trusted. Appends fsync
+// before returning, so a record the coordinator acted on (streamed to a
+// client) survives a kill -9.
 package journal
 
 import (
@@ -129,14 +128,8 @@ func validHash(h string) bool {
 	return true
 }
 
-// record is the JSON payload of one journal entry.
-type record struct {
-	// Type is "cell" or "done".
-	Type string `json:"type"`
-	// Cell is a completed cell's full result — replay re-emits it
-	// verbatim, which is what keeps resumed output byte-identical.
-	Cell *sweep.CellResult `json:"cell,omitempty"`
-}
+// doneRow is the done record's payload.
+var doneRow = sweep.AppendRow(nil, sweep.StreamRow{Type: "done"})
 
 // Sweep is one open sweep journal: the replayed state plus an append
 // handle. Appends are serialized internally; a Sweep belongs to one sweep
@@ -230,7 +223,7 @@ func (j *Sweep) replay() error {
 // allocates more than the file holds. valid is the length of the longest
 // valid prefix (the offset just past the last good record); clean reports
 // whether the input ended exactly there.
-func readRecords(r io.Reader, size int64, fn func(record)) (valid int64, clean bool) {
+func readRecords(r io.Reader, size int64, fn func(sweep.StreamRow)) (valid int64, clean bool) {
 	var header [8]byte
 	for {
 		if _, err := io.ReadFull(r, header[:]); err != nil {
@@ -247,11 +240,11 @@ func readRecords(r io.Reader, size int64, fn func(record)) (valid int64, clean b
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:]) {
 			return valid, false
 		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		var row sweep.StreamRow
+		if err := json.Unmarshal(payload, &row); err != nil {
 			return valid, false
 		}
-		fn(rec)
+		fn(row)
 		valid += 8 + int64(n)
 	}
 }
@@ -259,12 +252,12 @@ func readRecords(r io.Reader, size int64, fn func(record)) (valid int64, clean b
 // apply folds one replayed record into the in-memory state. Duplicate
 // cell indices keep the first occurrence (appends happen post-dedup, but
 // replay never trusts that). Other record types are skipped.
-func (j *Sweep) apply(rec record) {
-	switch rec.Type {
+func (j *Sweep) apply(row sweep.StreamRow) {
+	switch row.Type {
 	case "cell":
-		if rec.Cell != nil && !j.seen[rec.Cell.Index] {
-			j.seen[rec.Cell.Index] = true
-			j.completed = append(j.completed, *rec.Cell)
+		if row.Cell != nil && !j.seen[row.Cell.Index] {
+			j.seen[row.Cell.Index] = true
+			j.completed = append(j.completed, *row.Cell)
 			j.store.metrics.ReplayedCells.Inc()
 		}
 	case "done":
@@ -280,21 +273,22 @@ func (j *Sweep) Completed() []sweep.CellResult { return j.completed }
 // cell is in Completed and nothing remains to execute.
 func (j *Sweep) Done() bool { return j.done }
 
-// AppendCell logs one completed cell, fsync'd: once this returns, the
-// cell survives a crash. Duplicate indices (already journaled or
+// AppendCell logs the completed cell at grid index, fsync'd: once this
+// returns, the cell survives a crash. row is the cell's stream row as
+// sweep.AppendRow encoded it. Duplicate indices (already journaled or
 // replayed) are ignored.
-func (j *Sweep) AppendCell(cr sweep.CellResult) error {
+func (j *Sweep) AppendCell(index int, row []byte) error {
 	j.mu.Lock()
-	dup := j.seen[cr.Index]
+	dup := j.seen[index]
 	j.mu.Unlock()
 	if dup {
 		return nil
 	}
-	if err := j.append(record{Type: "cell", Cell: &cr}); err != nil {
+	if err := j.append("cell", row); err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.seen[cr.Index] = true
+	j.seen[index] = true
 	j.mu.Unlock()
 	return nil
 }
@@ -306,46 +300,27 @@ func (j *Sweep) AppendDone() error {
 	if j.done {
 		return nil
 	}
-	if err := j.append(record{Type: "done"}); err != nil {
+	if err := j.append("done", doneRow); err != nil {
 		return err
 	}
 	j.done = true
 	return nil
 }
 
-func (j *Sweep) append(rec record) error {
-	err := j.appendLocked(rec)
-	if err != nil {
-		j.store.metrics.AppendErrors.Inc()
-		return err
-	}
-	j.store.metrics.Appends.WithLabelValues(rec.Type).Inc()
-	return nil
-}
-
-// encodeRecord frames one record for the WAL (shared by appends and the
-// compactor's stub writer).
-func encodeRecord(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding record: %w", err)
-	}
-	if len(payload) > maxRecord {
-		return nil, fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame, nil
-}
-
-func (j *Sweep) appendLocked(rec record) error {
-	frame, err := encodeRecord(rec)
+// append frames payload and writes it, fsync'd, counting the outcome
+// under the record type typ.
+func (j *Sweep) append(typ string, payload []byte) (err error) {
+	defer func() {
+		if err != nil {
+			j.store.metrics.AppendErrors.Inc()
+		} else {
+			j.store.metrics.Appends.WithLabelValues(typ).Inc()
+		}
+	}()
+	frame, err := encodeFrame(payload)
 	if err != nil {
 		return err
 	}
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -364,6 +339,20 @@ func (j *Sweep) appendLocked(rec record) error {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
 	return nil
+}
+
+// encodeFrame frames one record payload for the WAL (shared by appends
+// and the compactor's stub writer). Replay reads an empty payload as
+// corruption, so none is written.
+func encodeFrame(payload []byte) ([]byte, error) {
+	if len(payload) == 0 || len(payload) > maxRecord {
+		return nil, fmt.Errorf("journal: record of %d bytes is outside (0, %d]", len(payload), maxRecord)
+	}
+	frame := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	copy(frame[8:], payload)
+	return frame, nil
 }
 
 // Close releases the journal; the spec hash becomes openable again.

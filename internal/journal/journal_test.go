@@ -19,6 +19,12 @@ func cell(i int) sweep.CellResult {
 	return sweep.CellResult{Index: i, Protocol: "binary:5", Size: 5, Kind: "stable", OK: true}
 }
 
+// cellRow is cell(i)'s stream row, the payload AppendCell journals.
+func cellRow(i int) []byte {
+	c := cell(i)
+	return sweep.AppendRow(nil, sweep.StreamRow{Type: "cell", Cell: &c})
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -33,12 +39,12 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal("fresh journal is not empty")
 	}
 	for i := 0; i < 3; i++ {
-		if err := j.AppendCell(cell(i)); err != nil {
+		if err := j.AppendCell(i, cellRow(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Duplicate appends are ignored, not re-journaled.
-	if err := j.AppendCell(cell(1)); err != nil {
+	if err := j.AppendCell(1, cellRow(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -83,7 +89,7 @@ func TestDoneSurvivesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, _ := s.Sweep("deadbeef")
-	j.AppendCell(cell(0))
+	j.AppendCell(0, cellRow(0))
 	j.AppendDone()
 	j.Close()
 	j2, err := s.Sweep("deadbeef")
@@ -103,8 +109,8 @@ func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	j, _ := s.Sweep("feed01")
-	j.AppendCell(cell(0))
-	j.AppendCell(cell(1))
+	j.AppendCell(0, cellRow(0))
+	j.AppendCell(1, cellRow(1))
 	j.Close()
 
 	path := filepath.Join(dir, "feed01.wal")
@@ -136,7 +142,7 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatalf("truncations = %v, want 1", v)
 			}
 			// The repaired journal accepts appends and replays cleanly.
-			if err := j2.AppendCell(cell(2)); err != nil {
+			if err := j2.AppendCell(2, cellRow(2)); err != nil {
 				t.Fatal(err)
 			}
 			j2.Close()
@@ -195,13 +201,13 @@ func TestAppendFaultInjection(t *testing.T) {
 		if err := faultinject.Configure(point + "=at:1"); err != nil {
 			t.Fatal(err)
 		}
-		err := j.AppendCell(cell(0))
+		err := j.AppendCell(0, cellRow(0))
 		faultinject.Disable()
 		if err == nil {
 			t.Fatalf("%s fault not surfaced", point)
 		}
 		// The failed cell was not marked seen: the retry goes through.
-		if err := j.AppendCell(cell(0)); err != nil {
+		if err := j.AppendCell(0, cellRow(0)); err != nil {
 			t.Fatalf("append after %s fault: %v", point, err)
 		}
 		j.seen = map[int]bool{}
@@ -213,8 +219,8 @@ func TestAppendFaultInjection(t *testing.T) {
 
 // walPrefix is the replay oracle: an in-memory walk over data's frames
 // that returns the longest valid prefix and the records in it.
-func walPrefix(data []byte) (int, []record) {
-	var recs []record
+func walPrefix(data []byte) (int, []sweep.StreamRow) {
+	var recs []sweep.StreamRow
 	off := 0
 	for len(data)-off >= 8 {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
@@ -225,7 +231,7 @@ func walPrefix(data []byte) (int, []record) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
 			break
 		}
-		var rec record
+		var rec sweep.StreamRow
 		if json.Unmarshal(payload, &rec) != nil {
 			break
 		}
@@ -236,7 +242,8 @@ func walPrefix(data []byte) (int, []record) {
 }
 
 // rawFrame frames a hand-written record payload, such as the start and
-// range records earlier releases wrote.
+// range records, and the HTML-escaped cell records, earlier releases
+// wrote.
 func rawFrame(payload string) []byte {
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE([]byte(payload)))
@@ -248,18 +255,13 @@ func rawFrame(payload string) []byte {
 // recovers the first occurrence of every cell in it, and leaves a log
 // that an append extends: a second replay yields that prefix plus the new
 // record, cleanly. The seed opens with the legacy start and range records,
-// which replay skips.
+// which replay skips, and a legacy HTML-escaped cell record.
 func FuzzJournalReplay(f *testing.F) {
 	head := rawFrame(`{"type":"start","spec":"f00d","total":3}`)
 	head = append(head, rawFrame(`{"type":"range","worker":"w1","cells":[{"from":0,"to":2}]}`)...)
-	c0, c1 := cell(0), cell(1)
-	for _, rec := range []record{
-		{Type: "cell", Cell: &c0},
-		{Type: "cell", Cell: &c1},
-		{Type: "cell", Cell: &c0},
-		{Type: "done"},
-	} {
-		frame, err := encodeRecord(rec)
+	head = append(head, rawFrame(`{"type":"cell","cell":{"index":7,"kind":"verify","ok":false,"error":"maxSize 3 \u003c minSize 9","elapsedMillis":0}}`)...)
+	for _, payload := range [][]byte{cellRow(0), cellRow(1), cellRow(0), doneRow} {
+		frame, err := encodeFrame(payload)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -268,7 +270,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(head)
 	f.Add([]byte{})
 	f.Add(head[:len(head)-3])                                            // torn payload
-	f.Add(head[:len(head)-len(`{"type":"done"}`)-5])                     // torn header
+	f.Add(head[:len(head)-len(doneRow)-5])                               // torn header
 	f.Add(append(bytes.Clone(head), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // huge length
 	flipped := bytes.Clone(head)
 	flipped[len(flipped)/2] ^= 1
@@ -316,11 +318,11 @@ func FuzzJournalReplay(f *testing.F) {
 			next++
 		}
 		added := cell(next)
-		if err := j.AppendCell(added); err != nil {
+		if err := j.AppendCell(next, cellRow(next)); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
-		frame, err := encodeRecord(record{Type: "cell", Cell: &added})
+		frame, err := encodeFrame(cellRow(next))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,14 +202,14 @@ func TestCoordinatorSweepOverHTTP(t *testing.T) {
 	if len(gotRows) != len(wantRows) {
 		t.Fatalf("row counts differ: got %d, want %d", len(gotRows), len(wantRows))
 	}
-	canon := func(row SweepRow) string {
+	canon := func(row sweep.StreamRow) string {
 		t.Helper()
 		if row.Type == "cell" && row.Cell != nil {
 			c := sweep.CanonicalCell(*row.Cell)
-			b, _ := json.Marshal(SweepRow{Type: "cell", Cell: &c})
+			b, _ := json.Marshal(sweep.StreamRow{Type: "cell", Cell: &c})
 			return string(b)
 		}
-		b, _ := json.Marshal(SweepRow{Type: row.Type, Summary: sweep.CanonicalResult(row.Summary), Error: row.Error})
+		b, _ := json.Marshal(sweep.StreamRow{Type: row.Type, Summary: sweep.CanonicalResult(row.Summary), Error: row.Error})
 		return string(b)
 	}
 	for i := range wantRows {
@@ -218,7 +218,7 @@ func TestCoordinatorSweepOverHTTP(t *testing.T) {
 		}
 	}
 	// Both streams are grid-ordered.
-	for name, rows := range map[string][]SweepRow{"local": wantRows, "cluster": gotRows} {
+	for name, rows := range map[string][]sweep.StreamRow{"local": wantRows, "cluster": gotRows} {
 		for i, row := range rows[:len(rows)-1] {
 			if row.Type != "cell" || row.Cell.Index != i {
 				t.Errorf("%s row %d: type %s index %v, want cell %d", name, i, row.Type, row.Cell, i)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -40,33 +41,18 @@ const crashSpec = `{
 // zeroed — the byte-comparable form of a run.
 func canonicalNDJSON(t *testing.T, body []byte) string {
 	t.Helper()
-	dec := json.NewDecoder(bytes.NewReader(body))
-	var out bytes.Buffer
-	enc := json.NewEncoder(&out)
-	enc.SetEscapeHTML(false)
-	for {
-		var row sweep.StreamRow
-		err := dec.Decode(&row)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("decoding stream: %v", err)
-		}
-		switch row.Type {
-		case "cell":
-			c := sweep.CanonicalCell(*row.Cell)
-			row.Cell = &c
-		case "summary":
-			row.Summary = sweep.CanonicalResult(row.Summary)
-		default:
-			t.Fatalf("stream error row: %s", row.Error)
-		}
-		if err := enc.Encode(row); err != nil {
-			t.Fatal(err)
-		}
+	var out []byte
+	sum, err := sweep.ReadRows(bytes.NewReader(body), func(cr sweep.CellResult) {
+		c := sweep.CanonicalCell(cr)
+		out = sweep.AppendRow(out, sweep.StreamRow{Type: "cell", Cell: &c})
+	})
+	if err != nil {
+		t.Fatalf("reading stream: %v", err)
 	}
-	return out.String()
+	if sum != nil {
+		out = sweep.AppendRow(out, sweep.StreamRow{Type: "summary", Summary: sweep.CanonicalResult(sum)})
+	}
+	return string(out)
 }
 
 // baselineNDJSON is the canonical stream of a never-interrupted,
@@ -124,10 +110,9 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	// Read a few rows, then kill the connection mid-sweep. Closing the
 	// body cancels the request context; srv.Close waits for the handler to
 	// unwind, so the journal file is released before the restart.
-	dec := json.NewDecoder(resp.Body)
+	br := bufio.NewReader(resp.Body)
 	for i := 0; i < 4; i++ {
-		var row sweep.StreamRow
-		if err := dec.Decode(&row); err != nil {
+		if _, err := br.ReadBytes('\n'); err != nil {
 			t.Fatalf("reading row %d: %v", i, err)
 		}
 	}
@@ -245,7 +230,7 @@ func TestJournaledSweepSkipsInterruptedCell(t *testing.T) {
 	}()
 	opts := Options{SweepWorkers: 1, RequestLog: slog.New(slog.DiscardHandler)}
 	streamed := 0
-	_, err = runSweep(ctx, eng, opts, spec, j, func(sweep.CellResult) {
+	_, err = runSweep(ctx, eng, opts, spec, j, func([]byte) {
 		if streamed++; streamed == 1 {
 			close(firstDone)
 		}
@@ -360,6 +345,24 @@ func walFrame(payload []byte) []byte {
 	return append(frame, payload...)
 }
 
+// legacyCellPayloads frames the cell rows of a raw sweep stream as
+// journal payloads the way earlier releases wrote them: json.Marshal,
+// HTML-escaped, with no trailing newline.
+func legacyCellPayloads(t *testing.T, raw []byte) [][]byte {
+	t.Helper()
+	var payloads [][]byte
+	if _, err := sweep.ReadRows(bytes.NewReader(raw), func(cr sweep.CellResult) {
+		payload, err := json.Marshal(map[string]any{"type": "cell", "cell": cr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, payload)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return payloads
+}
+
 // TestLegacyWALResumes: a WAL left by an interrupted sweep of an earlier
 // release, which also journaled a start record and the dispatched ranges,
 // still resumes through POST /v1/sweep. Replay skips the start and range
@@ -380,16 +383,7 @@ func TestLegacyWALResumes(t *testing.T) {
 
 	wal := walFrame([]byte(`{"type":"start","spec":"` + hash + `","total":12}`))
 	wal = append(wal, walFrame([]byte(`{"type":"range","worker":"local","cells":[{"from":0,"to":11}]}`))...)
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	for i := 0; i < k; i++ {
-		var row sweep.StreamRow
-		if err := dec.Decode(&row); err != nil || row.Type != "cell" {
-			t.Fatalf("row %d: %v %+v", i, err, row)
-		}
-		payload, err := json.Marshal(map[string]any{"type": "cell", "cell": row.Cell})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, payload := range legacyCellPayloads(t, raw)[:k] {
 		wal = append(wal, walFrame(payload)...)
 	}
 	dir := t.TempDir()
@@ -410,5 +404,114 @@ func TestLegacyWALResumes(t *testing.T) {
 	}
 	if resumed != baseline {
 		t.Fatalf("resumed canonical stream differs from baseline:\n--- baseline ---\n%s--- resumed ---\n%s", baseline, resumed)
+	}
+}
+
+// escapeSpec is a two-cell grid whose cells both fail with an error that
+// holds a character encoding/json escapes by default ('<').
+const escapeSpec = `{"protocols":[{"spec":"flock:3"},{"spec":"flock:4"}],"kinds":["verify"],"sizes":[3],"options":{"minSize":9}}`
+
+// TestLegacyEscapedWALResumes: a cell record that an earlier release
+// journaled HTML-escaped and without a trailing newline still replays, and
+// the cell it replays streams as the very line an uninterrupted run
+// streams, unescaped, so the resumed stream is byte-identical too.
+func TestLegacyEscapedWALResumes(t *testing.T) {
+	raw := sweepBody(t, NewHandler(engine.New(), Options{}), escapeSpec)
+	spec, err := sweep.ParseSpec([]byte(escapeSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := sweep.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := legacyCellPayloads(t, raw)[0]
+	if !bytes.Contains(payload, []byte(`maxSize 3 \u003c minSize 9`)) {
+		t.Fatalf("legacy payload carries no escaped character: %s", payload)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, hash+".wal"), walFrame(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	js, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := sweepBody(t, NewHandler(engine.New(), Options{Journal: js}), escapeSpec)
+	if got := testutil.ToFloat64(js.Metrics().ReplayedCells); got != 1 {
+		t.Fatalf("resume replayed %v cells, want 1", got)
+	}
+	first := func(b []byte) []byte { return b[:bytes.IndexByte(b, '\n')+1] }
+	if !bytes.Equal(first(resumed), first(raw)) {
+		t.Fatalf("replayed cell streamed as\n%s\nwant the original line\n%s", first(resumed), first(raw))
+	}
+	if got, want := canonicalNDJSON(t, resumed), canonicalNDJSON(t, raw); got != want {
+		t.Fatalf("resumed canonical stream differs from baseline:\n--- baseline ---\n%s--- resumed ---\n%s", want, got)
+	}
+}
+
+// walPayloads splits a well-formed WAL into its record payloads.
+func walPayloads(t *testing.T, wal []byte) [][]byte {
+	t.Helper()
+	var payloads [][]byte
+	for len(wal) > 0 {
+		if len(wal) < 8 {
+			t.Fatalf("torn record header: %d bytes", len(wal))
+		}
+		n := int(binary.LittleEndian.Uint32(wal))
+		if len(wal)-8 < n {
+			t.Fatalf("torn record: %d of %d payload bytes", len(wal)-8, n)
+		}
+		payload := wal[8 : 8+n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(wal[4:]) {
+			t.Fatal("record CRC mismatch")
+		}
+		payloads = append(payloads, payload)
+		wal = wal[8+n:]
+	}
+	return payloads
+}
+
+// TestJournalRecordsAreStreamedRows: a journaled sweep encodes each cell
+// row once. Its WAL holds one cell record per streamed cell whose payload
+// is, byte for byte, the line the client received — unescaped, newline
+// included — then the done record; on the local pool and through a
+// coordinator alike.
+func TestJournalRecordsAreStreamedRows(t *testing.T) {
+	for _, m := range []sweepMode{
+		{name: "local+journal", workers: -1, journal: true},
+		{name: "coordinator/1+journal", workers: 1, journal: true},
+	} {
+		for _, specJSON := range []string{crashSpec, escapeSpec} {
+			opts := modeOptions(t, m, 2)
+			body := sweepBody(t, NewHandler(engine.New(), opts), specJSON)
+			spec, err := sweep.ParseSpec([]byte(specJSON))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, err := sweep.SpecHash(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wal, err := os.ReadFile(filepath.Join(opts.Journal.Dir(), hash+".wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(body, []byte("\n"))
+			cells := lines[:len(lines)-2] // drop the summary row and the empty tail
+			payloads := walPayloads(t, wal)
+			if len(payloads) != len(cells)+1 {
+				t.Fatalf("%s: WAL holds %d records for %d streamed cells, want one per cell plus done", m.name, len(payloads), len(cells))
+			}
+			for i, line := range cells {
+				if !bytes.Equal(payloads[i], line) {
+					t.Errorf("%s: WAL record %d differs from the streamed line:\n record: %q\n   line: %q", m.name, i, payloads[i], line)
+				}
+			}
+			if done := payloads[len(cells)]; string(done) != "{\"type\":\"done\"}\n" {
+				t.Errorf("%s: last WAL record is %q, want the done row", m.name, done)
+			}
+		}
 	}
 }

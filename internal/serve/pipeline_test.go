@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -48,24 +46,18 @@ func modeOptions(t *testing.T, m sweepMode, sweepWorkers int) Options {
 	return opts
 }
 
-// streamFacts decodes a raw sweep stream into its cell indices, in stream
+// streamFacts reads a raw sweep stream into its cell indices, in stream
 // order, and the summary row's worker count.
 func streamFacts(t *testing.T, body []byte) (indices []int, workers int) {
 	t.Helper()
-	dec := json.NewDecoder(bytes.NewReader(body))
-	for {
-		var row sweep.StreamRow
-		if err := dec.Decode(&row); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		switch row.Type {
-		case "cell":
-			indices = append(indices, row.Cell.Index)
-		case "summary":
-			workers = row.Summary.Workers
-		}
+	sum, err := sweep.ReadRows(bytes.NewReader(body), func(cr sweep.CellResult) {
+		indices = append(indices, cr.Index)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != nil {
+		workers = sum.Workers
 	}
 	return indices, workers
 }

@@ -293,17 +293,13 @@ func handleAnalyze(eng *engine.Engine, opts Options, w http.ResponseWriter, r *h
 	opts.RequestLog.Info("analyze", attrs...)
 }
 
-// SweepRow is one NDJSON row of a /v1/sweep response stream; see
-// sweep.StreamRow (the type moved so the cluster dispatcher can speak the
-// same wire format without importing this package).
-type SweepRow = sweep.StreamRow
-
 // handleSweep streams a sweep: the spec is validated and expanded up
-// front (client errors are plain 400 JSON), then cell rows flow in grid
-// order, each reaching the client at most streamFlushDelay after its cell
-// finishes (see rowWriter). Cancellation is end to end: when the client
-// disconnects, the request context cancels the sweep, which interrupts
-// in-flight cells and skips the rest.
+// front (client errors are plain 400 JSON), then sweep.AppendRow rows flow
+// in grid order, each cell row encoded once by runSweep for the journal
+// and the client alike, and reaching the client at most streamFlushDelay
+// after its cell finishes (see rowWriter). Cancellation is end to end:
+// when the client disconnects, the request context cancels the sweep,
+// which interrupts in-flight cells and skips the rest.
 func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
@@ -351,26 +347,25 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 	// The summary row is written last and leaves with the handler's
 	// return, when net/http finishes the response.
 	defer rw.close()
-	writeRow := func(row SweepRow) {
-		opts.sm.StreamRows.WithLabelValues(row.Type).Inc()
+	writeRow := func(typ string, row []byte) {
+		opts.sm.StreamRows.WithLabelValues(typ).Inc()
 		rw.writeRow(row)
 	}
-	onCell := func(cr sweep.CellResult) { writeRow(SweepRow{Type: "cell", Cell: &cr}) }
 
 	start := time.Now()
-	res, err := runSweep(ctx, eng, opts, spec, jsweep, onCell)
+	res, err := runSweep(ctx, eng, opts, spec, jsweep, func(row []byte) { writeRow("cell", row) })
 	if res == nil {
 		// Only reachable if the sweep cannot start (re-expansion, which
 		// ParseSpec precludes, or the cluster routing); report it as a stream row since the 200 header is
 		// already committed.
-		writeRow(SweepRow{Type: "error", Error: err.Error()})
+		writeRow("error", sweep.AppendRow(nil, sweep.StreamRow{Type: "error", Error: err.Error()}))
 		opts.RequestLog.Info("sweep", "path", "/v1/sweep", "sweep", spec.Name,
 			"mode", mode, "status", http.StatusOK, "error", err.Error())
 		return
 	}
 	// On cancellation or timeout the partial summary still goes out
 	// (harmless if the client is gone).
-	writeRow(SweepRow{Type: "summary", Summary: res})
+	writeRow("summary", sweep.AppendRow(nil, sweep.StreamRow{Type: "summary", Summary: res}))
 	opts.RequestLog.Info("sweep",
 		"path", "/v1/sweep",
 		"sweep", spec.Name,
@@ -388,16 +383,15 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 // of each other leave in one socket write.
 const streamFlushDelay = 5 * time.Millisecond
 
-// rowWriter encodes sweep rows into the response buffer and flushes on a
-// deadline instead of after every row: the first write after a flush
-// arms one timer, which flushes whatever is waiting when it fires. The
-// timer goroutine and the handler share mu, so the ResponseWriter is never
-// touched concurrently, and close makes sure it is not touched after the
-// handler returns.
+// rowWriter writes encoded sweep rows into the response buffer and
+// flushes on a deadline instead of after every row: the first write after
+// a flush arms one timer, which flushes whatever is waiting when it
+// fires. The timer goroutine and the handler share mu, so the
+// ResponseWriter is never touched concurrently, and close makes sure it is
+// not touched after the handler returns.
 type rowWriter struct {
 	mu     sync.Mutex
-	rc     *http.ResponseController
-	enc    *json.Encoder
+	w      http.ResponseWriter
 	timer  *time.Timer
 	armed  bool
 	closed bool
@@ -406,19 +400,19 @@ type rowWriter struct {
 // newRowWriter commits the 200 header; it goes out with the first flush.
 func newRowWriter(w http.ResponseWriter) *rowWriter {
 	w.WriteHeader(http.StatusOK)
-	rw := &rowWriter{rc: http.NewResponseController(w), enc: json.NewEncoder(w), armed: true}
-	rw.enc.SetEscapeHTML(false)
+	rw := &rowWriter{w: w, armed: true}
 	rw.timer = time.AfterFunc(streamFlushDelay, rw.flush)
 	return rw
 }
 
-// writeRow buffers one row. Write errors mean the client went away; the
-// request context then cancels the sweep, so there is nothing to handle.
-// A panicking write (http.ErrAbortHandler) releases mu on its way out.
-func (rw *rowWriter) writeRow(row SweepRow) {
+// writeRow buffers one encoded row, in one Write. Write errors mean the
+// client went away; the request context then cancels the sweep, so there
+// is nothing to handle. A panicking write (http.ErrAbortHandler) releases
+// mu on its way out.
+func (rw *rowWriter) writeRow(row []byte) {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
-	_ = rw.enc.Encode(row)
+	_, _ = rw.w.Write(row)
 	if !rw.armed {
 		rw.armed = true
 		rw.timer.Reset(streamFlushDelay)
@@ -432,7 +426,7 @@ func (rw *rowWriter) flush() {
 		return
 	}
 	rw.armed = false
-	_ = rw.rc.Flush()
+	_ = http.NewResponseController(rw.w).Flush()
 }
 
 // close stops the timer; once it returns, no flush touches the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/sweep"
 )
 
 func post(t *testing.T, h http.Handler, path, body string) (*httptest.ResponseRecorder, *engine.Result) {
@@ -201,8 +202,9 @@ func TestCatalogSpecsAreResolvable(t *testing.T) {
 
 // --- /v1/sweep -------------------------------------------------------------
 
-// sweepRows posts a sweep spec and decodes the NDJSON stream.
-func sweepRows(t *testing.T, h http.Handler, spec string) (*httptest.ResponseRecorder, []SweepRow) {
+// sweepRows posts a sweep spec and reads the NDJSON stream into its rows:
+// one per cell, then the summary row.
+func sweepRows(t *testing.T, h http.Handler, spec string) (*httptest.ResponseRecorder, []sweep.StreamRow) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewBufferString(spec))
 	rec := httptest.NewRecorder()
@@ -210,14 +212,15 @@ func sweepRows(t *testing.T, h http.Handler, spec string) (*httptest.ResponseRec
 	if rec.Code != http.StatusOK {
 		return rec, nil
 	}
-	var rows []SweepRow
-	dec := json.NewDecoder(rec.Body)
-	for dec.More() {
-		var row SweepRow
-		if err := dec.Decode(&row); err != nil {
-			t.Fatalf("decoding NDJSON row %d: %v", len(rows), err)
-		}
-		rows = append(rows, row)
+	var rows []sweep.StreamRow
+	sum, err := sweep.ReadRows(rec.Body, func(cr sweep.CellResult) {
+		rows = append(rows, sweep.StreamRow{Type: "cell", Cell: &cr})
+	})
+	if err != nil {
+		t.Fatalf("reading NDJSON row %d: %v", len(rows), err)
+	}
+	if sum != nil {
+		rows = append(rows, sweep.StreamRow{Type: "summary", Summary: sum})
 	}
 	return rec, rows
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/sweep"
 )
 
 // TestSweepStreamCoalescesFlushes: rows are flushed on a deadline, not one
@@ -88,7 +89,7 @@ func TestSweepRowVisibleDuringSlowCell(t *testing.T) {
 		b, err := bufio.NewReader(resp.Body).ReadBytes('\n')
 		first <- result{b, err}
 	}()
-	var row SweepRow
+	var row sweep.StreamRow
 	select {
 	case r := <-first:
 		if r.err != nil {

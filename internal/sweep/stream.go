@@ -1,18 +1,64 @@
 package sweep
 
-import "repro/internal/engine"
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 
-// StreamRow is one NDJSON row of a streamed sweep (the POST /v1/sweep
-// response, and the coordinator↔worker wire format of the cluster
-// dispatcher). Type is "cell" for per-cell rows (Cell set), "summary" for
-// the final aggregate row (Summary set, its Cells field omitted — the
-// stream already carried them), and "error" for a mid-stream failure
-// (Error set).
+	"repro/internal/engine"
+)
+
+// StreamRow is one NDJSON row of a streamed sweep: the POST /v1/sweep
+// response, the coordinator↔worker wire format of the cluster dispatcher,
+// and a sweep journal's record payload. Type is "cell" for per-cell rows
+// (Cell set), "summary" for the final aggregate row (Summary set, its
+// Cells field omitted — the stream already carried them), "error" for a
+// mid-stream failure (Error set), and "done" for the journal's seal.
 type StreamRow struct {
 	Type    string      `json:"type"`
 	Cell    *CellResult `json:"cell,omitempty"`
 	Summary *Result     `json:"summary,omitempty"`
 	Error   string      `json:"error,omitempty"`
+}
+
+// AppendRow appends row to buf in the one wire form of sweep rows, which
+// the stream, the journal and ppsweep -canonical share: encoding/json with
+// HTML escaping off, then a newline. A row encoding/json refuses (a NaN
+// statistic, say) appends nothing.
+func AppendRow(buf []byte, row StreamRow) []byte {
+	b := bytes.NewBuffer(buf)
+	enc := json.NewEncoder(b)
+	enc.SetEscapeHTML(false)
+	if enc.Encode(row) != nil {
+		return buf
+	}
+	return b.Bytes()
+}
+
+// ReadRows reads a sweep row stream, calling onCell for each cell row in
+// order, and returns the summary row's aggregate once r ends — nil if
+// none came, which the caller may call a truncation. It stops at the first
+// row that does not decode, or at an error row, and returns that error.
+func ReadRows(r io.Reader, onCell func(CellResult)) (*Result, error) {
+	var res *Result
+	for dec := json.NewDecoder(r); ; {
+		var row StreamRow
+		if err := dec.Decode(&row); err == io.EOF {
+			return res, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("reading stream: %w", err)
+		}
+		switch {
+		case row.Type == "cell" && row.Cell != nil:
+			onCell(*row.Cell)
+		case row.Type == "summary":
+			res = row.Summary
+		case row.Type == "error":
+			return nil, errors.New(row.Error)
+		}
+	}
 }
 
 // CanonicalCell returns a copy of a cell result with its volatile fields —
