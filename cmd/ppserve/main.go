@@ -105,7 +105,7 @@ func run(args []string) error {
 		artifactDir   = fs.String("artifact-dir", "", "disk-backed artifact store directory behind the engine's in-memory cache; restarts serve repeated protocols from disk")
 		rateLimit     = fs.Float64("rate-limit", 0, "per-client request rate (requests/second) on the public endpoints; over-budget requests get 429 + Retry-After (0 = unlimited)")
 		rateBurst     = fs.Int("rate-burst", 0, "per-client burst allowance of -rate-limit (0 = 2x the rate, at least 1)")
-		artifactMax   = fs.Int64("artifact-max-bytes", 0, "artifact store size budget: a background GC evicts least-recently-used artifacts past it (0 = unbounded)")
+		artifactMax   = fs.Int64("artifact-max-bytes", 0, "artifact store size budget: a write past it evicts least-recently-used artifacts until the store fits (0 = unbounded)")
 		journalRetain = fs.Duration("journal-retain", 0, "age out completed sweep WALs older than this; in-progress sweeps are never touched (0 = keep forever)")
 		journalMax    = fs.Int64("journal-max-bytes", 0, "journal directory size budget: oldest completed WALs removed past it (0 = unbounded)")
 		breakerFails  = fs.Int("breaker-failures", 0, "consecutive dispatch failures tripping a worker's circuit breaker (coordinator mode; 0 = 3)")
@@ -144,11 +144,10 @@ func run(args []string) error {
 			return err
 		}
 		if *artifactMax > 0 {
-			if err := st.EnableGC(store.GCOptions{MaxBytes: *artifactMax}); err != nil {
+			if err := st.EnableGC(*artifactMax); err != nil {
 				ln.Close()
 				return err
 			}
-			defer st.CloseGC()
 		}
 		eng.SetArtifactStore(st)
 	}

@@ -9,9 +9,9 @@ import (
 // HilbertBasisEqNoCriterion computes the same minimal-solution basis as
 // HilbertBasisEq but *without* the Contejean–Devie expansion criterion
 // ⟨A·y, A·e_j⟩ < 0: every frontier vector is expanded in every coordinate
-// (subject only to domination pruning). It exists as the ablation baseline
-// for the solver benchmarks — the criterion is what makes the search
-// practical — and as an independent oracle for correctness tests.
+// (subject only to domination pruning). It exists only for tests: the
+// ablation baseline of BenchmarkCDvsNoCriterion — the criterion is what
+// makes the search practical — and an independent oracle for the solver.
 //
 // Completeness of the frontier search requires a breadth-first order plus
 // an explicit bound on ‖y‖₁: a frontier level is abandoned only when no

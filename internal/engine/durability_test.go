@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/metrics/testutil"
@@ -160,11 +159,11 @@ func TestStoreGCRacingDiskReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget below the working set: warming all five protocols must force
-	// evictions, and the 1ms pass interval keeps the GC racing every read.
-	if err := ws.EnableGC(store.GCOptions{MaxBytes: workingSet / 2, LowWater: 0.5, Interval: time.Millisecond}); err != nil {
+	// evictions, and every write through evicts inside its Put, racing the
+	// other protocols' reads.
+	if err := ws.EnableGC(workingSet / 2); err != nil {
 		t.Fatal(err)
 	}
-	defer ws.CloseGC()
 
 	for round := 0; round < 6; round++ {
 		eng := New() // fresh memory cache: every artifact rides the disk path
@@ -176,12 +175,6 @@ func TestStoreGCRacingDiskReads(t *testing.T) {
 			}
 		}
 	}
-	// Every recompute wrote its artifact through, so the store ends over
-	// budget whether or not the background ticker got a pass in during the
-	// rounds (fast artifact decodes can finish the whole drill inside one
-	// interval): one synchronous pass makes the eviction assertion
-	// deterministic.
-	ws.RunGC()
 	if v := testutil.ToFloat64(ws.Metrics().GCEvictions); v == 0 {
 		t.Fatal("budget below working set but the GC evicted nothing")
 	}

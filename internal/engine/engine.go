@@ -366,10 +366,10 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 	select {
 	case o := <-done:
 		if o.err != nil {
-			// A cooperative-cancellation sentinel racing ctx.Done() into
-			// the done channel is still a timeout/cancellation: surface it
-			// as the context error so transports classify it correctly.
-			if isInterruptSentinel(o.err) && ctx.Err() != nil {
+			// A dispatch that failed while ctx had ended is a
+			// timeout/cancellation: surface it as the context error so
+			// transports classify it correctly.
+			if ctx.Err() != nil {
 				return nil, fmt.Errorf("engine: %s request interrupted: %w", req.Kind, ctx.Err())
 			}
 			return nil, o.err
@@ -379,13 +379,6 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 	case <-ctx.Done():
 		return nil, fmt.Errorf("engine: %s request interrupted: %w", req.Kind, ctx.Err())
 	}
-}
-
-// isInterruptSentinel reports whether err stems from a cooperative stop
-// channel closing inside one of the analyses.
-func isInterruptSentinel(err error) bool {
-	return errors.Is(err, reach.ErrInterrupted) || errors.Is(err, sim.ErrInterrupted) ||
-		errors.Is(err, stable.ErrInterrupted) || errors.Is(err, dioph.ErrInterrupted)
 }
 
 // dispatch fills res according to the request kind. The expensive analyses
@@ -469,17 +462,21 @@ func (e *Engine) evictIfCurrent(hash string, a *artifacts) {
 	}
 }
 
+// errInterrupted marks a memo whose compute (or slot acquire) failed
+// because its request's context ended; waiters retry rather than share it.
+var errInterrupted = errors.New("engine: artifact computation interrupted")
+
 // memoized is the single-flight loop behind every memoized artifact: one
 // path, memory → disk → compute. The second return value reports whether
 // the artifact was complete when the request arrived (waiters on an
 // in-flight computation count as misses — they pay the full latency). The
 // first arrival holds an execution slot while it tries the disk store
 // (decode) and, on a miss, computes and writes the artifact through
-// (encode). A computation interrupted by the computing request's deadline
-// (the interrupted sentinel) is evicted so it never poisons the cache;
-// waiters whose own context is still live retry on a fresh slot.
+// (encode). A computation that failed because the computing request's
+// context ended records errInterrupted and is evicted so it never poisons
+// the cache; waiters whose own context is still live retry on a fresh slot.
 func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash string,
-	slot func(*artifacts) *memo[T], interrupted error, kind string,
+	slot func(*artifacts) *memo[T], kind string,
 	decode func(*protocol.Protocol, []byte) (T, error),
 	compute func(context.Context, *protocol.Protocol) (T, error),
 	encode func(T) []byte,
@@ -501,7 +498,7 @@ func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash 
 			release, err := e.acquire(ctx)
 			if err != nil {
 				// Never got to run: hand the slot race to a retrier.
-				m.err = interrupted
+				m.err = errInterrupted
 				close(m.ready)
 				e.evictIfCurrent(hash, a)
 				return zero, false, err
@@ -524,6 +521,9 @@ func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash 
 			if !loaded {
 				e.countCompute()
 				m.val, m.err = compute(ctx, p)
+				if m.err != nil && ctx.Err() != nil {
+					m.err = errInterrupted
+				}
 				// Best effort: a failed write only costs the next restart
 				// (visible in pp_store_writes_total{result="error"}).
 				if m.err == nil && st != nil {
@@ -542,7 +542,7 @@ func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash 
 			}
 			count(hit)
 		}
-		if errors.Is(m.err, interrupted) {
+		if m.err == errInterrupted {
 			e.evictIfCurrent(hash, a)
 			if err := ctx.Err(); err != nil {
 				return zero, hit, err
@@ -556,7 +556,7 @@ func memoized[T any](ctx context.Context, e *Engine, p *protocol.Protocol, hash 
 // stableFor memoizes the stable-set analysis of a protocol (see memoized).
 func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash string) (*stable.Analysis, bool, error) {
 	return memoized(ctx, e, p, hash,
-		func(a *artifacts) *memo[*stable.Analysis] { return &a.stable }, stable.ErrInterrupted,
+		func(a *artifacts) *memo[*stable.Analysis] { return &a.stable },
 		ArtifactStable, decodeStableArtifact,
 		func(ctx context.Context, p *protocol.Protocol) (*stable.Analysis, error) {
 			return stable.Analyze(p, stable.Options{Interrupt: ctx.Done()})
@@ -567,7 +567,7 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 // basisFor memoizes the realisable basis of a protocol (see memoized).
 func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string) ([]realise.TransitionMultiset, bool, error) {
 	return memoized(ctx, e, p, hash,
-		func(a *artifacts) *memo[[]realise.TransitionMultiset] { return &a.basis }, dioph.ErrInterrupted,
+		func(a *artifacts) *memo[[]realise.TransitionMultiset] { return &a.basis },
 		ArtifactBasis, decodeBasisArtifact,
 		func(ctx context.Context, p *protocol.Protocol) ([]realise.TransitionMultiset, error) {
 			return realise.Basis(p, dioph.Options{Interrupt: ctx.Done()})

@@ -51,7 +51,8 @@ const (
 	// PointStoreWrite fails artifact-store writes.
 	PointStoreWrite = "store.write"
 	// PointStoreDelete fails the artifact-store GC's eviction deletes (the
-	// entry stays on disk and stays tracked; the GC retries next pass).
+	// entry stays on disk and stays tracked; the next write over budget
+	// retries it).
 	PointStoreDelete = "store.delete"
 	// PointWorkerResponse fails the coordinator's handling of a worker's
 	// sweep-range response (as if the stream broke mid-flight).

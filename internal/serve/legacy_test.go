@@ -120,11 +120,9 @@ func TestStoreWithLegacyFamilyEntry(t *testing.T) {
 
 	// One byte over budget: draining evicts the coldest entry, the legacy
 	// one, and keeps the fresh stable artifact.
-	if err := st.EnableGC(store.GCOptions{MaxBytes: sizes - 1, LowWater: 1, Interval: -1}); err != nil {
+	if err := st.EnableGC(sizes - 1); err != nil {
 		t.Fatalf("EnableGC over a legacy store: %v", err)
 	}
-	defer st.CloseGC()
-	st.RunGC()
 	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
 		t.Fatalf("legacy family entry survived GC (stat err %v)", err)
 	}

@@ -209,8 +209,9 @@ func TestMetricsEndpointServesAllThreeLayers(t *testing.T) {
 // TestDocumentedMetricsRegistered: every full pp_* family name the README
 // and docs/*.md tell operators to watch is registered by a handler mounted
 // with all four collector sets (engine, artifact store, journal and
-// coordinator). Wildcards and prefixes (pp_store_*, pp_store_gc_*) are not
-// names and are skipped.
+// coordinator), and every pp_* family that handler registers is named
+// somewhere in those docs. Wildcards and prefixes (pp_store_*,
+// pp_store_gc_*) are not names and are skipped.
 func TestDocumentedMetricsRegistered(t *testing.T) {
 	eng := engine.New()
 	st, err := store.Open(t.TempDir())
@@ -245,7 +246,7 @@ func TestDocumentedMetricsRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := regexp.MustCompile(`pp_[a-z0-9_]+`)
-	checked := 0
+	documented := map[string]bool{}
 	for _, path := range append(docs, "../../README.md") {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -255,13 +256,18 @@ func TestDocumentedMetricsRegistered(t *testing.T) {
 			if strings.HasSuffix(n, "_") {
 				continue // a prefix or wildcard, not a family
 			}
-			checked++
+			documented[n] = true
 			if !registered[n] {
 				t.Errorf("%s names %s, which no collector registers", filepath.Base(path), n)
 			}
 		}
 	}
-	if checked == 0 {
+	if len(documented) == 0 {
 		t.Fatal("no pp_* family names found in the docs")
+	}
+	for n := range registered {
+		if strings.HasPrefix(n, "pp_") && !documented[n] {
+			t.Errorf("%s is registered but named nowhere in README.md or docs/*.md", n)
+		}
 	}
 }

@@ -1,27 +1,28 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
 )
 
-// gcStore opens a governed store in a temp dir in manual mode (no
-// background goroutine), so only explicit RunGC calls drive eviction and
-// every test's eviction order is deterministic.
-func gcStore(t *testing.T, maxBytes int64, lowWater float64) *Store {
+// gcStore opens a governed store in a temp dir. Eviction runs inside the
+// Put (or Get) that crosses the budget, so every test's eviction order is
+// deterministic.
+func gcStore(t *testing.T, maxBytes int64) *Store {
 	t.Helper()
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableGC(GCOptions{MaxBytes: maxBytes, LowWater: lowWater, Interval: -1}); err != nil {
+	if err := s.EnableGC(maxBytes); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.CloseGC)
 	return s
 }
 
@@ -48,7 +49,7 @@ func present(t *testing.T, s *Store, hash string) bool {
 }
 
 func TestGCEvictsColdEntriesFirst(t *testing.T) {
-	s := gcStore(t, 5000, 0.5)
+	s := gcStore(t, 5000)
 	for _, h := range []string{"aa", "bb", "cc", "dd"} {
 		mustPut(t, s, h, 1000)
 	}
@@ -56,26 +57,26 @@ func TestGCEvictsColdEntriesFirst(t *testing.T) {
 	if p, err := s.Get("stable", "aa"); err != nil || p == nil {
 		t.Fatalf("warm read: %v", err)
 	}
+	if got := s.Metrics().GCEvictions.Value(); got != 0 {
+		t.Fatalf("evictions under budget = %v, want 0", got)
+	}
 	mustPut(t, s, "ee", 1000) // 5060 bytes: over budget
-	s.RunGC()
 
-	// LRU back-to-front was bb, cc, dd, aa, ee; draining to the 2500-byte
-	// low-water mark evicts bb, cc, dd.
-	for _, h := range []string{"bb", "cc", "dd"} {
-		if present(t, s, h) {
-			t.Fatalf("cold entry %s survived", h)
-		}
+	// LRU back-to-front was bb, cc, dd, aa, ee; by the time the Put
+	// returns, evicting down to the 5000-byte budget has removed bb alone.
+	if present(t, s, "bb") {
+		t.Fatal("cold entry bb survived the over-budget Put")
 	}
-	for _, h := range []string{"aa", "ee"} {
+	for _, h := range []string{"cc", "dd", "aa", "ee"} {
 		if !present(t, s, h) {
-			t.Fatalf("hot entry %s evicted", h)
+			t.Fatalf("entry %s evicted before the coldest", h)
 		}
 	}
-	if got := s.GCBytes(); got != 2*entrySize(1000) {
-		t.Fatalf("GCBytes = %d, want %d", got, 2*entrySize(1000))
+	if got := s.GCBytes(); got != 4*entrySize(1000) {
+		t.Fatalf("GCBytes = %d, want %d", got, 4*entrySize(1000))
 	}
-	if got := s.Metrics().GCEvictions.Value(); got != 3 {
-		t.Fatalf("evictions = %v, want 3", got)
+	if got := s.Metrics().GCEvictions.Value(); got != 1 {
+		t.Fatalf("evictions = %v, want 1", got)
 	}
 	// Evicted entries read as clean misses, not errors.
 	if p, err := s.Get("stable", "bb"); err != nil || p != nil {
@@ -112,15 +113,14 @@ func TestGCScanOnStartOrdersByMtime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := s.EnableGC(GCOptions{MaxBytes: 2900, LowWater: 0.7, Interval: -1}); err != nil {
+	// The scan tracks 3036 bytes > 2900; evicting down to the budget
+	// removes exactly the oldest mtime before EnableGC returns.
+	if err := s.EnableGC(2900); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.CloseGC)
-	if got := s.GCBytes(); got != 3*entrySize(1000) {
-		t.Fatalf("scan tracked %d bytes, want %d (temp file leaked in?)", got, 3*entrySize(1000))
+	if got := s.GCBytes(); got != 2*entrySize(1000) {
+		t.Fatalf("scan tracked %d bytes after eviction, want %d (temp file leaked in?)", got, 2*entrySize(1000))
 	}
-	s.RunGC()
-	// 3036 > 2900; draining to 2030 evicts exactly the oldest mtime.
 	if present(t, s, "oldest") {
 		t.Fatal("oldest entry survived")
 	}
@@ -135,12 +135,11 @@ func TestGCDeleteFailpointSkipsAndRetries(t *testing.T) {
 	}
 	defer faultinject.Disable()
 
-	s := gcStore(t, 2000, 0.9)
+	s := gcStore(t, 2000)
 	mustPut(t, s, "aa", 1000)
 	mustPut(t, s, "bb", 1000) // over budget: 2024 > 2000
-	s.RunGC()
 
-	// The first delete attempt (oldest entry, aa) failed; the pass skipped
+	// The first delete attempt (oldest entry, aa) failed; the Put skipped
 	// it and evicted bb instead.
 	if !present(t, s, "aa") {
 		t.Fatal("entry whose delete failed was dropped")
@@ -151,12 +150,11 @@ func TestGCDeleteFailpointSkipsAndRetries(t *testing.T) {
 	if got := s.Metrics().GCErrors.Value(); got != 1 {
 		t.Fatalf("gc errors = %v, want 1", got)
 	}
-	// aa is still tracked: new pressure retries and evicts it now that the
-	// failpoint is exhausted.
+	// aa is still tracked: the next write over budget retries and evicts
+	// it now that the failpoint is exhausted.
 	mustPut(t, s, "cc", 1000)
-	s.RunGC()
 	if present(t, s, "aa") {
-		t.Fatal("failed delete not retried on the next pass")
+		t.Fatal("failed delete not retried on the next write over budget")
 	}
 	if got := s.Metrics().GCEvictions.Value(); got != 2 {
 		t.Fatalf("evictions = %v, want 2", got)
@@ -169,8 +167,6 @@ func TestGCDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPut(t, s, "aa", 1000)
-	s.RunGC()
-	s.CloseGC()
 	if got := s.GCBytes(); got != 0 {
 		t.Fatalf("GCBytes without GC = %d, want 0", got)
 	}
@@ -179,34 +175,8 @@ func TestGCDisabledIsInert(t *testing.T) {
 	}
 }
 
-func TestGCBackgroundEviction(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnableGC(GCOptions{MaxBytes: 2000, LowWater: 0.9, Interval: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.CloseGC)
-	mustPut(t, s, "aa", 1000)
-	mustPut(t, s, "bb", 1000) // over budget: the Put kicks the background pass
-	deadline := time.Now().Add(5 * time.Second)
-	for s.GCBytes() > 1800 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background GC never drained the store (at %d bytes)", s.GCBytes())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if present(t, s, "aa") {
-		t.Fatal("background pass spared the oldest entry")
-	}
-	if !present(t, s, "bb") {
-		t.Fatal("background pass evicted the newest entry")
-	}
-}
-
 func TestGCForgetsDeletedAndCorruptEntries(t *testing.T) {
-	s := gcStore(t, 1<<20, 0.9)
+	s := gcStore(t, 1<<20)
 	mustPut(t, s, "aa", 1000)
 	mustPut(t, s, "bb", 1000)
 	if err := s.Delete("stable", "aa"); err != nil {
@@ -225,5 +195,58 @@ func TestGCForgetsDeletedAndCorruptEntries(t *testing.T) {
 	}
 	if got := s.GCBytes(); got != 0 {
 		t.Fatalf("GCBytes after corrupt delete = %d, want 0", got)
+	}
+}
+
+// TestGCConcurrentPutsStayWithinBudget: eviction runs inside Put, so the
+// budget holds after every Put returns even with writers racing, and the
+// index ends in agreement with the directory.
+func TestGCConcurrentPutsStayWithinBudget(t *testing.T) {
+	const (
+		writers   = 8
+		perWriter = 16
+		maxBytes  = 20 * 112 // 20 entries of entrySize(100); 128 are written
+	)
+	s := gcStore(t, maxBytes)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := s.Put("stable", fmt.Sprintf("w%dn%d", w, i), make([]byte, 100)); err != nil {
+					errs <- err
+					return
+				}
+				if got := s.GCBytes(); got > maxBytes {
+					errs <- fmt.Errorf("GCBytes = %d after Put returned, budget %d", got, maxBytes)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	files, err := os.ReadDir(filepath.Join(s.Dir(), "stable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		info, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += info.Size()
+	}
+	if got := s.GCBytes(); got != onDisk {
+		t.Fatalf("GCBytes = %d, entry files on disk sum to %d", got, onDisk)
+	}
+	if got := s.Metrics().GCEvictions.Value(); got == 0 {
+		t.Fatal("budget below the written total but nothing was evicted")
 	}
 }

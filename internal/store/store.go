@@ -26,7 +26,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
@@ -49,8 +48,9 @@ var ErrCorrupt = errors.New("store: corrupt entry")
 type Store struct {
 	dir     string
 	metrics *Metrics
-	// gc is the size-governance state, nil until EnableGC (see gc.go).
-	gc atomic.Pointer[gcState]
+	// gc is the size-governance state, nil until EnableGC (see gc.go),
+	// which sets it before the store is shared.
+	gc *gcState
 }
 
 // Metrics is the store's instrumentation (pp_store_* families).
@@ -61,10 +61,9 @@ type Metrics struct {
 	Writes *metrics.CounterVec
 	// GCEvictions counts entries the size-governance GC deleted.
 	GCEvictions *metrics.Counter
-	// GCErrors counts eviction deletes that failed (retried next pass).
+	// GCErrors counts eviction deletes that failed (retried on the next
+	// write over budget).
 	GCErrors *metrics.Counter
-	// GCRuns counts eviction passes, fired or not.
-	GCRuns *metrics.Counter
 	// GCBytes reports the governed on-disk size at gather time (0 while
 	// governance is disabled).
 	GCBytes *metrics.GaugeFunc
@@ -85,8 +84,6 @@ func newStoreMetrics(s *Store) *Metrics {
 			sub("gc_evictions_total", "Artifact-store entries evicted by the size-governance GC.")),
 		GCErrors: metrics.NewCounter(
 			sub("gc_errors_total", "Artifact-store GC eviction deletes that failed.")),
-		GCRuns: metrics.NewCounter(
-			sub("gc_runs_total", "Artifact-store GC eviction passes.")),
 		GCBytes: metrics.NewGaugeFunc(
 			sub("gc_bytes", "Governed artifact-store size in bytes (0 while GC is disabled)."),
 			func() float64 { return float64(s.GCBytes()) }),
@@ -98,7 +95,7 @@ func (s *Store) Metrics() *Metrics { return s.metrics }
 
 // Collectors returns every collector of the set, for registration.
 func (m *Metrics) Collectors() []metrics.Collector {
-	return []metrics.Collector{m.Reads, m.Writes, m.GCEvictions, m.GCErrors, m.GCRuns, m.GCBytes}
+	return []metrics.Collector{m.Reads, m.Writes, m.GCEvictions, m.GCErrors, m.GCBytes}
 }
 
 // Register registers the whole set into reg.
@@ -186,20 +183,22 @@ func (s *Store) Get(kind, hash string) ([]byte, error) {
 
 // gcTouch marks an entry as recently used in the GC index, if enabled.
 func (s *Store) gcTouch(kind, hash string, size int64) {
-	if g := s.gc.Load(); g != nil {
+	if g := s.gc; g != nil {
 		g.record(kind, hash, size)
 	}
 }
 
 // gcForget drops an entry from the GC index, if enabled.
 func (s *Store) gcForget(kind, hash string) {
-	if g := s.gc.Load(); g != nil {
+	if g := s.gc; g != nil {
 		g.forget(kind, hash)
 	}
 }
 
 // Put stores payload under (kind, hash) atomically: temp file, fsync,
-// rename. Failures leave any previous entry intact.
+// rename. Failures leave any previous entry intact. Under size governance
+// (EnableGC) a Put that leaves the store over budget evicts
+// least-recently-used entries until it fits, before it returns.
 func (s *Store) Put(kind, hash string, payload []byte) error {
 	err := s.put(kind, hash, payload)
 	if err != nil {

@@ -167,10 +167,12 @@ echo "crash smoke OK: kill -9 after $rows cells, resume replayed ${replayed%.*} 
 # well below the working set (the flock 3..10 stable artifacts alone are
 # ~6.5KB). The GC must evict under pressure while the sweep completes to
 # the same canonical bytes — governance degrades cache hits, never
-# correctness.
+# correctness. Eviction runs inside the write that crosses the budget, so
+# the tracked size must never read above it.
+budget=2048
 "$workdir/ppserve" -coordinator -addr 127.0.0.1:0 \
   -journal-dir "$workdir/journal-gc" -artifact-dir "$workdir/artifacts-gc" \
-  -artifact-max-bytes 2048 \
+  -artifact-max-bytes "$budget" \
   > "$workdir/gc.log" 2>&1 &
 pids+=($!)
 gcurl="http://$(wait_listen "$workdir/gc.log")"
@@ -189,4 +191,9 @@ if [ "${evictions%.*}" -lt 1 ]; then
   exit 1
 fi
 gc_bytes="$(awk '/^pp_store_gc_bytes/ {print $2}' <<< "$gcmetrics")"
-echo "disk-pressure smoke OK: sweep byte-identical under a 2048-byte artifact budget (evictions=${evictions%.*}, tracked bytes=${gc_bytes:-?})"
+if [ -z "$gc_bytes" ] || ! awk -v b="$gc_bytes" -v max="$budget" 'BEGIN { exit !(b <= max) }'; then
+  echo "FAIL: pp_store_gc_bytes=${gc_bytes:-missing} exceeds the ${budget}-byte artifact budget" >&2
+  grep '^pp_store' <<< "$gcmetrics" >&2 || true
+  exit 1
+fi
+echo "disk-pressure smoke OK: sweep byte-identical under a ${budget}-byte artifact budget (evictions=${evictions%.*}, tracked bytes=${gc_bytes:-?})"
