@@ -16,6 +16,8 @@
 //	ppserve -rate-limit 10 -rate-burst 20           # per-client 429 + Retry-After
 //	ppserve -artifact-dir DIR -artifact-max-bytes 1073741824   # LRU artifact GC
 //	ppserve -journal-dir DIR -journal-retain 168h -journal-max-bytes 268435456
+//	                                 # retire completed sweep WALs at startup
+//	                                 # and whenever a sweep completes
 //
 // Endpoints:
 //
@@ -106,8 +108,8 @@ func run(args []string) error {
 		rateLimit     = fs.Float64("rate-limit", 0, "per-client request rate (requests/second) on the public endpoints; over-budget requests get 429 + Retry-After (0 = unlimited)")
 		rateBurst     = fs.Int("rate-burst", 0, "per-client burst allowance of -rate-limit (0 = 2x the rate, at least 1)")
 		artifactMax   = fs.Int64("artifact-max-bytes", 0, "artifact store size budget: a write past it evicts least-recently-used artifacts until the store fits (0 = unbounded)")
-		journalRetain = fs.Duration("journal-retain", 0, "age out completed sweep WALs older than this; in-progress sweeps are never touched (0 = keep forever)")
-		journalMax    = fs.Int64("journal-max-bytes", 0, "journal directory size budget: oldest completed WALs removed past it (0 = unbounded)")
+		journalRetain = fs.Duration("journal-retain", 0, "delete completed sweep WALs older than this, at startup and whenever a sweep completes; in-progress sweeps are never touched (0 = keep forever)")
+		journalMax    = fs.Int64("journal-max-bytes", 0, "journal directory size budget, enforced at startup and whenever a sweep completes: oldest completed WALs are deleted until the directory fits (0 = unbounded)")
 		breakerFails  = fs.Int("breaker-failures", 0, "consecutive dispatch failures tripping a worker's circuit breaker (coordinator mode; 0 = 3)")
 		breakerWait   = fs.Duration("breaker-backoff", 0, "tripped breaker backoff before a half-open probe; doubles per failed probe (coordinator mode; 0 = 15s)")
 	)
@@ -176,10 +178,11 @@ func run(args []string) error {
 			ln.Close()
 			return err
 		}
-		opts.Journal = js
-		if *journalRetain > 0 || *journalMax > 0 {
-			go compactLoop(js, journal.Retention{Retain: *journalRetain, MaxBytes: *journalMax})
+		if err := js.SetRetention(journal.Retention{Retain: *journalRetain, MaxBytes: *journalMax}); err != nil {
+			ln.Close()
+			return err
 		}
+		opts.Journal = js
 	}
 	var logger *slog.Logger
 	if *logRequests {
@@ -231,19 +234,6 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return serveOn(ctx, ln, eng, opts, drain)
-}
-
-// compactLoop runs journal retention in the background: one pass at
-// startup (a restart with a tightened policy applies it immediately), then
-// once a minute. Compaction skips in-progress sweeps and never blocks
-// request handling, so a failed pass is only worth a log line.
-func compactLoop(js *journal.Store, ret journal.Retention) {
-	for {
-		if _, err := js.Compact(ret); err != nil {
-			fmt.Fprintf(os.Stderr, "ppserve: journal compaction: %v\n", err)
-		}
-		time.Sleep(time.Minute)
-	}
 }
 
 // advertiseURL derives a worker's advertised base URL from its listen

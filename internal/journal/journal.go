@@ -20,6 +20,10 @@
 // crash mid-append leaves behind is repaired, never trusted. Appends fsync
 // before returning, so a record the coordinator acted on (streamed to a
 // client) survives a kill -9.
+//
+// Retention (Store.SetRetention) deletes only sealed WALs, those ending
+// with their done record, and runs synchronously: once when the policy is
+// set and again each time a sealed sweep is closed.
 package journal
 
 import (
@@ -50,6 +54,9 @@ type Store struct {
 
 	mu   sync.Mutex
 	busy map[string]bool
+
+	retireMu  sync.Mutex // serializes retention passes
+	retention Retention
 }
 
 // Metrics is the journal's instrumentation (pp_journal_* families).
@@ -64,8 +71,6 @@ type Metrics struct {
 	Recoveries *metrics.Counter
 	// Truncations counts corrupt or torn journal tails repaired on open.
 	Truncations *metrics.Counter
-	// Compactions counts done WALs rewritten to stubs by Compact.
-	Compactions *metrics.Counter
 	// Retired counts done WALs deleted by retention (age or size budget).
 	Retired *metrics.Counter
 }
@@ -86,8 +91,6 @@ func newJournalMetrics() *Metrics {
 			sub("recoveries_total", "Journal opens that found prior sweep progress.")),
 		Truncations: metrics.NewCounter(
 			sub("truncations_total", "Corrupt or torn journal tails truncated during replay.")),
-		Compactions: metrics.NewCounter(
-			sub("compactions_total", "Completed sweep WALs rewritten to stubs.")),
 		Retired: metrics.NewCounter(
 			sub("retired_total", "Completed sweep WALs deleted by retention policy.")),
 	}
@@ -98,7 +101,7 @@ func (s *Store) Metrics() *Metrics { return s.metrics }
 
 // Collectors returns every collector of the set, for registration.
 func (m *Metrics) Collectors() []metrics.Collector {
-	return []metrics.Collector{m.Appends, m.AppendErrors, m.ReplayedCells, m.Recoveries, m.Truncations, m.Compactions, m.Retired}
+	return []metrics.Collector{m.Appends, m.AppendErrors, m.ReplayedCells, m.Recoveries, m.Truncations, m.Retired}
 }
 
 // Register registers the whole set into reg.
@@ -128,8 +131,12 @@ func validHash(h string) bool {
 	return true
 }
 
-// doneRow is the done record's payload.
-var doneRow = sweep.AppendRow(nil, sweep.StreamRow{Type: "done"})
+// doneRow is the done record's payload, and doneFrame the record as the
+// WAL stores it.
+var (
+	doneRow   = sweep.AppendRow(nil, sweep.StreamRow{Type: "done"})
+	doneFrame = encodeFrame(doneRow)
+)
 
 // Sweep is one open sweep journal: the replayed state plus an append
 // handle. Appends are serialized internally; a Sweep belongs to one sweep
@@ -145,6 +152,7 @@ type Sweep struct {
 	completed []sweep.CellResult
 	seen      map[int]bool
 	done      bool
+	sealed    bool // the file ends with the done frame
 }
 
 // Sweep opens (or creates) the journal of one sweep spec and replays it.
@@ -212,17 +220,18 @@ func (j *Sweep) replay() error {
 	if _, err := j.f.Seek(valid, io.SeekStart); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	j.sealed = sealed(j.f, valid)
 	return nil
 }
 
-// readRecords is the one WAL record reader, shared by replay and the
-// compactor's scan. It decodes the records of a size-byte WAL from r in
-// order, handing each to fn, and stops at the first torn header, length
-// out of range (zero, over maxRecord, or past the end of the file), CRC
-// mismatch or undecodable payload; a corrupt length therefore never
-// allocates more than the file holds. valid is the length of the longest
-// valid prefix (the offset just past the last good record); clean reports
-// whether the input ended exactly there.
+// readRecords is the WAL record reader replay uses. It decodes the
+// records of a size-byte WAL from r in order, handing each to fn, and
+// stops at the first torn header, length out of range (zero, over
+// maxRecord, or past the end of the file), CRC mismatch or undecodable
+// payload; a corrupt length therefore never allocates more than the file
+// holds. valid is the length of the longest valid prefix (the offset just
+// past the last good record); clean reports whether the input ended
+// exactly there.
 func readRecords(r io.Reader, size int64, fn func(sweep.StreamRow)) (valid int64, clean bool) {
 	var header [8]byte
 	for {
@@ -293,11 +302,15 @@ func (j *Sweep) AppendCell(index int, row []byte) error {
 	return nil
 }
 
-// AppendDone seals the journal: the sweep ran to completion. Idempotent —
-// a journal already sealed (replayed done record, e.g. a compacted stub
-// whose sweep was re-executed) is not sealed twice.
+// AppendDone seals the journal: the sweep ran to completion. A file that
+// already ends with its done record is not sealed twice; one whose done
+// record is followed by cells (a stub an earlier release wrote, then
+// re-executed) is sealed again.
 func (j *Sweep) AppendDone() error {
-	if j.done {
+	j.mu.Lock()
+	sealed := j.sealed
+	j.mu.Unlock()
+	if sealed {
 		return nil
 	}
 	if err := j.append("done", doneRow); err != nil {
@@ -308,7 +321,8 @@ func (j *Sweep) AppendDone() error {
 }
 
 // append frames payload and writes it, fsync'd, counting the outcome
-// under the record type typ.
+// under the record type typ. Replay reads an empty payload as
+// corruption, so none is written.
 func (j *Sweep) append(typ string, payload []byte) (err error) {
 	defer func() {
 		if err != nil {
@@ -317,9 +331,8 @@ func (j *Sweep) append(typ string, payload []byte) (err error) {
 			j.store.metrics.Appends.WithLabelValues(typ).Inc()
 		}
 	}()
-	frame, err := encodeFrame(payload)
-	if err != nil {
-		return err
+	if len(payload) == 0 || len(payload) > maxRecord {
+		return fmt.Errorf("journal: record of %d bytes is outside (0, %d]", len(payload), maxRecord)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -329,7 +342,8 @@ func (j *Sweep) append(typ string, payload []byte) (err error) {
 	if err := faultinject.Hit(faultinject.PointJournalAppend); err != nil {
 		return err
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	j.sealed = false
+	if _, err := j.f.Write(encodeFrame(payload)); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	if err := faultinject.Hit(faultinject.PointJournalSync); err != nil {
@@ -338,24 +352,22 @@ func (j *Sweep) append(typ string, payload []byte) (err error) {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
+	j.sealed = typ == "done"
 	return nil
 }
 
-// encodeFrame frames one record payload for the WAL (shared by appends
-// and the compactor's stub writer). Replay reads an empty payload as
-// corruption, so none is written.
-func encodeFrame(payload []byte) ([]byte, error) {
-	if len(payload) == 0 || len(payload) > maxRecord {
-		return nil, fmt.Errorf("journal: record of %d bytes is outside (0, %d]", len(payload), maxRecord)
-	}
+// encodeFrame frames one record payload for the WAL.
+func encodeFrame(payload []byte) []byte {
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
-	return frame, nil
+	return frame
 }
 
-// Close releases the journal; the spec hash becomes openable again.
+// Close releases the journal; the spec hash becomes openable again. When
+// the file is sealed, Close then runs a retention pass, which may retire
+// this very WAL.
 func (j *Sweep) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -368,5 +380,8 @@ func (j *Sweep) Close() error {
 	j.store.mu.Lock()
 	delete(j.store.busy, j.hash)
 	j.store.mu.Unlock()
+	if j.sealed {
+		err = errors.Join(err, j.store.retire())
+	}
 	return err
 }

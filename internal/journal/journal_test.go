@@ -244,28 +244,27 @@ func walPrefix(data []byte) (int, []sweep.StreamRow) {
 // rawFrame frames a hand-written record payload, such as the start and
 // range records, and the HTML-escaped cell records, earlier releases
 // wrote.
-func rawFrame(payload string) []byte {
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE([]byte(payload)))
-	return append(frame, payload...)
-}
+func rawFrame(payload string) []byte { return encodeFrame([]byte(payload)) }
+
+// isSealed applies the retention pass's sealed-tail check to wal.
+func isSealed(wal []byte) bool { return sealed(bytes.NewReader(wal), int64(len(wal))) }
 
 // FuzzJournalReplay: whatever a crash or bit rot leaves in a WAL, replay
 // never panics, truncates the file to exactly the longest valid prefix,
 // recovers the first occurrence of every cell in it, and leaves a log
 // that an append extends: a second replay yields that prefix plus the new
-// record, cleanly. The seed opens with the legacy start and range records,
-// which replay skips, and a legacy HTML-escaped cell record.
+// record, cleanly. Retention's sealed-tail check agrees with replay: when
+// it holds for the prefix replay keeps, the last record is done; it never
+// holds for a crash's torn tail after that prefix; and it holds once the
+// journal seals the file, which a second seal leaves unchanged. The seed
+// opens with the legacy start and range records, which replay skips, and a
+// legacy HTML-escaped cell record.
 func FuzzJournalReplay(f *testing.F) {
 	head := rawFrame(`{"type":"start","spec":"f00d","total":3}`)
 	head = append(head, rawFrame(`{"type":"range","worker":"w1","cells":[{"from":0,"to":2}]}`)...)
 	head = append(head, rawFrame(`{"type":"cell","cell":{"index":7,"kind":"verify","ok":false,"error":"maxSize 3 \u003c minSize 9","elapsedMillis":0}}`)...)
 	for _, payload := range [][]byte{cellRow(0), cellRow(1), cellRow(0), doneRow} {
-		frame, err := encodeFrame(payload)
-		if err != nil {
-			f.Fatal(err)
-		}
-		head = append(head, frame...)
+		head = append(head, encodeFrame(payload)...)
 	}
 	f.Add(head)
 	f.Add([]byte{})
@@ -275,6 +274,7 @@ func FuzzJournalReplay(f *testing.F) {
 	flipped := bytes.Clone(head)
 	flipped[len(flipped)/2] ^= 1
 	f.Add(flipped)
+	f.Add(doneFrame) // a stub of an earlier release
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "f00d.wal")
@@ -282,6 +282,9 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		valid, recs := walPrefix(data)
+		if isSealed(data[:valid]) && recs[len(recs)-1].Type != "done" {
+			t.Fatalf("sealed-tail check holds, but the last replayed record is %q", recs[len(recs)-1].Type)
+		}
 		var want []sweep.CellResult
 		seen := map[int]bool{}
 		for _, rec := range recs {
@@ -322,15 +325,17 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		j.Close()
-		frame, err := encodeFrame(cellRow(next))
-		if err != nil {
-			t.Fatal(err)
-		}
+		extended := append(bytes.Clone(data[:valid]), encodeFrame(cellRow(next))...)
 		if got, err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, append(bytes.Clone(data[:valid]), frame...)) {
+		if !bytes.Equal(got, extended) {
 			t.Fatal("append did not extend the valid prefix")
+		}
+		for k := valid + 1; k < len(extended); k++ {
+			if isSealed(extended[:k]) {
+				t.Fatalf("sealed-tail check holds for a torn cell record (%d of %d bytes)", k-valid, len(extended)-valid)
+			}
 		}
 		s2, err := Open(dir)
 		if err != nil {
@@ -340,12 +345,32 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer j2.Close()
 		if v := testutil.ToFloat64(s2.Metrics().Truncations); v != 0 {
 			t.Fatal("second replay found a dirty tail")
 		}
 		if !reflect.DeepEqual(j2.Completed(), append(want, added)) {
 			t.Fatalf("second replay: %d cells, want the %d replayed plus the appended one", len(j2.Completed()), len(want))
+		}
+		if err := j2.AppendDone(); err != nil {
+			t.Fatal(err)
+		}
+		j2.Close()
+		if got, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if !isSealed(got) {
+			t.Fatal("AppendDone left the WAL unsealed")
+		}
+		j3, err := s2.Sweep("f00d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j3.AppendDone(); err != nil {
+			t.Fatal(err)
+		}
+		j3.Close()
+		if resealed, err := os.ReadFile(path); err != nil || !bytes.Equal(resealed, got) {
+			t.Fatalf("sealing a sealed WAL again changed it (%v)", err)
 		}
 	})
 }

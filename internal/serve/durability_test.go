@@ -87,10 +87,10 @@ func sweepBody(t *testing.T, h http.Handler, spec string) []byte {
 // with the journal partially filled) and resubmitted against a fresh
 // engine over the same journal directory produces a canonical NDJSON
 // stream byte-identical to a never-interrupted run's. Retention passes
-// race both phases: an aggressive Compact between crash and resume must
-// leave the in-progress WAL untouched, and a Compact after completion
-// stubs the WAL so a further resubmission re-executes the grid — still
-// byte-identically.
+// race both phases: the most aggressive policy applied between crash and
+// resume must leave the in-progress WAL untouched, and once the sweep is
+// sealed the same policy retires its WAL, so a further resubmission
+// re-executes the grid — still byte-identically.
 func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	baseline := baselineNDJSON(t)
 	if n := strings.Count(baseline, "\n"); n != 13 { // 12 cells + summary
@@ -123,7 +123,7 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	// not carry its done record. When the crash truly landed mid-flight,
 	// run maximum-aggression retention against it: no done record, so
 	// neither age nor size budget may touch it and replay must survive
-	// intact. (The done outcome is exercised by the stub-and-reexecute
+	// intact. (The done outcome is exercised by the retire-and-reexecute
 	// phase at the end of this test.)
 	spec, err := sweep.ParseSpec([]byte(crashSpec))
 	if err != nil {
@@ -139,11 +139,18 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	}
 	wasDone := probe.Done()
 	probe.Close()
+	aggressive := journal.Retention{Retain: time.Nanosecond, MaxBytes: 1}
 	if !wasDone {
-		if stats, err := js.Compact(journal.Retention{Retain: time.Nanosecond, MaxBytes: 1}); err != nil {
+		wal := filepath.Join(dir, hash+".wal")
+		before, err := os.ReadFile(wal)
+		if err != nil {
 			t.Fatal(err)
-		} else if stats.Compacted != 0 || stats.Removed != 0 {
-			t.Fatalf("compaction touched an in-progress WAL: %+v", stats)
+		}
+		if err := js.SetRetention(aggressive); err != nil {
+			t.Fatal(err)
+		}
+		if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("retention touched an in-progress WAL (%v)", err)
 		}
 	}
 
@@ -159,26 +166,104 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("resumed canonical stream differs from baseline:\n--- baseline ---\n%s--- resumed ---\n%s", baseline, resumed)
 	}
 
-	// Now the sweep is done: compaction stubs its WAL, and resubmitting the
-	// compacted spec re-executes the whole grid to the same bytes.
-	stats, err := js2.Compact(journal.Retention{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Compacted != 1 {
-		t.Fatalf("post-completion compaction stats = %+v, want 1 stub", stats)
-	}
+	// Now the sweep is sealed: the same policy retires its WAL, and
+	// resubmitting the spec re-executes the whole grid to the same bytes.
 	js3, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := js3.SetRetention(aggressive); err != nil {
+		t.Fatal(err)
+	}
+	if got := testutil.ToFloat64(js3.Metrics().Retired); got != 1 {
+		t.Fatalf("retention retired %v WALs after completion, want 1", got)
+	}
 	eng := engine.New()
 	recomputed := canonicalNDJSON(t, sweepBody(t, NewHandler(eng, Options{Journal: js3}), crashSpec))
 	if recomputed != baseline {
-		t.Fatalf("post-compaction rerun differs from baseline:\n--- baseline ---\n%s--- rerun ---\n%s", baseline, recomputed)
+		t.Fatalf("post-retirement rerun differs from baseline:\n--- baseline ---\n%s--- rerun ---\n%s", baseline, recomputed)
 	}
 	if eng.Computations() == 0 {
-		t.Fatal("post-compaction rerun executed nothing; the stub should have forced recomputation")
+		t.Fatal("post-retirement rerun executed nothing; the retired WAL should have forced recomputation")
+	}
+}
+
+// TestJournaledSweepReplaysUnderRetention: a retention policy that the
+// directory is far inside keeps a completed sweep's WAL whole, both at
+// the seal and at a restart's startup pass, so resubmitting the spec
+// still replays entirely from disk.
+func TestJournaledSweepReplaysUnderRetention(t *testing.T) {
+	baseline := baselineNDJSON(t)
+	dir := t.TempDir()
+	roomy := journal.Retention{Retain: 24 * time.Hour, MaxBytes: 1 << 30}
+	js, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := js.SetRetention(roomy); err != nil {
+		t.Fatal(err)
+	}
+	sweepBody(t, NewHandler(engine.New(), Options{Journal: js}), crashSpec)
+
+	js2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := js2.SetRetention(roomy); err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New()
+	replayed := canonicalNDJSON(t, sweepBody(t, NewHandler(eng, Options{Journal: js2}), crashSpec))
+	if replayed != baseline {
+		t.Fatalf("replay under retention differs from baseline:\n--- baseline ---\n%s--- replayed ---\n%s", baseline, replayed)
+	}
+	if got := eng.Computations(); got != 0 {
+		t.Fatalf("replay under retention ran %d computations, want 0", got)
+	}
+}
+
+// TestLegacyStubReseals: a stub an earlier release's compactor left — a
+// lone done record, with or without the trailing newline — re-executes
+// the grid to the baseline bytes and ends sealed again, so a second
+// resubmission replays entirely from disk.
+func TestLegacyStubReseals(t *testing.T) {
+	baseline := baselineNDJSON(t)
+	spec, err := sweep.ParseSpec([]byte(crashSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := sweep.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, done := range []string{"{\"type\":\"done\"}\n", `{"type":"done"}`} {
+		dir := t.TempDir()
+		wal := filepath.Join(dir, hash+".wal")
+		if err := os.WriteFile(wal, walFrame([]byte(done)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for run, wantComputations := range []bool{true, false} {
+			js, err := journal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := engine.New()
+			got := canonicalNDJSON(t, sweepBody(t, NewHandler(eng, Options{Journal: js}), crashSpec))
+			if got != baseline {
+				t.Fatalf("stub %q, run %d: canonical stream differs from baseline:\n--- baseline ---\n%s--- got ---\n%s", done, run, baseline, got)
+			}
+			if computed := eng.Computations() > 0; computed != wantComputations {
+				t.Fatalf("stub %q, run %d: ran %d computations", done, run, eng.Computations())
+			}
+			raw, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads := walPayloads(t, raw)
+			if last := string(payloads[len(payloads)-1]); last != "{\"type\":\"done\"}\n" {
+				t.Fatalf("stub %q, run %d: last WAL record is %q, want the done row", done, run, last)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,9 @@
 #      crashed run already computed), and
 #   3. append only cell and done records, the two types replay reads.
 #
+# Two more phases follow: a sweep under an artifact-store budget, and two
+# sweeps under a journal budget that retires the first one's WAL.
+#
 # Usage: scripts/crash_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -197,3 +200,58 @@ if [ -z "$gc_bytes" ] || ! awk -v b="$gc_bytes" -v max="$budget" 'BEGIN { exit !
   exit 1
 fi
 echo "disk-pressure smoke OK: sweep byte-identical under a ${budget}-byte artifact budget (evictions=${evictions%.*}, tracked bytes=${gc_bytes:-?})"
+
+# Journal-budget phase: a -journal-max-bytes budget above one sealed WAL
+# but below two. Two specs of the crash grid's shape (different seeds, so
+# different hashes) complete in turn; sealing the second retires the
+# first, and the second keeps its cells, so resubmitting it replays
+# entirely from disk with no new cell appends.
+base_wals=("$workdir/journal-base/"*.wal)
+wal_bytes="$(wc -c < "${base_wals[0]}")"
+jbudget=$((wal_bytes + wal_bytes / 2))
+for seed in 5 6; do
+  cat > "$workdir/budget-$seed.json" <<SPEC
+{
+  "name": "budget-smoke",
+  "protocols": [{"spec": "flock:{N}"}],
+  "params": [{"from": 3, "to": 10}],
+  "kinds": ["simulate", "stable"],
+  "sizes": [400, 401],
+  "options": {"seed": $seed, "runs": 40}
+}
+SPEC
+done
+"$workdir/ppserve" -coordinator -addr 127.0.0.1:0 \
+  -journal-dir "$workdir/journal-budget" -artifact-dir "$workdir/artifacts-base" \
+  -journal-max-bytes "$jbudget" \
+  > "$workdir/budget.log" 2>&1 &
+pids+=($!)
+burl="http://$(wait_listen "$workdir/budget.log")"
+"$workdir/ppsweep" -spec "$workdir/budget-5.json" -cluster "$burl" -canonical -quiet > /dev/null
+first_wal="$(ls "$workdir/journal-budget")"
+"$workdir/ppsweep" -spec "$workdir/budget-6.json" -cluster "$burl" -canonical -quiet > "$workdir/budget1.ndjson"
+left="$(ls "$workdir/journal-budget")"
+if [ "$(wc -w <<< "$left")" -ne 1 ] || [ "$left" = "$first_wal" ]; then
+  echo "FAIL: journal holds [${left//$'\n'/ }] under a ${jbudget}-byte budget, want only the second spec's WAL (first was $first_wal)" >&2
+  exit 1
+fi
+jmetrics="$(curl -sf "$burl/metrics")"
+retired="$(awk '/^pp_journal_retired_total/ {print $2}' <<< "$jmetrics")"
+retired="${retired:-0}"
+if [ "${retired%.*}" -lt 1 ]; then
+  echo "FAIL: two sealed WALs over a ${jbudget}-byte budget but pp_journal_retired_total=${retired}" >&2
+  grep '^pp_journal' <<< "$jmetrics" >&2 || true
+  exit 1
+fi
+cells_before="$(awk '/^pp_journal_appends_total\{type="cell"\}/ {print $2}' <<< "$jmetrics")"
+"$workdir/ppsweep" -spec "$workdir/budget-6.json" -cluster "$burl" -canonical -quiet > "$workdir/budget2.ndjson"
+if ! diff -u "$workdir/budget1.ndjson" "$workdir/budget2.ndjson"; then
+  echo "FAIL: resubmitted spec's canonical NDJSON diverges from its first run" >&2
+  exit 1
+fi
+cells_after="$(curl -sf "$burl/metrics" | awk '/^pp_journal_appends_total\{type="cell"\}/ {print $2}')"
+if [ -z "$cells_before" ] || [ "$cells_after" != "$cells_before" ]; then
+  echo "FAIL: resubmitting a retained sealed spec appended cells (${cells_before} → ${cells_after}); it should replay from disk" >&2
+  exit 1
+fi
+echo "journal-budget smoke OK: ${jbudget}-byte budget retired ${retired%.*} WAL(s), kept $left, and its resubmission replayed $(wc -l < "$workdir/budget2.ndjson") byte-identical rows with no new cell appends"
