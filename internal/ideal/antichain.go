@@ -11,6 +11,7 @@ package ideal
 // verbatim for differential tests and benchmarks.
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/multiset"
@@ -211,13 +212,35 @@ func SortBasis(basis []multiset.Vec) []multiset.Vec {
 // denoting the same set have identical MinBasis slices after
 // canonicalization, whatever insertion histories produced them — this is
 // what lets a computed fixpoint and one restored from a durable artifact
-// expose identical bases.
+// expose identical bases. Only the live positions are sorted, by their
+// arena coordinates; the result then copies each element's words and its
+// cached signature and hash, so nothing is cloned or rehashed. The index
+// is filled in the same order, so it matches one built by Inserting the
+// sorted basis.
 func CanonicalUpSet(u *UpSet) *UpSet {
-	// The input is an antichain, so the sorted basis is one too and
-	// restores without domination scans: arena order == canonical order.
-	out, err := RestoreUpSet(u.d, SortBasis(u.MinBasis()))
-	if err != nil {
-		panic(err) // unreachable: every element has dimension u.d
+	n, d := len(u.ids), u.d
+	order := make([]int32, n) // positions in u.ids, sorted below
+	for k := range order {
+		order[k] = int32(k)
+	}
+	// Antichain elements are distinct, so the order is total.
+	slices.SortFunc(order, func(a, b int32) int {
+		return slices.Compare(u.storedAt(u.ids[a]), u.storedAt(u.ids[b]))
+	})
+	out := &UpSet{
+		d:      d,
+		arena:  make([]int64, n*d),
+		stored: n,
+		ids:    make([]int32, n),
+		sigs:   make([]sig, n),
+		live:   make([]bool, n),
+	}
+	for k, pos := range order {
+		copy(out.arena[k*d:(k+1)*d], u.storedAt(u.ids[pos]))
+		out.ids[k] = int32(k)
+		out.sigs[k] = u.sigs[pos]
+		out.live[k] = true
+		out.index.add(int32(k), u.sigs[pos].hash)
 	}
 	return out
 }

@@ -50,12 +50,24 @@ func (id Ideal) Contains(v multiset.Vec) bool {
 }
 
 // Subsumes reports whether other ⊆ id.
-func (id Ideal) Subsumes(other Ideal) bool {
-	for i, c := range id.caps {
-		if c == Omega {
-			continue
+func (id Ideal) Subsumes(other Ideal) bool { return capsLE(other.caps, id.caps) }
+
+// capsLE reports whether the ideal with caps a lies inside the one with
+// caps b: a[i] ≤ b[i] on every coordinate, ω being above every cap. Read
+// as unsigned, Omega (−1) is the largest word, so this is one unsigned
+// comparison per coordinate, unrolled 4-wide like leWords.
+func capsLE(a, b []int64) bool {
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		aq := a[i : i+4 : i+4]
+		bq := b[i : i+4 : i+4]
+		if uint64(aq[0]) > uint64(bq[0]) || uint64(aq[1]) > uint64(bq[1]) ||
+			uint64(aq[2]) > uint64(bq[2]) || uint64(aq[3]) > uint64(bq[3]) {
+			return false
 		}
-		if other.caps[i] == Omega || other.caps[i] > c {
+	}
+	for ; i < len(a); i++ {
+		if uint64(a[i]) > uint64(b[i]) {
 			return false
 		}
 	}
@@ -144,13 +156,13 @@ func (id Ideal) String() string {
 // DownSet is a downward-closed subset of ℕ^d represented as a finite union
 // of ideals, kept irredundant (no ideal subsumes another).
 //
-// Subsumption scans during Add are pruned by a per-ideal folded ω-mask:
-// id ⊆ have needs every ω coordinate of id to be ω in have, so
-// ωmask(id) &^ ωmask(have) ≠ 0 refutes subsumption in one word before any
-// cap is compared. The pruning changes no decision — the kept ideals and
-// their order are exactly those of the unpruned seed Add — so the
-// decompositions both complementation paths (ComplementUp and the retained
-// NaiveComplementUp) produce stay bit-identical.
+// Subsumption scans — in Add, and in ComplementUp's arena passes — are
+// pruned by a per-ideal folded ω-mask: id ⊆ have needs every ω coordinate
+// of id to be ω in have, so ωmask(id) &^ ωmask(have) ≠ 0 refutes
+// subsumption in one word before any cap is compared. The pruning changes
+// no decision: the kept ideals and their order are exactly those of the
+// unpruned scans. Union copies the receiver's decomposition as it stands
+// and Adds only the other operand's ideals.
 type DownSet struct {
 	d      int
 	ideals []Ideal
@@ -274,9 +286,14 @@ func (ds *DownSet) Norm() int64 {
 	return n
 }
 
-// Union returns the union of ds and other.
+// Union returns the union of ds and other. ds's decomposition is already
+// irredundant, so it is copied as it stands (Ideals are immutable values,
+// shared with ds); only other's ideals go through the subsumption scans.
 func (ds *DownSet) Union(other *DownSet) *DownSet {
-	out := NewDownSet(ds.d, ds.ideals...)
+	n := len(ds.ideals) + len(other.ideals)
+	out := &DownSet{d: ds.d, ideals: make([]Ideal, 0, n), omegas: make([]uint64, 0, n)}
+	out.ideals = append(out.ideals, ds.ideals...)
+	out.omegas = append(out.omegas, ds.omegas...)
 	out.Add(other.ideals...)
 	return out
 }
@@ -304,17 +321,24 @@ func (ds *DownSet) String() string {
 // ⟦m⟧) pass through untouched — they were pairwise irredundant and a
 // shrunk clone can never subsume an untouched ideal (it would have had to
 // subsume its parent) — and only the clones of the remaining ideals pay
-// subsumption scans. Each clone is built in one reused buffer and copied
-// into its own Ideal only once the subsumed-by scan has kept it, and the
-// per-element decompositions alternate between two DownSets, so a pass
-// allocates only the ideals it keeps.
+// subsumption scans.
+//
+// The passes run on two flat cap arenas of stride d: the decomposition,
+// where ideal k is caps[k*d:(k+1)*d] next to its folded ω-mask, and the
+// caps of the ideals the current element cuts. A pass moves the ideals
+// that avoid ↑m down in place over the ones that do not, which it sets
+// aside, then appends the kept clones behind them; nothing before the
+// first cut ideal moves. Each clone is built in one reused buffer and
+// appended only once the subsumed-by scan has kept it, so a pass moves
+// plain words and allocates nothing once the arenas have grown. The
+// result's ideals are built once, at the end, as views into one slab.
 func ComplementUp(u *UpSet) *DownSet {
 	d := u.Dim()
-	ds := NewDownSet(d, FullIdeal(d))
-	next := &DownSet{d: d}
+	full := FullIdeal(d)
+	a := capArena{d: d, caps: full.caps, omegas: []uint64{omegaMask(full)}}
+	var cut []int64 // caps of the ideals the current element cuts
 	support := make([]int, 0, d)
 	buf := make([]int64, d)
-	var changed []Ideal
 	for _, mid := range u.ids {
 		m := u.storedAt(mid)
 		support = support[:0]
@@ -323,65 +347,98 @@ func ComplementUp(u *UpSet) *DownSet {
 				support = append(support, i)
 			}
 		}
-		next.ideals, next.omegas = next.ideals[:0], next.omegas[:0]
-		changed = changed[:0]
-		for k, id := range ds.ideals {
+		cut = cut[:0]
+		w := 0
+		for k, om := range a.omegas {
+			c := a.at(k)
 			avoids := false
 			for _, i := range support {
-				if id.caps[i] != Omega && id.caps[i] <= m[i]-1 {
+				if c[i] != Omega && c[i] <= m[i]-1 {
 					avoids = true
 					break
 				}
 			}
-			if avoids {
-				next.ideals = append(next.ideals, id)
-				next.omegas = append(next.omegas, ds.omegas[k])
-			} else {
-				changed = append(changed, id)
+			if !avoids {
+				cut = append(cut, c...)
+				continue
 			}
+			if w != k {
+				copy(a.at(w), c)
+				a.omegas[w] = om
+			}
+			w++
 		}
+		a.caps, a.omegas = a.caps[:w*d], a.omegas[:w]
 		// A minimal element m = 0 has empty support: ↑m = ℕ^d, complement
 		// empty, nothing survives (no clones are generated).
-		protected := len(next.ideals)
-		for _, id := range changed {
+		for o := 0; o < len(cut); o += d {
+			c := cut[o : o+d]
 			for _, i := range support {
-				// Here caps[i] is ω or > m[i]−1, so the clone strictly
+				// Here c[i] is ω or > m[i]−1, so the clone strictly
 				// shrinks coordinate i.
-				copy(buf, id.caps)
+				copy(buf, c)
 				buf[i] = m[i] - 1
-				next.addClone(buf, protected)
+				a.addClone(buf, w)
 			}
 		}
-		ds, next = next, ds
 	}
-	return ds
+	return a.downSet()
+}
+
+// capArena is ComplementUp's decomposition: len(omegas) ideals, their
+// caps back to back with stride d, each with its folded ω-mask.
+type capArena struct {
+	d      int
+	caps   []int64
+	omegas []uint64
+}
+
+// at returns the caps of ideal k as a view into the arena.
+func (a *capArena) at(k int) []int64 {
+	return a.caps[k*a.d : (k+1)*a.d : (k+1)*a.d]
 }
 
 // addClone inserts a shrunk clone during a ComplementUp pass. caps is the
-// caller's scratch buffer: it is copied into a new Ideal only when no
-// ideal of ds subsumes it. Ideals below index protected are untouched
+// caller's scratch buffer: its words are appended only when no ideal of
+// the arena subsumes it. Ideals below index protected are untouched
 // originals that no clone can subsume, so the removal scan starts at
-// protected; the subsumed-by scan still covers everything.
-func (ds *DownSet) addClone(caps []int64, protected int) {
-	id := Ideal{caps: caps}
-	om := omegaMask(id)
-	for k, have := range ds.ideals {
-		if om&^ds.omegas[k] == 0 && have.Subsumes(id) {
+// protected, and survivors move down in place from the first removed
+// ideal on; the subsumed-by scan still covers everything.
+func (a *capArena) addClone(caps []int64, protected int) {
+	om := omegaMask(Ideal{caps: caps})
+	for k, have := range a.omegas {
+		if om&^have == 0 && capsLE(caps, a.at(k)) {
 			return
 		}
 	}
-	id = NewIdeal(caps)
-	kept := ds.ideals[:protected]
-	keptOmegas := ds.omegas[:protected]
-	for k := protected; k < len(ds.ideals); k++ {
-		if ds.omegas[k]&^om == 0 && id.Subsumes(ds.ideals[k]) {
+	w := protected
+	for k := protected; k < len(a.omegas); k++ {
+		have := a.omegas[k]
+		if have&^om == 0 && capsLE(a.at(k), caps) {
 			continue
 		}
-		kept = append(kept, ds.ideals[k])
-		keptOmegas = append(keptOmegas, ds.omegas[k])
+		if w != k {
+			copy(a.at(w), a.at(k))
+			a.omegas[w] = have
+		}
+		w++
 	}
-	ds.ideals = append(kept, id)
-	ds.omegas = append(keptOmegas, om)
+	a.caps = append(a.caps[:w*a.d], caps...)
+	a.omegas = append(a.omegas[:w], om)
+}
+
+// downSet builds the arena's decomposition as a DownSet whose ideals are
+// views into one slab, in arena order.
+func (a *capArena) downSet() *DownSet {
+	n := len(a.omegas)
+	slab := make([]int64, n*a.d)
+	copy(slab, a.caps)
+	ds := &DownSet{d: a.d, ideals: make([]Ideal, n), omegas: make([]uint64, n)}
+	copy(ds.omegas, a.omegas)
+	for k := range ds.ideals {
+		ds.ideals[k] = Ideal{caps: slab[k*a.d : (k+1)*a.d : (k+1)*a.d]}
+	}
+	return ds
 }
 
 // ComplementDown computes the upward-closed complement of a downward-closed

@@ -19,9 +19,13 @@
 // UpSet is the antichain workhorse of the backward-coverability fixpoint in
 // internal/stable, so it is built for throughput: minimal elements live in
 // one flat arena (antichain.go), exact duplicates are rejected through a
-// raw-coordinate hash index, and domination scans are pruned by per-element
-// signatures. The pre-arena implementation is retained verbatim as
-// NaiveUpSet (naive.go) for differential tests and benchmarks.
+// raw-coordinate hash index, domination scans are pruned by per-element
+// signatures, and an Insert that evicts compacts the antichain in place.
+// CanonicalUpSet sorts the live ids and copies words, signatures and
+// hashes, and ComplementUp runs its passes on flat cap arenas, building
+// the resulting ideals once as views into one slab. The pre-arena
+// implementation is retained verbatim as NaiveUpSet (naive.go) for
+// differential tests and benchmarks.
 package ideal
 
 import (
@@ -59,9 +63,10 @@ func NewUpSet(d int, gens ...multiset.Vec) *UpSet {
 // scans Insert pays: elements of an antichain are pairwise incomparable by
 // construction, so the scans cannot reject or evict anything. Arena order
 // is the input order, so a basis stored in canonical order restores to an
-// UpSet indistinguishable from CanonicalUpSet's output. The caller vouches
-// the input is an antichain; only dimensions are checked (a dominated or
-// duplicate element would silently corrupt the set).
+// UpSet indistinguishable from the CanonicalUpSet of the set it was read
+// from. The caller vouches the input is an antichain; only dimensions are
+// checked (a dominated or duplicate element would silently corrupt the
+// set).
 func RestoreUpSet(d int, basis []multiset.Vec) (*UpSet, error) {
 	u := &UpSet{
 		d:      d,
@@ -156,19 +161,21 @@ func (u *UpSet) Insert(g multiset.Vec) (id int, grew bool) {
 		return -1, false
 	}
 	// Drop elements dominated by g. g ≤ m needs support(g) ⊆ support(m)
-	// and norm(g) ≤ norm(m); both are one-word rejections.
-	keptIDs := u.ids[:0]
-	keptSigs := u.sigs[:0]
+	// and norm(g) ≤ norm(m); both are one-word rejections. Survivors move
+	// down in place, and only those after the first evicted element move.
+	w := 0
 	for k, mid := range u.ids {
-		s := u.sigs[k]
+		s := &u.sigs[k]
 		if gmask&^s.support == 0 && gnorm <= s.norm && leWords(g, u.storedAt(mid)) {
 			u.live[mid] = false
 			continue
 		}
-		keptIDs = append(keptIDs, mid)
-		keptSigs = append(keptSigs, s)
+		if w != k {
+			u.ids[w], u.sigs[w] = mid, *s
+		}
+		w++
 	}
-	u.ids, u.sigs = keptIDs, keptSigs
+	u.ids, u.sigs = u.ids[:w], u.sigs[:w]
 
 	nid := int32(u.stored)
 	u.arena = append(u.arena, g...)

@@ -59,6 +59,50 @@ func TestEqWordsMatchesRef(t *testing.T) {
 	}
 }
 
+// subsumesRef is Ideal.Subsumes as it read before it became an unsigned
+// word scan: other ⊆ id, checked cap by cap with ω handled explicitly.
+func subsumesRef(id, other []int64) bool {
+	for i, c := range id {
+		if c == Omega {
+			continue
+		}
+		if other[i] == Omega || other[i] > c {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCapsLEMatchesRef pins the unsigned cap scan to subsumesRef on every
+// length around the unroll boundaries, with ω on about a quarter of the
+// coordinates.
+func TestCapsLEMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	caps := func(n int) []int64 {
+		w := randWords(rng, n)
+		for i := range w {
+			if rng.Intn(4) == 0 {
+				w[i] = Omega
+			}
+		}
+		return w
+	}
+	for n := 0; n <= 19; n++ {
+		for trial := 0; trial < 400; trial++ {
+			a, b := caps(n), caps(n)
+			if trial%3 == 0 {
+				copy(b, a)
+				if n > 0 && trial%6 == 0 {
+					b[rng.Intn(n)] = Omega
+				}
+			}
+			if got, want := capsLE(a, b), subsumesRef(b, a); got != want {
+				t.Fatalf("capsLE(%v, %v) = %t, ref %t", a, b, got, want)
+			}
+		}
+	}
+}
+
 // FuzzWordScans cross-checks both unrolled comparators against their
 // references on arbitrary byte-derived coordinate pairs.
 func FuzzWordScans(f *testing.F) {

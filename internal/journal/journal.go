@@ -22,8 +22,8 @@
 // client) survives a kill -9.
 //
 // Retention (Store.SetRetention) deletes only sealed WALs, those ending
-// with their done record, and runs synchronously: once when the policy is
-// set and again each time a sealed sweep is closed.
+// with their done record in either framing, and runs synchronously: once
+// when the policy is set and again each time a sealed sweep is closed.
 package journal
 
 import (
@@ -132,10 +132,13 @@ func validHash(h string) bool {
 }
 
 // doneRow is the done record's payload, and doneFrame the record as the
-// WAL stores it.
+// WAL stores it. legacyDoneFrame is the done record as releases before the
+// shared row codec framed it, without the trailing newline; WALs those
+// releases completed end with it.
 var (
-	doneRow   = sweep.AppendRow(nil, sweep.StreamRow{Type: "done"})
-	doneFrame = encodeFrame(doneRow)
+	doneRow         = sweep.AppendRow(nil, sweep.StreamRow{Type: "done"})
+	doneFrame       = encodeFrame(doneRow)
+	legacyDoneFrame = encodeFrame([]byte(`{"type":"done"}`))
 )
 
 // Sweep is one open sweep journal: the replayed state plus an append

@@ -106,18 +106,16 @@ func (s *Store) retireWAL(hash string) bool {
 	return true
 }
 
-// sealed reports whether the size-byte WAL r ends with the done frame.
-// Cell payloads are JSON, which holds no NUL byte, so neither a cell
-// record nor the torn tail of one can put the frame's 10 00 00 00 length
-// header in place: a WAL the journal wrote is sealed only when it ends
-// with a complete done record.
+// sealed reports whether the size-byte WAL r ends with a done frame: the
+// current one, or the 23-byte one of releases whose done payload had no
+// trailing newline. Cell payloads are JSON, which holds no NUL byte, so
+// neither a cell record nor the torn tail of one can put a done frame's
+// length header (10 00 00 00, or 0f 00 00 00) in place: a WAL the journal
+// wrote is sealed only when it ends with a complete done record.
 func sealed(r io.ReaderAt, size int64) bool {
-	if size < int64(len(doneFrame)) {
+	tail := make([]byte, min(size, int64(len(doneFrame))))
+	if _, err := r.ReadAt(tail, size-int64(len(tail))); err != nil {
 		return false
 	}
-	tail := make([]byte, len(doneFrame))
-	if _, err := r.ReadAt(tail, size-int64(len(doneFrame))); err != nil {
-		return false
-	}
-	return bytes.Equal(tail, doneFrame)
+	return bytes.HasSuffix(tail, doneFrame) || bytes.HasSuffix(tail, legacyDoneFrame)
 }

@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -234,5 +236,58 @@ func TestConcurrentSealsRetireUnderBudget(t *testing.T) {
 		if !walExists(s, "live") {
 			t.Fatalf("round %d: closing the unsealed sweep deleted it", round)
 		}
+	}
+}
+
+// TestLegacySealedWALRetired: a sweep that a release before the shared row
+// codec completed ends with a 23-byte done frame, whose payload has no
+// trailing newline. The size budget retires such a WAL like any sealed
+// one, but never while a sweep holds it open; closing that sweep retires
+// it too.
+func TestLegacySealedWALRetired(t *testing.T) {
+	frame := func(payload string) []byte {
+		var h [8]byte
+		binary.LittleEndian.PutUint32(h[:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(h[4:], crc32.ChecksumIEEE([]byte(payload)))
+		return append(h[:], payload...)
+	}
+	done := frame(`{"type":"done"}`)
+	if len(done) != 23 {
+		t.Fatalf("legacy done frame is %d bytes, want 23", len(done))
+	}
+	wal := append(frame(string(cellRow(0))), done...)
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{"legacydone", "legacyopen"} {
+		if err := os.WriteFile(filepath.Join(s.Dir(), h+".wal"), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := s.Sweep("legacyopen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j.Done() || len(j.Completed()) != 1 {
+		t.Fatalf("legacy WAL replays done=%v with %d cells, want done with 1", j.Done(), len(j.Completed()))
+	}
+	if err := s.SetRetention(Retention{MaxBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if walExists(s, "legacydone") {
+		t.Fatal("legacy-sealed WAL survived the size budget")
+	}
+	if after, err := os.ReadFile(filepath.Join(s.Dir(), "legacyopen.wal")); err != nil || !bytes.Equal(after, wal) {
+		t.Fatalf("open legacy-sealed WAL was retired or changed (%v)", err)
+	}
+	if got := s.Metrics().Retired.Value(); got != 1 {
+		t.Fatalf("retired metric = %v, want 1", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if walExists(s, "legacyopen") {
+		t.Fatal("closing the legacy-sealed sweep did not retire it")
 	}
 }

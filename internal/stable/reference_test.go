@@ -20,7 +20,9 @@ package stable
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -181,7 +183,7 @@ func randomProtocol(rng *rand.Rand) *protocol.Protocol {
 // round arena, then inserts them all in frontier × transition order.
 func unprunedBackwardCover(p *protocol.Protocol, b int) (*ideal.UpSet, int, int) {
 	u, frontier := seedGenerators(p, b)
-	rows := predRows(p)
+	rows := newPredTable(p).rows
 	d := u.Dim()
 	var (
 		iters, expanded int
@@ -228,7 +230,7 @@ func compareUnpruned(t *testing.T, label string, p *protocol.Protocol) {
 	t.Helper()
 	for b := 0; b <= 1; b++ {
 		want, wantIters, wantExpanded := unprunedBackwardCover(p, b)
-		got, iters, expanded, err := backwardCover(p, b, 200_000, nil)
+		got, iters, expanded, err := backwardCover(p, newPredTable(p), b, 200_000, nil)
 		if err != nil {
 			t.Fatalf("%s: backwardCover(%d): %v", label, b, err)
 		}
@@ -314,7 +316,8 @@ func TestPrunedRoundMatchesUnprunedLarger(t *testing.T) {
 	for _, e := range []protocols.Entry{protocols.FlockOfBirds(28), protocols.BinaryThreshold(104)} {
 		compareUnpruned(t, e.Protocol.Name(), e.Protocol)
 	}
-	u, _, _, err := backwardCover(protocols.BinaryThreshold(104).Protocol, 0, 200_000, nil)
+	p := protocols.BinaryThreshold(104).Protocol
+	u, _, _, err := backwardCover(p, newPredTable(p), 0, 200_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,18 +326,50 @@ func TestPrunedRoundMatchesUnprunedLarger(t *testing.T) {
 	}
 }
 
-// TestSkippedRowsCannotLower checks the pruning lemma directly: for every
-// element m of the computed fixpoints (and random vectors) and every row
-// the fixpoint skips for m, the predecessor max((m − Δ)⁺, pre) is ≥ m.
+// lowers is the row filter as the fixpoint first applied it, one row at a
+// time: whether m occupies a state the row adds agents to (delta(i) > 0).
+// It is the oracle of the per-state row bitsets.
+func lowers(row *predRow, m []int64) bool {
+	for i, x := range row.delta {
+		if x > 0 && m[i] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// visitedRows lists the rows backwardCover visits for m, in the order it
+// visits them: the set bits of the union of supp(m)'s row bitsets,
+// ascending.
+func visitedRows(pt *predTable, m []int64) []int {
+	mask := make([]uint64, pt.words)
+	pt.lowering(mask, m)
+	var out []int
+	for k, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, k<<6|bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
+// TestSkippedRowsCannotLower checks the pruning lemma directly, and the
+// row bitsets that apply it. For every element m of the computed
+// fixpoints (and random vectors), the bitsets must visit exactly the rows
+// lowers keeps, in ascending order, and for every row left out the
+// predecessor max((m − Δ)⁺, pre) must be ≥ m.
 func TestSkippedRowsCannotLower(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	check := func(label string, p *protocol.Protocol, elems []multiset.Vec) int {
-		rows := predRows(p)
+		pt := newPredTable(p)
+		rows := pt.rows
 		pred := make([]int64, p.NumStates())
 		skipped := 0
 		for _, m := range elems {
+			var want []int
 			for ti := range rows {
-				if rows[ti].lowers(m) {
+				if lowers(&rows[ti], m) {
+					want = append(want, ti)
 					continue
 				}
 				skipped++
@@ -343,10 +378,13 @@ func TestSkippedRowsCannotLower(t *testing.T) {
 					t.Fatalf("%s: row %d skipped for %v, but its predecessor %v is not ≥ it", label, ti, m, pred)
 				}
 			}
+			if got := visitedRows(pt, m); !slices.Equal(got, want) {
+				t.Fatalf("%s: the row bitsets visit rows %v for %v, lowers keeps %v", label, got, m, want)
+			}
 		}
 		return skipped
 	}
-	skipped := 0
+	skipped, multiword := 0, false
 	var ps []*protocol.Protocol
 	for trial := 0; trial < 40; trial++ {
 		ps = append(ps, randomProtocol(rng))
@@ -368,8 +406,12 @@ func TestSkippedRowsCannotLower(t *testing.T) {
 			elems = append(elems, v)
 		}
 		skipped += check(p.Name(), p, elems)
+		multiword = multiword || newPredTable(p).words > 1
 	}
 	if skipped == 0 {
 		t.Fatal("no row was ever skipped: the check is vacuous")
+	}
+	if !multiword {
+		t.Fatal("no protocol has more than 64 rows: the bitsets' word boundary is never crossed")
 	}
 }

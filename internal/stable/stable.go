@@ -24,16 +24,18 @@
 // of older elements were already derived and, the set being monotone
 // non-shrinking under Add, anything dominated once stays dominated. Within
 // a round, a transition t that puts agents only into states m does not
-// occupy (post(t) ∩ supp(m) = ∅) is skipped: its predecessor is ≥ m, so
-// inserting it could not change the set. Every other predecessor is
-// inserted as soon as it is derived, in frontier × transition order. The
-// retained seed fixpoint and an unpruned copy of the round
-// (reference_test.go) are the test oracles of this core.
+// occupy (post(t) ∩ supp(m) = ∅) is never visited: its predecessor is ≥ m,
+// so inserting it could not change the set. The rows that remain are read
+// off per-state row bitsets, and each predecessor is inserted as soon as it
+// is derived, in frontier × transition order. The retained seed fixpoint
+// and an unpruned copy of the round (reference_test.go) are the test
+// oracles of this core.
 package stable
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ideal"
 	"repro/internal/multiset"
@@ -46,10 +48,6 @@ var ErrBasisTooLarge = errors.New("stable: backward coverability basis exceeds l
 
 // ErrInterrupted is returned when Options.Interrupt closes mid-analysis.
 var ErrInterrupted = errors.New("stable: interrupted")
-
-// interruptBatch is how many (element, transition) steps go between polls
-// of the Interrupt channel.
-const interruptBatch = 1024
 
 // Analysis holds the computed stable sets of one protocol. An Analysis is
 // immutable once returned by Analyze: every accessor hands out shared
@@ -89,8 +87,9 @@ func Analyze(p *protocol.Protocol, opts Options) (*Analysis, error) {
 		maxBasis = 200_000
 	}
 	a := &Analysis{p: p}
+	pt := newPredTable(p)
 	for b := 0; b <= 1; b++ {
-		u, iters, expanded, err := backwardCover(p, b, maxBasis, opts.Interrupt)
+		u, iters, expanded, err := backwardCover(p, pt, b, maxBasis, opts.Interrupt)
 		if err != nil {
 			return nil, fmt.Errorf("computing U_%d: %w", b, err)
 		}
@@ -120,25 +119,69 @@ func (a *Analysis) finish() {
 
 // predRow is one non-identity transition of the pred-basis step: the
 // minimal configurations firing t into ↑m are max((m − delta)⁺, pre).
-// post lists the states t adds agents to (delta(i) > 0).
 type predRow struct {
 	delta multiset.Vec
 	pre   multiset.Vec
-	post  []int
 }
 
-// lowers reports whether the row's predecessor of m can fall below m
-// somewhere, i.e. whether m occupies a state of post. When it does not,
-// (m − delta)⁺ ≥ m coordinatewise (delta ≤ 0 off post, and m is 0 on
-// post), so the predecessor is ≥ m: m or the live element dominating it
-// already covers it, and Insert would reject it without touching the set.
-func (row *predRow) lowers(m []int64) bool {
-	for _, i := range row.post {
-		if m[i] > 0 {
-			return true
+// predTable is the pred-basis step of one protocol, built once per
+// Analyze: its rows, and for each state q the bitset of the rows that add
+// agents to q (delta(q) > 0), each words uint64s long.
+//
+// A row t can lower an element m only if m occupies a state of post(t):
+// otherwise (m − delta)⁺ ≥ m coordinatewise (delta ≤ 0 off post(t), and
+// m is 0 on post(t)), so the predecessor is ≥ m, and m or the live element
+// dominating it already covers it — Insert would reject it without
+// touching the set. The union of the bitsets of supp(m) is therefore
+// exactly the set of rows worth visiting for m.
+type predTable struct {
+	rows   []predRow
+	words  int
+	byPost []uint64 // state q's row bitset at [q*words, (q+1)*words)
+}
+
+// newPredTable builds the rows, one per non-identity transition, and the
+// per-state row bitsets. The rows' pre vectors are views into one slab.
+func newPredTable(p *protocol.Protocol) *predTable {
+	d := p.NumStates()
+	pt := &predTable{rows: make([]predRow, 0, p.NumTransitions())}
+	pres := make([]int64, p.NumTransitions()*d)
+	for t := 0; t < p.NumTransitions(); t++ {
+		delta := p.Displacement(t)
+		if delta.IsZero() {
+			continue
+		}
+		o := len(pt.rows) * d
+		pre := multiset.Vec(pres[o : o+d : o+d])
+		tr := p.Transition(t)
+		pre[tr.P]++
+		pre[tr.Q]++
+		pt.rows = append(pt.rows, predRow{delta: delta, pre: pre})
+	}
+	pt.words = (len(pt.rows) + 63) / 64
+	pt.byPost = make([]uint64, d*pt.words)
+	for t, row := range pt.rows {
+		for q, x := range row.delta {
+			if x > 0 {
+				pt.byPost[q*pt.words+t>>6] |= 1 << (uint(t) & 63)
+			}
 		}
 	}
-	return false
+	return pt
+}
+
+// lowering writes into mask (len words) the bitset of the rows that can
+// lower m: the union of the row bitsets of the states m occupies.
+func (pt *predTable) lowering(mask []uint64, m []int64) {
+	clear(mask)
+	for q, x := range m {
+		if x > 0 {
+			rows := pt.byPost[q*pt.words : (q+1)*pt.words]
+			for k, w := range rows {
+				mask[k] |= w
+			}
+		}
+	}
 }
 
 // predInto writes max((m − delta)⁺, pre) into dst (len d, no allocation).
@@ -184,41 +227,18 @@ func seedGenerators(p *protocol.Protocol, b int) (*ideal.UpSet, []int32) {
 	return u, frontier
 }
 
-// predRows builds the pred-basis step rows: one per non-identity
-// transition.
-func predRows(p *protocol.Protocol) []predRow {
-	d := p.NumStates()
-	rows := make([]predRow, 0, p.NumTransitions())
-	for t := 0; t < p.NumTransitions(); t++ {
-		delta := p.Displacement(t)
-		if delta.IsZero() {
-			continue
-		}
-		var post []int
-		for i, x := range delta {
-			if x > 0 {
-				post = append(post, i)
-			}
-		}
-		tr := p.Transition(t)
-		rows = append(rows, predRow{delta: delta, pre: multiset.Pair(d, int(tr.P), int(tr.Q)), post: post})
-	}
-	return rows
-}
-
 // backwardCover computes U_b by the frontier-driven pred-basis fixpoint,
 // starting from the generator frontier. It returns the fixpoint, the number
 // of rounds, and the total number of frontier elements expanded.
-func backwardCover(p *protocol.Protocol, b, maxBasis int, stop <-chan struct{}) (*ideal.UpSet, int, int, error) {
+func backwardCover(p *protocol.Protocol, pt *predTable, b, maxBasis int, stop <-chan struct{}) (*ideal.UpSet, int, int, error) {
 	u, frontier := seedGenerators(p, b)
-	rows := predRows(p)
 	var (
 		iters    int
 		expanded int
 		roundF   []int32 // live frontier of the current round
-		n        int     // (element, transition) steps, for interrupt polling
 	)
 	pred := make([]int64, u.Dim())
+	mask := make([]uint64, pt.words)
 	for len(frontier) > 0 {
 		iters++
 		// Elements dominated since they were enqueued derive nothing their
@@ -236,22 +256,22 @@ func backwardCover(p *protocol.Protocol, b, maxBasis int, stop <-chan struct{}) 
 
 		// The view m stays valid while the Inserts below extend and prune
 		// the set (the arena is append-only), so each predecessor is
-		// inserted as soon as it is derived. A skipped row is an Insert
-		// that would have been a no-op (see lowers).
+		// inserted as soon as it is derived. Rows are visited in ascending
+		// order, and only those that can lower m (see predTable): a row
+		// left out is an Insert that would have been a no-op.
 		frontier = frontier[:0]
 		for _, id := range roundF {
+			if stopped(stop) {
+				return nil, iters, expanded, ErrInterrupted
+			}
 			m := u.At(int(id))
-			for ti := range rows {
-				if n%interruptBatch == 0 && stopped(stop) {
-					return nil, iters, expanded, ErrInterrupted
-				}
-				n++
-				if !rows[ti].lowers(m) {
-					continue
-				}
-				predInto(pred, m, &rows[ti])
-				if nid, grew := u.Insert(pred); grew {
-					frontier = append(frontier, int32(nid))
+			pt.lowering(mask, m)
+			for k, w := range mask {
+				for ; w != 0; w &= w - 1 {
+					predInto(pred, m, &pt.rows[k<<6|bits.TrailingZeros64(w)])
+					if nid, grew := u.Insert(pred); grew {
+						frontier = append(frontier, int32(nid))
+					}
 				}
 			}
 		}
@@ -344,11 +364,25 @@ func (a *Analysis) SCBasis() []BasisElement {
 	return a.scAllBasis
 }
 
+// basisOf reads the basis elements off a decomposition: B is an ideal's
+// finite caps (0 on ω), S its ω coordinates. Every B and every S is a
+// capacity-capped view into one of two slabs.
 func basisOf(ds *ideal.DownSet) []BasisElement {
 	ids := ds.Ideals()
+	d, w := ds.Dim(), len(ideal.NewBits(ds.Dim()))
+	bs := make([]int64, len(ids)*d)
+	ss := make(ideal.Bits, len(ids)*w)
 	out := make([]BasisElement, len(ids))
-	for i, id := range ids {
-		out[i] = BasisElement{B: id.B(), S: id.SBits()}
+	for k, id := range ids {
+		e := BasisElement{B: bs[k*d : (k+1)*d : (k+1)*d], S: ss[k*w : (k+1)*w : (k+1)*w]}
+		for i := range e.B {
+			if c := id.Cap(i); c == ideal.Omega {
+				e.S.Set(i)
+			} else {
+				e.B[i] = c
+			}
+		}
+		out[k] = e
 	}
 	return out
 }

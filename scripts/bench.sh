@@ -11,9 +11,11 @@
 #           (includes the retained linear-scan core as the "before" side),
 #           five samples per benchmark, recorded as median and min/max
 #                                                   → BENCH_sim.json
-#   stable  BenchmarkStableAnalyze* in internal/stable (includes the
-#           retained seed fixpoint as the "before" side; expect the Naive
-#           benchmark to take minutes per iteration)  → BENCH_stable.json
+#   stable  BenchmarkStableAnalyze* in internal/stable: the Arena and
+#           Flock rows five samples each, recorded as median and min/max;
+#           the Naive row (the retained seed fixpoint, the "before" side)
+#           one sample, as it takes minutes per iteration
+#                                                   → BENCH_stable.json
 #   sweep   BenchmarkSweepStoreHit/BenchmarkSweepCold in internal/sweep —
 #           the binary:{40..70} stable grid on a fresh engine over a
 #           filled artifact store vs with no store; always one grid per
@@ -150,10 +152,13 @@ run_stable() {
   tmp="$(mktemp)"
   tmpfiles+=("$tmp")
   go test ./internal/stable -run '^$' \
-    -bench 'BenchmarkStableAnalyze' \
-    -benchmem -benchtime "$benchtime" -count 1 -timeout 2h | tee "$tmp" >&2
+    -bench 'BenchmarkStableAnalyze(Arena|Flock)$' \
+    -benchmem -benchtime "$benchtime" -count 5 | tee "$tmp" >&2
+  go test ./internal/stable -run '^$' \
+    -bench 'BenchmarkStableAnalyzeNaive$' \
+    -benchmem -benchtime "$benchtime" -count 1 -timeout 2h | tee -a "$tmp" >&2
   render stable \
-    "StableAnalyzeNaive runs the retained seed fixpoint (the before side; the seed complementation cannot finish this workload, so the baseline borrows the production complementation — the fixpoint ratio is conservative); pinned workload binary:104, |U_0 basis| = 11538; StableAnalyzeFlock rows are flock(10..12), the protocols of the end-to-end miss workload" \
+    "StableAnalyzeNaive runs the retained seed fixpoint (the before side; the seed complementation cannot finish this workload, so the baseline borrows the production complementation — the fixpoint ratio is conservative) and is one sample; pinned workload binary:104, |U_0 basis| = 11538; StableAnalyzeFlock rows are flock(10..12), the protocols of the end-to-end miss workload; the Arena and Flock rows are each the median of 5 samples with the min/max of ns_per_op" \
     "$tmp" "$out"
 }
 
