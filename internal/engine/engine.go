@@ -9,6 +9,10 @@
 // bases — behind a content-hash cache, so repeated requests against the
 // same protocol are near-free. All methods are safe for concurrent use;
 // concurrent requests for the same artifact compute it exactly once.
+// The same cache slot keeps a table of exact-verification verdicts (the
+// fair output on each input explored so far), so a verify request
+// explores only the inputs no earlier request of that protocol explored;
+// the table lives in memory only.
 package engine
 
 import (
@@ -123,6 +127,9 @@ type resolvedSpec struct {
 type artifacts struct {
 	stable memo[*stable.Analysis]
 	basis  memo[[]realise.TransitionMultiset]
+	// verdicts holds the fair output of every input a verify request has
+	// explored (see reach.Verdicts); it is never written to disk.
+	verdicts reach.Verdicts
 	// elem is this entry's node in the engine's LRU list (value: the
 	// protocol hash), maintained under e.mu.
 	elem *list.Element
@@ -390,7 +397,7 @@ func (e *Engine) dispatch(ctx context.Context, req Request, entry protocols.Entr
 	case KindSimulate:
 		return e.doSimulate(ctx, req, entry, hash, res)
 	case KindVerify:
-		return e.doVerify(ctx, req, entry, res)
+		return e.doVerify(ctx, req, entry, hash, res)
 	case KindStable:
 		return e.doStable(ctx, req, entry, hash, res)
 	case KindCertifyChain, KindCertifyLeaderless:
@@ -640,7 +647,7 @@ func (e *Engine) doSimulate(ctx context.Context, req Request, entry protocols.En
 	return nil
 }
 
-func (e *Engine) doVerify(ctx context.Context, req Request, entry protocols.Entry, res *Result) error {
+func (e *Engine) doVerify(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {
 	p := entry.Protocol
 	phi := entry.Pred
 	if req.Predicate != nil {
@@ -669,15 +676,22 @@ func (e *Engine) doVerify(ctx context.Context, req Request, entry protocols.Entr
 	if maxSize < minSize {
 		return fmt.Errorf("%w: maxSize %d < minSize %d", ErrBadRequest, maxSize, minSize)
 	}
+	table := &e.artifactsFor(hash).verdicts
 	release, err := e.acquire(ctx)
 	if err != nil {
 		return err
 	}
-	rep, err := reach.VerifyRangeInterruptible(p, phi, minSize, maxSize, req.Limit, ctx.Done())
+	rep, err := reach.VerifyRangeInterruptible(p, phi, minSize, maxSize, req.Limit, ctx.Done(), table)
 	release()
+	if rep != nil {
+		// A failed range still counts the inputs it checked before failing.
+		e.metrics.VerifyInputs.WithLabelValues("table").Add(float64(rep.Reused))
+		e.metrics.VerifyInputs.WithLabelValues("explored").Add(float64(len(rep.Results) - rep.Reused))
+	}
 	if err != nil {
 		return err
 	}
+	res.CacheHit = rep.Reused > 0 && rep.Reused == len(rep.Results)
 	vr := &VerifyResult{
 		Predicate:    phi.String(),
 		Inputs:       len(rep.Results),

@@ -34,6 +34,10 @@ type Metrics struct {
 	CacheHits      *metrics.Counter
 	CacheMisses    *metrics.Counter
 	CacheEvictions *metrics.Counter
+	// VerifyInputs counts the inputs verify requests checked, by source:
+	// "table" (a recorded verdict) or "explored" (a configuration graph
+	// built for the request).
+	VerifyInputs *metrics.CounterVec
 	// Interrupted counts analyses abandoned mid-flight by cancellation or
 	// deadline — work that burned CPU without producing a result.
 	Interrupted *metrics.Counter
@@ -62,6 +66,9 @@ func newEngineMetrics(e *Engine) *Metrics {
 			sub("cache_misses_total", "Artifact-cache lookups that computed or waited on an in-flight artifact.")),
 		CacheEvictions: metrics.NewCounter(
 			sub("cache_evictions_total", "Artifact slots evicted (capacity pressure or interrupted computations).")),
+		VerifyInputs: metrics.NewCounterVec(
+			sub("verify_inputs_total", "Inputs checked by verify requests, by source (table or explored)."),
+			[]string{"source"}),
 		Interrupted: metrics.NewCounter(
 			sub("interrupted_total", "Analyses abandoned mid-flight by cancellation or deadline.")),
 		SlotsBusy: metrics.NewGaugeFunc(
@@ -83,7 +90,7 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 func (m *Metrics) Collectors() []metrics.Collector {
 	return []metrics.Collector{
 		m.Requests, m.Latency,
-		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.Interrupted,
+		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.VerifyInputs, m.Interrupted,
 		m.SlotsBusy, m.SlotsCapacity, m.SlotQueue,
 	}
 }

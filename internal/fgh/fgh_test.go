@@ -182,8 +182,9 @@ func TestLongestControlledBadDim1(t *testing.T) {
 }
 
 func TestLongestControlledBadDim2(t *testing.T) {
-	// Exact small values in dimension 2; primarily we verify the witness
-	// and that length grows with δ.
+	// Exact small values in dimension 2 for δ ≤ 1. At δ = 2 the search
+	// runs out of budget, so its witness is a lower bound only: it must
+	// still be a valid controlled bad sequence, longer than δ = 1's.
 	prev := 0
 	for delta := int64(0); delta <= 2; delta++ {
 		budget := 200_000
@@ -191,8 +192,8 @@ func TestLongestControlledBadDim2(t *testing.T) {
 			budget = 1_200_000
 		}
 		seq, exact := LongestControlledBad(2, delta, budget)
-		if !exact {
-			t.Skipf("δ=%d: budget exhausted", delta)
+		if !exact && delta < 2 {
+			t.Fatalf("δ=%d: budget %d exhausted", delta, budget)
 		}
 		if !IsControlledBad(seq, delta) {
 			t.Fatalf("δ=%d: witness invalid: %v", delta, seq)
@@ -202,12 +203,12 @@ func TestLongestControlledBadDim2(t *testing.T) {
 		}
 		prev = len(seq)
 	}
-	// δ=0 in dim 2: v_0 = (0,0) dominates everything, so placing it ends
-	// the sequence; the best start avoids it... but control forces
-	// ‖v_0‖ ≤ 0, i.e. v_0 = 0. Length is exactly 1.
+	// δ=0 in dim 2: control forces ‖v_0‖ ≤ 0, i.e. v_0 = (0,0), which is
+	// dominated by every later vector, so it ends the sequence. Length is
+	// exactly 1.
 	seq, exact := LongestControlledBad(2, 0, 100000)
-	if exact && len(seq) != 1 {
-		t.Errorf("dim 2, δ=0: length %d, want 1", len(seq))
+	if !exact || len(seq) != 1 {
+		t.Errorf("dim 2, δ=0: length %d (exact %t), want exactly 1", len(seq), exact)
 	}
 }
 

@@ -130,6 +130,20 @@ func (ix *acIndex) insert(id int32, h uint64) {
 	ix.used++
 }
 
+// reserve sizes the empty index for n elements at once: the table add
+// would have grown to by the n-th element, so filling it never regrows.
+func (ix *acIndex) reserve(n int) {
+	if n == 0 {
+		return
+	}
+	c := 64
+	for n*4 > c*3 {
+		c *= 2
+	}
+	ix.slots = make([]int32, c)
+	ix.hashes = make([]uint64, c)
+}
+
 // grow doubles the table (min 64 slots) and reinserts from the cached
 // hashes; the arena is not consulted.
 func (ix *acIndex) grow() {
@@ -215,8 +229,8 @@ func SortBasis(basis []multiset.Vec) []multiset.Vec {
 // expose identical bases. Only the live positions are sorted, by their
 // arena coordinates; the result then copies each element's words and its
 // cached signature and hash, so nothing is cloned or rehashed. The index
-// is filled in the same order, so it matches one built by Inserting the
-// sorted basis.
+// is sized once and filled in the same order; it holds the same ids as
+// one built by Inserting the sorted basis.
 func CanonicalUpSet(u *UpSet) *UpSet {
 	n, d := len(u.ids), u.d
 	order := make([]int32, n) // positions in u.ids, sorted below
@@ -235,6 +249,7 @@ func CanonicalUpSet(u *UpSet) *UpSet {
 		sigs:   make([]sig, n),
 		live:   make([]bool, n),
 	}
+	out.index.reserve(n)
 	for k, pos := range order {
 		copy(out.arena[k*d:(k+1)*d], u.storedAt(u.ids[pos]))
 		out.ids[k] = int32(k)

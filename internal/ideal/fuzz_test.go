@@ -160,7 +160,8 @@ func complementUpCloning(u *UpSet) *DownSet {
 // as the retained seed NaiveComplementUp, and an irredundant
 // decomposition. CanonicalUpSet must equal the set built by Inserting the
 // sorted basis one element at a time: same elements in the same arena
-// order, same signatures, same duplicate index.
+// order, same signatures, and a duplicate index that holds exactly the
+// elements (its table is presized, so its slot layout may differ).
 func FuzzComplementUp(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 2, 2}, uint8(2))
 	f.Add([]byte{3, 1, 0, 0, 2, 1, 1, 1, 2}, uint8(3))
@@ -209,8 +210,64 @@ func FuzzComplementUp(f *testing.F) {
 		}
 		if canon.Stored() != ref.Stored() || !slices.Equal(canon.arena, ref.arena) ||
 			!slices.Equal(canon.ids, ref.ids) || !slices.Equal(canon.sigs, ref.sigs) ||
-			!slices.Equal(canon.live, ref.live) || !slices.Equal(canon.index.slots, ref.index.slots) {
-			t.Fatalf("CanonicalUpSet of %s is %s, Insert-built %s (or differs in signatures or index)", u, canon, ref)
+			!slices.Equal(canon.live, ref.live) {
+			t.Fatalf("CanonicalUpSet of %s is %s, Insert-built %s (or differs in signatures)", u, canon, ref)
 		}
+		checkIndexMembership(t, canon)
+		checkIndexMembership(t, u.Clone())
+		restored, err := RestoreUpSet(dim, canon.MinBasis())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIndexMembership(t, restored)
 	})
+}
+
+// TestPresizedIndexMembership: the three routines that size the duplicate
+// index up front (CanonicalUpSet, Clone, RestoreUpSet) index every element
+// of antichains past the 64-slot first table, where a grown table would
+// have doubled several times; the Union of a clone then grows it further.
+func TestPresizedIndexMembership(t *testing.T) {
+	for _, n := range []int{1, 48, 49, 97, 700} {
+		u := NewUpSet(2)
+		for i := 0; i < n; i++ {
+			u.Add(multiset.Vec{int64(i), int64(n - i)})
+		}
+		if len(u.MinBasis()) != n {
+			t.Fatalf("antichain of %d elements has %d", n, len(u.MinBasis()))
+		}
+		canon := CanonicalUpSet(u)
+		restored, err := RestoreUpSet(2, canon.MinBasis())
+		if err != nil {
+			t.Fatal(err)
+		}
+		more := NewUpSet(2)
+		for i := 0; i < n; i++ {
+			more.Add(multiset.Vec{int64(n + 1 + i), 0}, multiset.Vec{0, int64(n + 1 + i)})
+		}
+		for _, v := range []*UpSet{canon, u.Clone(), restored, u.Clone().Union(more)} {
+			checkIndexMembership(t, v)
+		}
+	}
+}
+
+// checkIndexMembership checks a set's duplicate index by membership: every
+// stored element is found, the index holds exactly the stored elements,
+// and a probe for a non-member (an element with its first coordinate
+// raised past every stored one) misses.
+func checkIndexMembership(t *testing.T, u *UpSet) {
+	t.Helper()
+	if u.index.used != u.Stored() {
+		t.Fatalf("index of %s holds %d ids, want %d", u, u.index.used, u.Stored())
+	}
+	for id := int32(0); int(id) < u.Stored(); id++ {
+		m := slices.Clone(u.storedAt(id))
+		if !u.index.lookup(u, m, hashWords(m)) {
+			t.Fatalf("index of %s misses element %v", u, m)
+		}
+		m[0] += 1 << 20
+		if u.index.lookup(u, m, hashWords(m)) {
+			t.Fatalf("index of %s finds non-member %v", u, m)
+		}
+	}
 }

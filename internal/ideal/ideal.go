@@ -76,6 +76,7 @@ func RestoreUpSet(d int, basis []multiset.Vec) (*UpSet, error) {
 		sigs:   make([]sig, len(basis)),
 		live:   make([]bool, len(basis)),
 	}
+	u.index.reserve(len(basis))
 	for k, m := range basis {
 		if m.Dim() != d {
 			return nil, fmt.Errorf("ideal: restore element %d has dimension %d, want %d", k, m.Dim(), d)
@@ -238,6 +239,7 @@ func (u *UpSet) Clone() *UpSet {
 		live:   make([]bool, n),
 	}
 	copy(out.sigs, u.sigs)
+	out.index.reserve(n)
 	for k, id := range u.ids {
 		out.arena = append(out.arena, u.storedAt(id)...)
 		out.ids[k] = int32(k)

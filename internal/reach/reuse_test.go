@@ -221,7 +221,7 @@ func TestPooledGraphAcrossDimensions(t *testing.T) {
 	for i, c := range cases {
 		want := freshReport(t, c.p, c.phi, c.min, c.max)
 		g.bind(c.p)
-		rep, err := g.verifyRange(c.phi, c.min, c.max, 0, nil)
+		rep, err := verifyRange(c.p, c.phi, c.min, c.max, 0, nil, nil, func() *Graph { return g })
 		if err != nil {
 			t.Fatalf("case %d: verifyRange: %v", i, err)
 		}
@@ -263,14 +263,14 @@ func TestPooledGraphAfterInterrupt(t *testing.T) {
 	}
 	// Through the public entry point: a closed stop channel ends the range
 	// before its first exploration completes.
-	if _, err := VerifyRangeInterruptible(p, flock.Pred, 2, 12, 0, stop); !errors.Is(err, ErrInterrupted) {
+	if _, err := VerifyRangeInterruptible(p, flock.Pred, 2, 12, 0, stop, nil); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("VerifyRangeInterruptible: want ErrInterrupted, got %v", err)
 	}
 	parity := protocols.Parity()
 	for _, c := range []protocols.Entry{flock, parity, flock} {
 		want := freshReport(t, c.Protocol, c.Pred, 2, 8)
 		g.bind(c.Protocol)
-		rep, err := g.verifyRange(c.Pred, 2, 8, 0, nil)
+		rep, err := verifyRange(c.Protocol, c.Pred, 2, 8, 0, nil, nil, func() *Graph { return g })
 		if err != nil {
 			t.Fatalf("%s: verifyRange: %v", c.Protocol.Name(), err)
 		}

@@ -3,6 +3,7 @@ package reach
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/multiset"
 	"repro/internal/pred"
@@ -22,6 +23,9 @@ type Result struct {
 type Report struct {
 	Results      []Result
 	TotalConfigs int
+	// Reused counts the results served by a verdict table instead of an
+	// exploration (see VerifyRangeInterruptible).
+	Reused int
 }
 
 // AllOK reports whether every input verified.
@@ -67,29 +71,82 @@ func (r *Report) String() string {
 func VerifyInput(p *protocol.Protocol, phi pred.Pred, v multiset.Vec, limit int) (Result, error) {
 	g := pooledGraph(p)
 	defer g.release()
-	return g.verify(phi, v, limit, nil)
+	got, configs, err := g.fairOutputFrom(v, limit, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return newResult(phi, v.Clone(), got, configs), nil
 }
 
-// verify resets the graph to IC(v), explores it and compares the fair
-// output with ϕ(v).
-func (g *Graph) verify(phi pred.Pred, v multiset.Vec, limit int, stop <-chan struct{}) (Result, error) {
+// fairOutputFrom resets the graph to IC(v), explores it and returns its
+// fair output (-1 if undefined or inconsistent) and size.
+func (g *Graph) fairOutputFrom(v multiset.Vec, limit int, stop <-chan struct{}) (got, configs int, err error) {
 	g.reset(g.p.InitialConfig(v))
 	if err := g.explore(limit, stop, nil); err != nil {
-		return Result{}, fmt.Errorf("verifying input %v: %w", v, err)
+		return 0, 0, fmt.Errorf("verifying input %v: %w", v, err)
 	}
-	want := phi.Eval(v)
 	got, ok := g.FairOutput()
-	res := Result{
-		Input:   v.Clone(),
-		Want:    want,
-		Got:     got,
-		Configs: g.Len(),
-	}
 	if !ok {
-		res.Got = -1
+		got = -1
 	}
-	res.OK = ok && ((got == 1) == want)
-	return res, nil
+	return got, g.Len(), nil
+}
+
+// newResult compares a fair output on input v with ϕ(v).
+func newResult(phi pred.Pred, v multiset.Vec, got, configs int) Result {
+	want := phi.Eval(v)
+	return Result{Input: v, Want: want, Got: got, OK: got != -1 && (got == 1) == want, Configs: configs}
+}
+
+// maxVerdicts bounds a Verdicts table: once it holds this many inputs it
+// stops recording, and lookups still serve what it holds.
+const maxVerdicts = 1024
+
+// Verdicts remembers, for one protocol, the fair output of each input
+// explored so far and the size of its configuration graph. The verdict on
+// input v depends only on the protocol and v — not on the predicate or the
+// range that asked — so any later range over the same protocol can read
+// it instead of exploring IC(v) again. It holds at most maxVerdicts
+// entries and is safe for concurrent use. The zero value is an empty
+// table.
+type Verdicts struct {
+	mu sync.Mutex
+	m  map[string]verdict // by multiset.Vec.Key of the input
+}
+
+type verdict struct {
+	got, configs int
+}
+
+// lookup returns the verdict recorded for input v if its graph has at
+// most limit configurations (a bigger one would have hit the limit, and
+// the input must be explored to fail as it would without the table). A nil
+// table holds nothing.
+func (t *Verdicts) lookup(v multiset.Vec, limit int) (verdict, bool) {
+	if t == nil {
+		return verdict{}, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	vd, ok := t.m[v.Key()]
+	return vd, ok && vd.configs <= limit
+}
+
+// record stores the verdict of a completed exploration of input v, unless
+// the table is nil or full. Exploration is deterministic, so concurrent
+// ranges recording the same input store the same verdict.
+func (t *Verdicts) record(v multiset.Vec, vd verdict) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		t.m = make(map[string]verdict)
+	}
+	if len(t.m) < maxVerdicts {
+		t.m[v.Key()] = vd
+	}
 }
 
 // VerifyRange checks the protocol against ϕ for every input multiset v over
@@ -97,16 +154,26 @@ func (g *Graph) verify(phi pred.Pred, v multiset.Vec, limit int, stop <-chan str
 // only defines behaviour for |v| ≥ 2, so minSize is clamped to 2. Exhaustive
 // and exact for the verified range.
 func VerifyRange(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, limit int) (*Report, error) {
-	return VerifyRangeInterruptible(p, phi, minSize, maxSize, limit, nil)
+	return VerifyRangeInterruptible(p, phi, minSize, maxSize, limit, nil, nil)
 }
 
-// VerifyRangeInterruptible is VerifyRange with cooperative cancellation: it
-// aborts with ErrInterrupted soon after the stop channel closes. Each
-// input's exploration polls the channel before its first node, so the range
-// stops before the next input at the latest. A nil channel disables the
-// checks. One pooled graph is reset and re-explored for every input, so a
-// range allocates only when it outgrows the graph's buffers.
-func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{}) (*Report, error) {
+// VerifyRangeInterruptible is VerifyRange with cooperative cancellation
+// and a verdict table. It aborts with ErrInterrupted soon after the stop
+// channel closes: each input's exploration polls the channel before its
+// first node, so the range stops before the next explored input at the
+// latest. A nil channel disables the checks.
+//
+// table, when non-nil, must belong to p. An input whose verdict it holds
+// (from a graph within limit) is not explored, and every input explored to
+// completion is recorded; Report.Reused counts the inputs the table
+// served. Errors and interrupted explorations are never recorded, so a
+// range fails exactly as it would without the table. A nil table explores
+// every input.
+//
+// One pooled graph, taken at the first input the table cannot answer, is
+// reset and re-explored for every explored input, so a range allocates
+// only when it outgrows the graph's buffers.
+func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{}, table *Verdicts) (*Report, error) {
 	if phi.Arity() != p.NumInputs() {
 		return nil, fmt.Errorf("reach: predicate arity %d != protocol inputs %d",
 			phi.Arity(), p.NumInputs())
@@ -114,24 +181,41 @@ func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxS
 	if minSize < 2 {
 		minSize = 2
 	}
-	g := pooledGraph(p)
-	defer g.release()
-	return g.verifyRange(phi, minSize, maxSize, limit, stop)
+	var g *Graph
+	rep, err := verifyRange(p, phi, minSize, maxSize, limit, stop, table, func() *Graph {
+		if g == nil {
+			g = pooledGraph(p)
+		}
+		return g
+	})
+	if g != nil {
+		g.release()
+	}
+	return rep, err
 }
 
-// verifyRange is VerifyRangeInterruptible on this graph, which must be
-// bound to the protocol; minSize is already clamped.
-func (g *Graph) verifyRange(phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{}) (*Report, error) {
+// verifyRange is the loop behind VerifyRangeInterruptible (minSize already
+// clamped). graph returns the graph to explore on, bound to p; it is only
+// called for an input the table cannot answer.
+func verifyRange(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{},
+	table *Verdicts, graph func() *Graph) (*Report, error) {
 	rep := &Report{}
+	maxConfigs := clampLimit(limit)
 	for s := minSize; s <= maxSize; s++ {
-		inputs := enumerate(g.p.NumInputs(), s)
-		for _, v := range inputs {
-			res, err := g.verify(phi, v, limit, stop)
-			if err != nil {
-				return rep, err
+		for _, v := range enumerate(p.NumInputs(), s) {
+			vd, hit := table.lookup(v, maxConfigs)
+			if hit {
+				rep.Reused++
+			} else {
+				var err error
+				vd.got, vd.configs, err = graph().fairOutputFrom(v, limit, stop)
+				if err != nil {
+					return rep, err
+				}
+				table.record(v, vd)
 			}
-			rep.Results = append(rep.Results, res)
-			rep.TotalConfigs += res.Configs
+			rep.Results = append(rep.Results, newResult(phi, v, vd.got, vd.configs))
+			rep.TotalConfigs += vd.configs
 		}
 	}
 	return rep, nil

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -82,15 +81,15 @@ func sweepBody(t *testing.T, h http.Handler, spec string) []byte {
 }
 
 // TestJournaledSweepCrashResumeByteIdentical is the acceptance criterion
-// of the durable journal: a sweep aborted mid-flight (the in-process
-// stand-in for SIGKILL — the client connection drops, cancelling the run
-// with the journal partially filled) and resubmitted against a fresh
-// engine over the same journal directory produces a canonical NDJSON
-// stream byte-identical to a never-interrupted run's. Retention passes
-// race both phases: the most aggressive policy applied between crash and
-// resume must leave the in-progress WAL untouched, and once the sweep is
-// sealed the same policy retires its WAL, so a further resubmission
-// re-executes the grid — still byte-identically.
+// of the durable journal: a sweep stopped mid-flight (the in-process
+// stand-in for SIGKILL — the run is cancelled with the journal partially
+// filled) and resubmitted against a fresh engine over the same journal
+// directory produces a canonical NDJSON stream byte-identical to a
+// never-interrupted run's. Retention passes race both phases: the most
+// aggressive policy applied between crash and resume must leave the
+// in-progress WAL untouched, and once the sweep is sealed the same policy
+// retires its WAL, so a further resubmission re-executes the grid — still
+// byte-identically.
 func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	baseline := baselineNDJSON(t)
 	if n := strings.Count(baseline, "\n"); n != 13 { // 12 cells + summary
@@ -102,29 +101,6 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(engine.New(), Options{Journal: js}))
-	resp, err := http.Post(srv.URL+"/v1/sweep", "application/json", strings.NewReader(crashSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read a few rows, then kill the connection mid-sweep. Closing the
-	// body cancels the request context; srv.Close waits for the handler to
-	// unwind, so the journal file is released before the restart.
-	br := bufio.NewReader(resp.Body)
-	for i := 0; i < 4; i++ {
-		if _, err := br.ReadBytes('\n'); err != nil {
-			t.Fatalf("reading row %d: %v", i, err)
-		}
-	}
-	resp.Body.Close()
-	srv.Close()
-
-	// The dropped connection races the final cells, so the WAL may or may
-	// not carry its done record. When the crash truly landed mid-flight,
-	// run maximum-aggression retention against it: no done record, so
-	// neither age nor size budget may touch it and replay must survive
-	// intact. (The done outcome is exercised by the retire-and-reexecute
-	// phase at the end of this test.)
 	spec, err := sweep.ParseSpec([]byte(crashSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -133,25 +109,54 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j, err := js.Sweep(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crash deterministically mid-flight: cancel the run from the stream
+	// once its fourth row is journaled and streamed. With one sweep worker
+	// the pool runs at most a cell ahead of the stream, so most of the 12
+	// cells never run and the WAL gets no done record.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	streamed := 0
+	opts := Options{SweepWorkers: 1, RequestLog: slog.New(slog.DiscardHandler)}
+	_, err = runSweep(ctx, engine.New(), opts, spec, j, func([]byte) {
+		if streamed++; streamed == 4 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	probe, err := js.Sweep(hash)
 	if err != nil {
 		t.Fatal(err)
 	}
+	journaled := len(probe.Completed())
 	wasDone := probe.Done()
 	probe.Close()
+	if wasDone || journaled < 4 || journaled >= 12 {
+		t.Fatalf("crash journaled %d of 12 cells (done record %t), want a partial WAL", journaled, wasDone)
+	}
+
+	// No done record, so the most aggressive retention may touch neither
+	// by age nor by size, and replay must survive intact. (The sealed
+	// outcome is exercised by the retire-and-reexecute phase at the end.)
+	wal := filepath.Join(dir, hash+".wal")
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
 	aggressive := journal.Retention{Retain: time.Nanosecond, MaxBytes: 1}
-	if !wasDone {
-		wal := filepath.Join(dir, hash+".wal")
-		before, err := os.ReadFile(wal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := js.SetRetention(aggressive); err != nil {
-			t.Fatal(err)
-		}
-		if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
-			t.Fatalf("retention touched an in-progress WAL (%v)", err)
-		}
+	if err := js.SetRetention(aggressive); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("retention touched an in-progress WAL (%v)", err)
 	}
 
 	js2, err := journal.Open(dir)
