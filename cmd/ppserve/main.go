@@ -110,8 +110,6 @@ func run(args []string) error {
 		artifactMax   = fs.Int64("artifact-max-bytes", 0, "artifact store size budget: a write past it evicts least-recently-used artifacts until the store fits (0 = unbounded)")
 		journalRetain = fs.Duration("journal-retain", 0, "delete completed sweep WALs older than this, at startup and whenever a sweep completes; in-progress sweeps are never touched (0 = keep forever)")
 		journalMax    = fs.Int64("journal-max-bytes", 0, "journal directory size budget, enforced at startup and whenever a sweep completes: oldest completed WALs are deleted until the directory fits (0 = unbounded)")
-		breakerFails  = fs.Int("breaker-failures", 0, "consecutive dispatch failures tripping a worker's circuit breaker (coordinator mode; 0 = 3)")
-		breakerWait   = fs.Duration("breaker-backoff", 0, "tripped breaker backoff before a half-open probe; doubles per failed probe (coordinator mode; 0 = 15s)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -190,11 +188,7 @@ func run(args []string) error {
 		opts.RequestLog = logger
 	}
 	if *coordinator {
-		opts.Cluster = cluster.NewCoordinator(cluster.CoordinatorOptions{
-			TTL:             *heartbeatTTL,
-			BreakerFailures: *breakerFails,
-			BreakerBackoff:  *breakerWait,
-		})
+		opts.Cluster = cluster.NewCoordinator(cluster.CoordinatorOptions{TTL: *heartbeatTTL})
 		opts.ClusterDispatch = cluster.DispatchOptions{
 			RangeCells:   *rangeCells,
 			RangeTimeout: *rangeTimeout,

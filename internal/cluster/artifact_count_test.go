@@ -104,9 +104,9 @@ func TestClusterComputesEachHashOnce(t *testing.T) {
 			c, w, len(hashes))
 	}
 
-	before := coord.Routable()
+	before := coord.Live()
 	joined := startStoreWorker(t, coord, coordSrv.URL, "w4")
-	after := coord.Routable()
+	after := coord.Live()
 	var moved []string
 	for _, h := range hashes {
 		from, _ := cluster.Route(h, before)

@@ -5,13 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/govern"
 )
 
 // Wire types of the membership endpoints.
@@ -165,18 +165,11 @@ func (a *Agent) register(ctx context.Context, client *http.Client) (Lease, error
 }
 
 // jitterBackoff spreads backoff step `step` of worker `id` into
-// [0.5, 1.5) of the nominal delay. The factor is a pure function of
-// (id, step) — SplitMix64 over an FNV-1a seed — so two workers retry at
-// decorrelated moments while each worker's own schedule is reproducible.
+// [0.5, 1.5) of the nominal delay, a pure function of (id, step): two
+// workers retry at decorrelated moments while each worker's own schedule
+// is reproducible.
 func jitterBackoff(id string, step int, d time.Duration) time.Duration {
-	h := fnv.New64a()
-	io.WriteString(h, id)
-	z := h.Sum64() + (uint64(step)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	factor := 0.5 + float64(z>>11)/(1<<53)
-	return time.Duration(float64(d) * factor)
+	return govern.Jitter(id, uint64(step), d/2, 2)
 }
 
 // heartbeat renews the lease; it returns the HTTP status so Run can tell

@@ -29,7 +29,7 @@ type DispatchOptions struct {
 	// EngineResolver(LocalEngine)).
 	Resolver Resolver
 	// LocalEngine executes the ranges no worker can take — every range
-	// when no worker is routable, and a range that exhausts MaxAttempts
+	// when no worker is live, and a range that exhausts MaxAttempts
 	// remote attempts. Required.
 	LocalEngine *engine.Engine
 	// LocalWorkers is how many cells the coordinator's local pool keeps in
@@ -92,10 +92,10 @@ func (e *shedError) Error() string {
 }
 
 // Executor returns the cluster executor for sweep.Pipeline: it fans cells
-// out across the routable workers. Cells are partitioned by protocol
+// out across the live workers. Cells are partitioned by protocol
 // content hash (cache affinity), dispatched as ranges with per-range
 // deadlines, and retried on survivors when a worker fails, drains or goes
-// silent; a range no worker can take — every range, when none is routable
+// silent; a range no worker can take — every range, when none is live
 // — runs on the coordinator's local pool.
 func (c *Coordinator) Executor(opts DispatchOptions) sweep.Executor {
 	return fanout{coord: c, opts: opts}
@@ -107,7 +107,7 @@ type fanout struct {
 	opts  DispatchOptions
 }
 
-// Execute implements sweep.Executor. Its width is the number of routable
+// Execute implements sweep.Executor. Its width is the number of live
 // workers at dispatch time, or the local pool's width when there are none.
 func (f fanout) Execute(ctx context.Context, spec sweep.Spec, cells []sweep.Cell, m *sweep.Merger) (int, error) {
 	opts, err := f.opts.withDefaults()
@@ -116,7 +116,7 @@ func (f fanout) Execute(ctx context.Context, spec sweep.Spec, cells []sweep.Cell
 	}
 	groups := groupByHash(cells, opts.Resolver)
 	tasks := chunk(groups, opts.RangeCells)
-	live := f.coord.Routable()
+	live := f.coord.Live()
 	local := sweep.Pool{Engine: opts.LocalEngine, Workers: opts.LocalWorkers}
 	opts.Log.Info("cluster sweep: dispatching",
 		"sweep", spec.Name, "cells", len(cells), "protocols", len(groups),
@@ -190,7 +190,7 @@ func (d *dispatcher) enqueueLocked(t *task) {
 	}
 	w, ok := Worker{}, false
 	if t.attempts < d.opts.MaxAttempts {
-		w, ok = route(t.hash, d.coord.Routable())
+		w, ok = route(t.hash, d.coord.Live())
 	}
 	routed := LocalWorkerLabel
 	if ok {
@@ -229,9 +229,8 @@ func (d *dispatcher) drive(id string) {
 				d.mu.Unlock()
 				return
 			}
-			if !d.coord.Dispatchable(id) {
-				// Died, draining, or breaker no longer admitting traffic:
-				// hand the queue to survivors.
+			if !d.coord.Alive(id) {
+				// Died or draining: hand the queue to survivors.
 				orphans := d.queues[id]
 				delete(d.queues, id)
 				d.driving[id] = false
@@ -253,9 +252,6 @@ func (d *dispatcher) drive(id string) {
 		d.mu.Unlock()
 
 		d.coord.metrics.RangesDispatched.WithLabelValues(id).Inc()
-		// If the worker's breaker sat open past its backoff, this dispatch is
-		// its half-open probe: no other range routes there until it resolves.
-		d.coord.breakers.Dispatching(id)
 		served, missing, err := d.runTask(w, t)
 		var shed *shedError
 		switch {
@@ -264,7 +260,6 @@ func (d *dispatcher) drive(id string) {
 			// error after the last cell — typically sweep completion
 			// cancelling the read before the summary row — doesn't retract
 			// the work, and there is nothing left to retry.
-			d.coord.breakers.Success(id)
 			d.coord.recordRange(id, served, true)
 		case errors.As(err, &shed):
 			// Backpressure: requeue at the front and wait out Retry-After.
@@ -301,18 +296,13 @@ func (d *dispatcher) drive(id string) {
 	}
 }
 
-// failTask records the failure against the worker's circuit breaker, marks
-// it dead, and reroutes the range's unfinished cells to survivors. Breaker
-// state outlives the membership record: a worker that rejoins after every
-// failure accumulates the streak anyway, trips, and stays unroutable for
-// the backoff window even while registered.
+// failTask marks the worker dead and reroutes the range's unfinished cells
+// to survivors. A worker that rejoins is live again at once; the
+// attempt count on each range, not the worker, bounds what a flapping
+// worker can waste.
 func (d *dispatcher) failTask(id string, t *task, missing []sweep.Cell, err error) {
 	d.opts.Log.Warn("cluster sweep: range failed, retrying on survivors",
 		"worker", id, "cells", len(missing), "attempt", t.attempts+1, "error", err)
-	if d.coord.breakers.Failure(id) {
-		d.coord.metrics.BreakerTrips.WithLabelValues(id).Inc()
-		d.opts.Log.Warn("cluster sweep: worker breaker tripped", "worker", id)
-	}
 	d.coord.MarkDead(id)
 	d.requeue(id, t, missing)
 }

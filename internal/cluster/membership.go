@@ -26,8 +26,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/govern"
 )
 
 // DefaultTTL is the worker lease: a worker whose last heartbeat is older
@@ -80,14 +78,6 @@ type CoordinatorOptions struct {
 	// TTL is the worker lease duration (0 = DefaultTTL). Workers heartbeat
 	// at TTL/3.
 	TTL time.Duration
-	// BreakerFailures is the consecutive dispatch-failure count that trips
-	// a worker's circuit breaker open (0 = 3). Breaker state survives
-	// re-registration: a flapping worker that rejoins after every failure
-	// still trips, and stays unroutable until its backoff elapses.
-	BreakerFailures int
-	// BreakerBackoff is the tripped → probe-eligible delay (0 = 15s); a
-	// failed half-open probe doubles it.
-	BreakerBackoff time.Duration
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -105,11 +95,6 @@ type Coordinator struct {
 	// epochs outlives workers: a lease expiry prunes the membership record,
 	// but the next registration of the same ID must still read as a rejoin.
 	epochs map[string]uint64
-
-	// breakers holds one circuit breaker per worker ID, keyed outside the
-	// membership map so state survives MarkDead + re-registration — the
-	// defense against a flapping worker that rejoins after every failure.
-	breakers *govern.Breakers
 
 	// metrics instruments membership and dispatch; see metrics.go. Always
 	// non-nil.
@@ -129,19 +114,10 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		now:     opts.Now,
 		workers: make(map[string]*Worker),
 		epochs:  make(map[string]uint64),
-		breakers: govern.NewBreakers(govern.BreakerOptions{
-			Failures: opts.BreakerFailures,
-			Backoff:  opts.BreakerBackoff,
-			Now:      opts.Now,
-		}),
 	}
 	c.metrics = newClusterMetrics(c)
 	return c
 }
-
-// Breakers exposes the per-worker circuit breakers (dispatcher feedback,
-// metrics, tests).
-func (c *Coordinator) Breakers() *govern.Breakers { return c.breakers }
 
 // TTL returns the worker lease duration.
 func (c *Coordinator) TTL() time.Duration { return c.ttl }
@@ -239,28 +215,6 @@ func (c *Coordinator) Alive(id string) bool {
 	c.pruneLocked()
 	w := c.workers[id]
 	return w != nil && w.State == StateActive
-}
-
-// Routable returns the live workers whose circuit breakers admit new work
-// (closed, or open with the backoff elapsed — probe candidates). This is
-// the set rendezvous routing sees: cells of a tripped worker spread to
-// survivors immediately instead of queueing behind a sick node.
-func (c *Coordinator) Routable() []Worker {
-	live := c.Live()
-	out := live[:0]
-	for _, w := range live {
-		if c.breakers.Routable(w.ID) {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// Dispatchable reports whether queued work may still be sent to a worker:
-// alive, and its breaker admitting traffic. The per-worker driver reroutes
-// its queue to survivors the moment this turns false.
-func (c *Coordinator) Dispatchable(id string) bool {
-	return c.Alive(id) && c.breakers.Routable(id)
 }
 
 // recordRange folds dispatcher statistics into the membership view.

@@ -39,12 +39,6 @@ type Metrics struct {
 	// Deregistrations counts workers leaving the membership explicitly:
 	// graceful drain exits and dispatch-failure MarkDead calls alike.
 	Deregistrations *metrics.Counter
-	// BreakerState reports each tracked worker's circuit-breaker position
-	// at scrape time: 0 closed, 1 half-open, 2 open.
-	BreakerState *breakerGauge
-	// BreakerTrips counts breaker trips per worker: the consecutive-failure
-	// threshold reached, or a half-open probe failing.
-	BreakerTrips *metrics.CounterVec
 }
 
 func newClusterMetrics(c *Coordinator) *Metrics {
@@ -71,10 +65,6 @@ func newClusterMetrics(c *Coordinator) *Metrics {
 			[]string{"worker"}),
 		Deregistrations: metrics.NewCounter(
 			sub("deregistrations_total", "Workers removed from membership (graceful exits and dispatch failures).")),
-		BreakerState: &breakerGauge{coord: c},
-		BreakerTrips: metrics.NewCounterVec(
-			sub("breaker_trips_total", "Circuit-breaker trips per worker (failure threshold or failed probe)."),
-			[]string{"worker"}),
 	}
 }
 
@@ -87,7 +77,6 @@ func (m *Metrics) Collectors() []metrics.Collector {
 		m.Members, m.HeartbeatAge,
 		m.RangesDispatched, m.RangesRetried, m.RangesOrphaned,
 		m.CellsRouted, m.CellsServed, m.Deregistrations,
-		m.BreakerState, m.BreakerTrips,
 	}
 }
 
@@ -120,28 +109,6 @@ func (g *memberGauge) Family() metrics.Family {
 		f.Samples = append(f.Samples, metrics.Sample{
 			Labels: []metrics.Label{{Name: "state", Value: string(s)}},
 			Value:  float64(counts[s]),
-		})
-	}
-	return f
-}
-
-// breakerGauge gathers pp_cluster_breaker_state{worker}: each tracked
-// circuit breaker's position (0 closed, 1 half-open, 2 open) from a live
-// snapshot at scrape time, sorted by worker for stable exposition.
-type breakerGauge struct{ coord *Coordinator }
-
-func (g *breakerGauge) Family() metrics.Family {
-	snap := g.coord.breakers.Snapshot()
-	sort.Slice(snap, func(i, j int) bool { return snap[i].Key < snap[j].Key })
-	f := metrics.Family{
-		Name: "pp_cluster_breaker_state",
-		Help: "Per-worker circuit-breaker state: 0 closed, 1 half-open, 2 open.",
-		Type: "gauge",
-	}
-	for _, s := range snap {
-		f.Samples = append(f.Samples, metrics.Sample{
-			Labels: []metrics.Label{{Name: "worker", Value: s.Key}},
-			Value:  float64(s.State),
 		})
 	}
 	return f

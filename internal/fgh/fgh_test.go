@@ -189,7 +189,7 @@ func TestLongestControlledBadDim2(t *testing.T) {
 	for delta := int64(0); delta <= 2; delta++ {
 		budget := 200_000
 		if delta == 2 {
-			budget = 1_200_000
+			budget = 50_000
 		}
 		seq, exact := LongestControlledBad(2, delta, budget)
 		if !exact && delta < 2 {

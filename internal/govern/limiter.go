@@ -1,19 +1,16 @@
-// Package govern is the daemon's self-protection layer: the resource
-// governance primitives that keep a long-lived ppserve healthy under
-// abusive clients, full disks and flapping workers. It provides
+// Package govern holds the daemon's admission-control primitives: the
+// mechanics that keep a long-lived ppserve healthy under abusive clients.
+// It provides
 //
 //   - Limiter: a per-client token-bucket rate limiter whose denials carry
 //     the actual time until the next token refills (the Retry-After a 429
-//     should advertise), with deterministic per-client jitter so
-//     synchronized clients do not retry in lockstep;
-//   - Breakers: keyed circuit breakers (consecutive-failure trip,
-//     half-open probe after backoff) the cluster dispatcher uses to stop
-//     routing cells to a flapping worker.
+//     should advertise);
+//   - Jitter: a deterministic per-(key, seq) stretch of a delay, so
+//     synchronized clients do not retry in lockstep.
 //
-// The consumers — serve's admission control, the artifact-store GC, the
-// journal compactor, the cluster dispatcher — each own their policy;
-// govern owns the mechanics, with injectable clocks so every policy is
-// unit-testable without sleeping.
+// serve's admission control owns the policy; govern owns the mechanics,
+// with an injectable clock so the policy is unit-testable without
+// sleeping. The cluster agent reuses Jitter for its registration backoff.
 package govern
 
 import (
@@ -145,8 +142,7 @@ func (l *Limiter) Keys() int {
 }
 
 // Jitter stretches d into [1, 1+frac) deterministically per (key, seq):
-// SplitMix64 over an FNV-1a seed, the same construction as the cluster
-// agent's registration backoff, so a given client's schedule is
+// SplitMix64 over an FNV-1a seed, so a given client's schedule is
 // reproducible while distinct clients (and successive denials of one
 // client) land at decorrelated moments.
 func Jitter(key string, seq uint64, d time.Duration, frac float64) time.Duration {

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// fakeClock is a hand-driven clock for limiter and breaker tests.
+// fakeClock is a hand-driven clock for limiter tests.
 type fakeClock struct{ t time.Time }
 
 func newFakeClock() *fakeClock {

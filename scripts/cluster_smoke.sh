@@ -126,21 +126,12 @@ for w in w1 w2; do
     exit 1
   fi
 done
-# The circuit-breaker families are scraped (no samples on a healthy run —
-# breakers only materialize per worker once dispatch feedback arrives —
-# but the families must be in the exposition for dashboards to find).
-for fam in pp_cluster_breaker_state pp_cluster_breaker_trips_total; do
-  if ! grep -q "^# TYPE $fam " <<< "$metrics"; then
-    echo "FAIL: /metrics misses the $fam family" >&2
-    grep '^# TYPE pp_cluster' <<< "$metrics" >&2 || true
-    exit 1
-  fi
-done
-# And a healthy run trips nothing (zero samples sum to zero).
-trips="$(awk '/^pp_cluster_breaker_trips_total{/ {s += $2} END {print s + 0}' <<< "$metrics")"
-if [ "${trips%.*}" -ne 0 ]; then
-  echo "FAIL: $trips breaker trips on a healthy cluster run" >&2
-  grep '^pp_cluster_breaker' <<< "$metrics" >&2 || true
+# And a healthy run retries nothing: every range succeeds on the worker
+# it was routed to.
+retried="$(awk '/^pp_cluster_ranges_retried_total{/ {s += $2} END {print s + 0}' <<< "$metrics")"
+if [ "${retried%.*}" -ne 0 ]; then
+  echo "FAIL: $retried ranges retried on a healthy cluster run" >&2
+  grep '^pp_cluster_ranges' <<< "$metrics" >&2 || true
   exit 1
 fi
 
