@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -190,11 +189,12 @@ func TestPerHashDispatchDistribution(t *testing.T) {
 }
 
 // abortAfter kills the response stream (connection abort, not a clean
-// close) after n NDJSON rows — a worker crashing mid-range. It flushes each
-// row it passes through, so the worker dies after delivering exactly n
-// rows; with buffered set it flushes nothing, not even on the stream's own
-// deadline, so the rows written before the crash die in the response
-// buffer.
+// close) after n NDJSON rows — a worker crashing mid-range. One Write may
+// carry several rows: the one that would pass the n-th row's newline
+// writes the prefix up to it, flushes it and then panics, so the worker
+// dies after delivering exactly n rows; with buffered set it flushes
+// nothing, not even on the stream's own deadline, so the rows written
+// before the crash die in the response buffer.
 type abortAfter struct {
 	http.ResponseWriter
 	rows, n  int
@@ -205,10 +205,21 @@ func (a *abortAfter) Write(p []byte) (int, error) {
 	if a.rows >= a.n {
 		panic(http.ErrAbortHandler)
 	}
-	a.rows += bytes.Count(p, []byte("\n"))
-	n, err := a.ResponseWriter.Write(p)
+	cut := len(p)
+	for i, c := range p {
+		if c == '\n' {
+			if a.rows++; a.rows == a.n {
+				cut = i + 1
+				break
+			}
+		}
+	}
+	n, err := a.ResponseWriter.Write(p[:cut])
 	if !a.buffered {
 		_ = http.NewResponseController(a.ResponseWriter).Flush()
+	}
+	if cut < len(p) {
+		panic(http.ErrAbortHandler)
 	}
 	return n, err
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"repro/internal/jsonenc"
 	"repro/internal/pump"
 	"repro/internal/realise"
 )
@@ -164,4 +165,141 @@ type Result struct {
 	Basis        *BasisResult       `json:"basis,omitempty"`
 	Bounds       *BoundsResult      `json:"bounds,omitempty"`
 	Cover        *CoverResult       `json:"cover,omitempty"`
+}
+
+// AppendJSON appends the result to dst exactly as encoding/json's Encoder
+// writes it with HTML escaping off, without the trailing newline: the
+// sweep row encoder's payload. Simulation, verification, stable, cover and
+// saturation payloads are hand-encoded; the rare certificate, basis and
+// bounds payloads go through encoding/json. A non-finite float, which
+// encoding/json refuses, is an error, and dst comes back unextended.
+func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
+	b := jsonenc.Buf{B: dst}
+	b.String(`{"kind":`, string(r.Kind))
+	if p := r.Protocol; p != nil {
+		b.String(`,"protocol":{"name":`, p.Name)
+		b.Int(`,"states":`, int64(p.States))
+		b.Int(`,"transitions":`, int64(p.Transitions))
+		b.Int(`,"inputs":`, int64(p.Inputs))
+		b.Bool(`,"leaderless":`, p.Leaderless)
+		b.String(`,"hash":`, p.Hash)
+		if p.Predicate != "" {
+			b.String(`,"predicate":`, p.Predicate)
+		}
+		b.Raw(`}`)
+	}
+	b.Float(`,"elapsedMillis":`, r.ElapsedMillis)
+	if r.CacheHit {
+		b.Raw(`,"cacheHit":true`)
+	}
+	if r.Simulation != nil {
+		r.Simulation.appendJSON(&b)
+	}
+	if r.Verification != nil {
+		r.Verification.appendJSON(&b)
+	}
+	if s := r.Stable; s != nil {
+		b.Int(`,"stable":{"basis0":`, int64(s.Basis0))
+		b.Int(`,"basis1":`, int64(s.Basis1))
+		b.Int(`,"scBasis":`, int64(s.SCBasis))
+		b.Int(`,"iterations0":`, int64(s.Iterations0))
+		b.Int(`,"iterations1":`, int64(s.Iterations1))
+		b.Int(`,"frontier0":`, int64(s.Frontier0))
+		b.Int(`,"frontier1":`, int64(s.Frontier1))
+		b.Int(`,"norm":`, s.Norm)
+		b.Raw(`}`)
+	}
+	if r.Certificate != nil {
+		b.Marshal(`,"certificate":`, r.Certificate)
+	}
+	if s := r.Saturation; s != nil {
+		b.Int(`,"saturation":{"stages":`, int64(s.Stages))
+		b.Int(`,"input":`, s.Input)
+		b.Int(`,"sequenceLen":`, int64(s.SequenceLen))
+		b.Ints(`,"config":`, s.Config)
+		b.Raw(`}`)
+	}
+	if r.Basis != nil {
+		b.Marshal(`,"basis":`, r.Basis)
+	}
+	if r.Bounds != nil {
+		b.Marshal(`,"bounds":`, r.Bounds)
+	}
+	if c := r.Cover; c != nil {
+		b.Ints(`,"cover":{"input":`, c.Input)
+		b.Int(`,"maxLen1":`, int64(c.MaxLen1))
+		b.Int(`,"maxLen0":`, int64(c.MaxLen0))
+		b.Raw(`}`)
+	}
+	b.Raw(`}`)
+	if b.Err != nil {
+		return dst, b.Err
+	}
+	return b.B, nil
+}
+
+func (s *SimulationResult) appendJSON(b *jsonenc.Buf) {
+	b.Bool(`,"simulation":{"converged":`, s.Converged)
+	b.Int(`,"output":`, int64(s.Output))
+	b.Int(`,"interactions":`, s.Interactions)
+	b.Float(`,"parallelTime":`, s.ParallelTime)
+	b.Int(`,"consensusAt":`, s.ConsensusAt)
+	if len(s.Final) > 0 {
+		b.Ints(`,"final":`, s.Final)
+	}
+	if s.FinalFormatted != "" {
+		b.String(`,"finalFormatted":`, s.FinalFormatted)
+	}
+	if len(s.Trace) > 0 {
+		b.Raw(`,"trace":[`)
+		for i, tp := range s.Trace {
+			if i > 0 {
+				b.Raw(`,`)
+			}
+			b.Int(`{"interactions":`, tp.Interactions)
+			b.String(`,"config":`, tp.Config)
+			b.Raw(`}`)
+		}
+		b.Raw(`]`)
+	}
+	if e := s.Estimate; e != nil {
+		b.Int(`,"estimate":{"runs":`, int64(e.Runs))
+		b.Int(`,"converged":`, int64(e.Converged))
+		b.Int(`,"output":`, int64(e.Output))
+		b.Float(`,"meanParallel":`, e.MeanParallel)
+		b.Float(`,"medianParallel":`, e.MedianParallel)
+		b.Float(`,"p95Parallel":`, e.P95Parallel)
+		b.Float(`,"maxParallel":`, e.MaxParallel)
+		if e.TotalInteractions != 0 {
+			b.Int(`,"totalInteractions":`, e.TotalInteractions)
+		}
+		// omitempty drops a float equal to 0, negative zero included.
+		if e.MeanInteractions != 0 {
+			b.Float(`,"meanInteractions":`, e.MeanInteractions)
+		}
+		b.Raw(`}`)
+	}
+	b.Raw(`}`)
+}
+
+func (v *VerifyResult) appendJSON(b *jsonenc.Buf) {
+	b.String(`,"verification":{"predicate":`, v.Predicate)
+	b.Int(`,"inputs":`, int64(v.Inputs))
+	b.Bool(`,"allOK":`, v.AllOK)
+	if len(v.Failures) > 0 {
+		b.Raw(`,"failures":[`)
+		for i, f := range v.Failures {
+			if i > 0 {
+				b.Raw(`,`)
+			}
+			b.Ints(`{"input":`, f.Input)
+			b.Bool(`,"want":`, f.Want)
+			b.Int(`,"got":`, int64(f.Got))
+			b.Raw(`}`)
+		}
+		b.Raw(`]`)
+	}
+	b.Int(`,"totalConfigs":`, int64(v.TotalConfigs))
+	b.String(`,"summary":`, v.Summary)
+	b.Raw(`}`)
 }

@@ -12,6 +12,8 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"repro/internal/jsonenc"
 )
 
 // Spec is the on-disk JSON representation of a protocol, used by the command
@@ -718,14 +720,14 @@ func (p *Protocol) AppendJSON(dst []byte) []byte {
 	// A built protocol has a state and a transition, so neither list is
 	// the null encoding/json writes for an empty slice.
 	dst = append(dst, `{"name":`...)
-	dst = appendString(dst, p.name)
+	dst = jsonenc.String(dst, p.name, true)
 	dst = append(dst, `,"states":[`...)
 	for q, name := range p.states {
 		if q > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"name":`...)
-		dst = appendString(dst, name)
+		dst = jsonenc.String(dst, name, true)
 		dst = append(dst, `,"output":`...)
 		dst = append(dst, '0'+byte(p.Output(State(q))), '}')
 	}
@@ -736,7 +738,7 @@ func (p *Protocol) AppendJSON(dst []byte) []byte {
 		}
 		for j, q := range [4]State{t.P, t.Q, t.P2, t.Q2} {
 			dst = append(dst, "[,"[min(j, 1)])
-			dst = appendString(dst, p.states[q])
+			dst = jsonenc.String(dst, p.states[q], true)
 		}
 		dst = append(dst, ']')
 	}
@@ -754,7 +756,7 @@ func (p *Protocol) AppendJSON(dst []byte) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendString(dst, p.states[q])
+			dst = jsonenc.String(dst, p.states[q], true)
 			dst = append(dst, ':')
 			dst = strconv.AppendInt(dst, p.leaders[q], 10)
 		}
@@ -770,9 +772,9 @@ func (p *Protocol) AppendJSON(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, p.inputs[x])
+		dst = jsonenc.String(dst, p.inputs[x], true)
 		dst = append(dst, ':')
-		dst = appendString(dst, p.states[p.inputMap[x]])
+		dst = jsonenc.String(dst, p.states[p.inputMap[x]], true)
 	}
 	return append(dst, "}}"...)
 }
@@ -781,61 +783,4 @@ func (p *Protocol) AppendJSON(dst []byte) []byte {
 // encoding/json writes map keys in.
 func sortByName(idx []int, names []string) {
 	slices.SortFunc(idx, func(a, b int) int { return strings.Compare(names[a], names[b]) })
-}
-
-// appendString appends s as a JSON string with encoding/json's escaping:
-// quotes, backslashes and control bytes escaped (\b, \f, \n, \r and \t by
-// name, the rest as \u00XX), the HTML characters <, > and & as \u003c,
-// \u003e and \u0026, U+2028 and U+2029 as \u2028 and \u2029, and each
-// invalid UTF-8 byte as \ufffd.
-func appendString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

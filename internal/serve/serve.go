@@ -344,16 +344,26 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rw := newRowWriter(w)
-	// The summary row is written last and leaves with the handler's
-	// return, when net/http finishes the response.
+	// The summary row is written last and leaves with close, the handler's
+	// last write.
 	defer rw.close()
 	writeRow := func(typ string, row []byte) {
 		opts.sm.StreamRows.WithLabelValues(typ).Inc()
 		rw.writeRow(row)
 	}
+	// The cell rows' counter child is resolved once per sweep, at the first
+	// cell, so a sweep that streams none leaves the family as it found it.
+	var cellRows *metrics.Counter
+	writeCell := func(row []byte) {
+		if cellRows == nil {
+			cellRows = opts.sm.StreamRows.WithLabelValues("cell")
+		}
+		cellRows.Inc()
+		rw.writeRow(row)
+	}
 
 	start := time.Now()
-	res, err := runSweep(ctx, eng, opts, spec, jsweep, func(row []byte) { writeRow("cell", row) })
+	res, err := runSweep(ctx, eng, opts, spec, jsweep, writeCell)
 	if res == nil {
 		// Only reachable if the sweep cannot start (re-expansion, which
 		// ParseSpec precludes, or the cluster routing); report it as a stream row since the 200 header is
@@ -379,63 +389,124 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 }
 
 // streamFlushDelay is the longest a sweep row, or the 200 header, waits
-// in the response buffer before it is flushed. Rows finishing within it
-// of each other leave in one socket write.
+// in the stream buffer before it is flushed. Rows finishing within it of
+// each other leave in one socket write.
 const streamFlushDelay = 5 * time.Millisecond
 
-// rowWriter writes encoded sweep rows into the response buffer and
-// flushes on a deadline instead of after every row: the first write after
-// a flush arms one timer, which flushes whatever is waiting when it
-// fires. The timer goroutine and the handler share mu, so the
-// ResponseWriter is never touched concurrently, and close makes sure it is
-// not touched after the handler returns.
+// streamBufferSize bounds a stream's row buffer: a row that would take it
+// past this size first writes the buffer out. 32 KiB holds about fifty
+// cell rows, two grids of the end-to-end benchmark. A single larger row
+// grows the buffer to fit it, and is written out alone.
+const streamBufferSize = 32 << 10
+
+// streamBuffers recycles the row buffers of finished streams, which would
+// otherwise be the largest allocation a sweep of cached cells makes.
+var streamBuffers = sync.Pool{New: func() any {
+	b := make([]byte, 0, streamBufferSize)
+	return &b
+}}
+
+// rowWriter collects encoded sweep rows in a buffer of its own and writes
+// it out in one Write per flush instead of one per row: the first row
+// after a flush arms one timer, which writes and flushes whatever is
+// waiting when it fires, and close writes the rest. The timer goroutine
+// and the handler share mu, so the ResponseWriter is never touched
+// concurrently, and close makes sure it is not touched after the handler
+// returns.
+//
+// A write that panics on the timer goroutine (http.ErrAbortHandler, say)
+// must not take the process down: flush recovers the panic and keeps it,
+// and the handler's next writeRow or close raises it again, so net/http
+// still aborts the connection.
 type rowWriter struct {
 	mu     sync.Mutex
 	w      http.ResponseWriter
+	pooled *[]byte // the buffer close returns to streamBuffers
+	buf    []byte
 	timer  *time.Timer
 	armed  bool
 	closed bool
+	broken any // the panic a timer flush recovered
 }
 
 // newRowWriter commits the 200 header; it goes out with the first flush.
 func newRowWriter(w http.ResponseWriter) *rowWriter {
 	w.WriteHeader(http.StatusOK)
-	rw := &rowWriter{w: w, armed: true}
+	p := streamBuffers.Get().(*[]byte)
+	rw := &rowWriter{w: w, pooled: p, buf: (*p)[:0], armed: true}
 	rw.timer = time.AfterFunc(streamFlushDelay, rw.flush)
 	return rw
 }
 
-// writeRow buffers one encoded row, in one Write. Write errors mean the
-// client went away; the request context then cancels the sweep, so there
-// is nothing to handle. A panicking write (http.ErrAbortHandler) releases
-// mu on its way out.
+// writeRow buffers one encoded row, first writing the buffer out if the
+// row would overflow it. A panicking write releases mu on its way out.
 func (rw *rowWriter) writeRow(row []byte) {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
-	_, _ = rw.w.Write(row)
+	rw.rethrow()
+	if len(rw.buf)+len(row) > streamBufferSize {
+		rw.write()
+	}
+	rw.buf = append(rw.buf, row...)
 	if !rw.armed {
 		rw.armed = true
 		rw.timer.Reset(streamFlushDelay)
 	}
 }
 
+// flush runs on the timer goroutine: it writes and flushes what is
+// waiting, keeping a panic for the handler to raise.
 func (rw *rowWriter) flush() {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
-	if rw.closed {
+	if rw.closed || rw.broken != nil {
 		return
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			rw.broken = p
+		}
+	}()
 	rw.armed = false
+	rw.write()
 	_ = http.NewResponseController(rw.w).Flush()
 }
 
-// close stops the timer; once it returns, no flush touches the
-// ResponseWriter.
+// close stops the timer, writes what is left and gives the buffer back;
+// once it returns, no flush touches the ResponseWriter.
 func (rw *rowWriter) close() {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
 	rw.closed = true
 	rw.timer.Stop()
+	rw.rethrow()
+	rw.write()
+	if cap(rw.buf) == streamBufferSize {
+		*rw.pooled = rw.buf
+		streamBuffers.Put(rw.pooled)
+	}
+	rw.buf = nil
+}
+
+// write hands the buffered rows to the ResponseWriter in one Write. Write
+// errors mean the client went away; the request context then cancels the
+// sweep, so there is nothing to handle. The buffer is emptied first, so
+// rows a panicking Write took with it are not written again.
+func (rw *rowWriter) write() {
+	if len(rw.buf) == 0 {
+		return
+	}
+	b := rw.buf
+	rw.buf = rw.buf[:0]
+	_, _ = rw.w.Write(b)
+}
+
+// rethrow raises, on the handler goroutine, the panic a timer flush
+// recovered.
+func (rw *rowWriter) rethrow() {
+	if rw.broken != nil {
+		panic(rw.broken)
+	}
 }
 
 func handleCatalog(eng *engine.Engine, w http.ResponseWriter) {

@@ -48,12 +48,15 @@ type replicaOutcome struct {
 // 0..runs-1 across a worker pool, each worker reusing one scratch set
 // (Runner) over the shared tables. record observes every executed replica
 // (from worker goroutines, but never twice for one index); replica i runs
-// with seed ReplicaSeed(opts.Seed, i).
+// with seed ReplicaSeed(opts.Seed, i). Workers claim indices from a shared
+// counter; the calling goroutine is worker 0 and starts only the other
+// workers−1, so a one-worker batch (each engine simulate cell) runs on the
+// caller's goroutine alone.
 //
 // A replica error (interruption included) trips the abort flag: replicas
 // not yet started are skipped, so a cancelled batch stops after the
 // in-flight replicas notice, not after every remaining replica has run to
-// its first interrupt poll. Indices are dispatched in ascending order, so
+// its first interrupt poll. Indices are claimed in ascending order, so
 // every skipped index exceeds the erroring one and a caller folding in
 // index order still reports the first error deterministically.
 func runBatch(p *protocol.Protocol, c0 protocol.Config, runs int, opts Options, workers int, record func(i int, st Stats, err error)) error {
@@ -71,31 +74,32 @@ func runBatch(p *protocol.Protocol, c0 protocol.Config, runs int, opts Options, 
 	}
 	tbl := buildTables(p)
 	var aborted atomic.Bool
+	var next atomic.Int64
+	work := func() {
+		r := newRunnerShared(p, c0, tbl)
+		for !aborted.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= runs {
+				return
+			}
+			o := opts
+			o.Seed = ReplicaSeed(opts.Seed, i)
+			st, err := r.Run(o)
+			record(i, st, err)
+			if err != nil {
+				aborted.Store(true)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := newRunnerShared(p, c0, tbl)
-			for i := range next {
-				if aborted.Load() {
-					continue
-				}
-				o := opts
-				o.Seed = ReplicaSeed(opts.Seed, i)
-				st, err := r.Run(o)
-				record(i, st, err)
-				if err != nil {
-					aborted.Store(true)
-				}
-			}
+			work()
 		}()
 	}
-	for i := 0; i < runs && !aborted.Load(); i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 	return nil
 }

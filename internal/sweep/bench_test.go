@@ -56,3 +56,37 @@ func BenchmarkSweepWorkers1(b *testing.B) { benchSweep(b, 1) }
 // BenchmarkSweepWorkersMax runs the same grid on a full-width pool; the
 // speed-up over BenchmarkSweepWorkers1 pins the executor's scaling.
 func BenchmarkSweepWorkersMax(b *testing.B) { benchSweep(b, runtime.GOMAXPROCS(0)) }
+
+// BenchmarkAppendRowGrid encodes the 29 rows a POST /v1/sweep of the
+// end-to-end benchmark's grid streams: flock:N for N in 4..7, simulated
+// (4 replicas) and verified at sizes N−1, N+1 and 2N, plus its stable
+// analysis — 28 cell rows and the summary, which carries no cells. As in
+// the server, the cell rows reuse one buffer and the summary gets its own.
+func BenchmarkAppendRowGrid(b *testing.B) {
+	spec, err := ParseSpec([]byte(`{"name":"sweep-5-0","protocols":[{"spec":"flock:{N}"}],"params":[{"from":4,"to":7}],` +
+		`"kinds":["simulate","verify","stable"],"sizes":["{N}-1","{N}+1","{N}*2"],"options":{"seed":5,"runs":4}}`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := Run(context.Background(), engine.New(), spec, RunOptions{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := res.Cells
+	res.Cells = nil
+	if len(cells) != 28 {
+		b.Fatalf("%d cells, want 28", len(cells))
+	}
+	var row []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range cells {
+			row = AppendRow(row[:0], StreamRow{Type: "cell", Cell: &cells[j]})
+		}
+		sink = AppendRow(nil, StreamRow{Type: "summary", Summary: res})
+	}
+	b.ReportMetric(29, "rows/op")
+}
+
+var sink []byte

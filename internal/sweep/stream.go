@@ -1,13 +1,14 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/engine"
+	"repro/internal/jsonenc"
 )
 
 // StreamRow is one NDJSON row of a streamed sweep: the POST /v1/sweep
@@ -26,15 +27,131 @@ type StreamRow struct {
 // AppendRow appends row to buf in the one wire form of sweep rows, which
 // the stream, the journal and ppsweep -canonical share: encoding/json with
 // HTML escaping off, then a newline. A row encoding/json refuses (a NaN
-// statistic, say) appends nothing.
+// statistic, say) appends nothing. The encoder is hand-written, field by
+// field in declaration order, so that a streamed row costs no reflection;
+// FuzzAppendRow holds it to encoding/json's bytes.
 func AppendRow(buf []byte, row StreamRow) []byte {
-	b := bytes.NewBuffer(buf)
-	enc := json.NewEncoder(b)
-	enc.SetEscapeHTML(false)
-	if enc.Encode(row) != nil {
+	b := jsonenc.Buf{B: buf}
+	b.String(`{"type":`, row.Type)
+	if row.Cell != nil {
+		appendCell(&b, `,"cell":`, row.Cell)
+	}
+	if row.Summary != nil {
+		appendSummary(&b, row.Summary)
+	}
+	if row.Error != "" {
+		b.String(`,"error":`, row.Error)
+	}
+	b.Raw("}\n")
+	if b.Err != nil {
 		return buf
 	}
-	return b.Bytes()
+	return b.B
+}
+
+// appendCell appends key and the cell.
+func appendCell(b *jsonenc.Buf, key string, c *CellResult) {
+	b.Raw(key)
+	b.Int(`{"index":`, int64(c.Index))
+	if c.Protocol != "" {
+		b.String(`,"protocol":`, c.Protocol)
+	}
+	if c.Param != nil {
+		b.Int(`,"param":`, *c.Param)
+	}
+	if c.Size != 0 {
+		b.Int(`,"size":`, c.Size)
+	}
+	b.String(`,"kind":`, string(c.Kind))
+	b.Bool(`,"ok":`, c.OK)
+	if c.Error != "" {
+		b.String(`,"error":`, c.Error)
+	}
+	b.Float(`,"elapsedMillis":`, c.ElapsedMillis)
+	if c.CacheHit {
+		b.Raw(`,"cacheHit":true`)
+	}
+	if c.Result != nil {
+		b.Raw(`,"result":`)
+		var err error
+		if b.B, err = c.Result.AppendJSON(b.B); err != nil {
+			b.Err = err
+		}
+	}
+	b.Raw(`}`)
+}
+
+func appendSummary(b *jsonenc.Buf, r *Result) {
+	b.Raw(`,"summary":{`)
+	if r.Name != "" {
+		b.String(`"name":`, r.Name)
+		b.Raw(`,`)
+	}
+	b.Int(`"totalCells":`, int64(r.TotalCells))
+	b.Int(`,"completed":`, int64(r.Completed))
+	b.Int(`,"failed":`, int64(r.Failed))
+	if r.Cancelled {
+		b.Raw(`,"cancelled":true`)
+	}
+	b.Int(`,"workers":`, int64(r.Workers))
+	b.Float(`,"wallMillis":`, r.WallMillis)
+	if len(r.ByKind) > 0 {
+		// encoding/json writes map keys in byte order.
+		var arr [16]engine.Kind
+		kinds := arr[:0]
+		for k := range r.ByKind {
+			kinds = append(kinds, k)
+		}
+		slices.Sort(kinds)
+		sep := `,"byKind":{`
+		for _, k := range kinds {
+			b.String(sep, string(k))
+			sep = `,`
+			ks := r.ByKind[k]
+			if ks == nil {
+				b.Raw(`:null`)
+				continue
+			}
+			b.Int(`:{"cells":`, int64(ks.Cells))
+			b.Int(`,"ok":`, int64(ks.OK))
+			b.Int(`,"errors":`, int64(ks.Errors))
+			b.Int(`,"cacheHits":`, int64(ks.CacheHits))
+			b.Raw(`}`)
+		}
+		b.Raw(`}`)
+	}
+	if s := r.Simulation; s != nil {
+		b.Int(`,"simulation":{"cells":`, int64(s.Cells))
+		b.Int(`,"converged":`, int64(s.Converged))
+		b.Float(`,"interactionsP50":`, s.InteractionsP50)
+		b.Float(`,"interactionsP95":`, s.InteractionsP95)
+		b.Float(`,"interactionsMax":`, s.InteractionsMax)
+		b.Float(`,"parallelP50":`, s.ParallelP50)
+		b.Float(`,"parallelP95":`, s.ParallelP95)
+		b.Float(`,"parallelMax":`, s.ParallelMax)
+		b.Raw(`}`)
+	}
+	if v := r.Verification; v != nil {
+		b.Int(`,"verification":{"cells":`, int64(v.Cells))
+		b.Int(`,"allOK":`, int64(v.AllOK))
+		b.Int(`,"failures":`, int64(v.Failures))
+		b.Raw(`}`)
+	}
+	if c := r.Certification; c != nil {
+		b.Int(`,"certification":{"cells":`, int64(c.Cells))
+		b.Int(`,"ok":`, int64(c.OK))
+		b.Int(`,"maxA":`, c.MaxA)
+		b.Raw(`}`)
+	}
+	if len(r.Cells) > 0 {
+		sep := `,"cells":[`
+		for i := range r.Cells {
+			appendCell(b, sep, &r.Cells[i])
+			sep = `,`
+		}
+		b.Raw(`]`)
+	}
+	b.Raw(`}`)
 }
 
 // ReadRows reads a sweep row stream, calling onCell for each cell row in
