@@ -64,9 +64,9 @@ const (
 type Engine struct {
 	reg *protocols.Registry
 	// sem bounds concurrently executing analyses: every CPU-heavy section
-	// holds a slot (see acquire) for exactly as long as it computes, so
-	// abandoned or duplicate requests cannot pin more than cap(sem) cores
-	// and idle waiting never occupies capacity.
+	// holds a slot (see acquire) for exactly as long as it computes, and
+	// stops when its request's context ends, so an expired request has
+	// freed its slot when Do returns; idle waiting never occupies capacity.
 	sem chan struct{}
 
 	// waiting counts goroutines blocked in acquire — the queue behind the
@@ -308,9 +308,9 @@ func Hash(p *protocol.Protocol) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Do executes one request. The context carries cancellation and deadlines;
-// Request.TimeoutMillis, when set, tightens it further. On timeout the
-// returned error wraps context.DeadlineExceeded.
+// Do executes one request on the caller's goroutine. The context carries
+// cancellation and deadlines; Request.TimeoutMillis, when set, tightens it
+// further. On timeout the returned error wraps context.DeadlineExceeded.
 func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	kind := string(req.Kind)
 	if !req.Kind.Valid() {
@@ -358,40 +358,22 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 		res.Protocol = &info
 	}
 
-	// Run the dispatch in a goroutine so a context deadline interrupts the
-	// caller even while a long analysis is still burning CPU. The channel
-	// is buffered: an abandoned analysis finishes and is dropped. The
-	// heavy sections inside dispatch each hold an execution slot
-	// (e.acquire), keeping total burning CPU bounded by the core count;
-	// waiting — on a slot or on another request's in-flight artifact —
-	// holds nothing.
-	type outcome struct{ err error }
-	done := make(chan outcome, 1)
-	go func() {
-		done <- outcome{err: e.dispatch(ctx, req, entry, hash, res)}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			// A dispatch that failed while ctx had ended is a
-			// timeout/cancellation: surface it as the context error so
-			// transports classify it correctly.
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("engine: %s request interrupted: %w", req.Kind, ctx.Err())
-			}
-			return nil, o.err
+	if err := e.dispatch(ctx, req, entry, hash, res); err != nil {
+		// A dispatch that failed after ctx ended is a timeout/cancellation:
+		// surface it as the context error so transports classify it.
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("engine: %s request interrupted: %w", req.Kind, ctx.Err())
 		}
-		res.ElapsedMillis = float64(time.Since(start)) / float64(time.Millisecond)
-		return res, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("engine: %s request interrupted: %w", req.Kind, ctx.Err())
+		return nil, err
 	}
+	res.ElapsedMillis = float64(time.Since(start)) / float64(time.Millisecond)
+	return res, nil
 }
 
-// dispatch fills res according to the request kind. The expensive analyses
-// take ctx.Done() as a cooperative stop channel, so work abandoned by a
-// deadline actually terminates (and frees its concurrency slot) instead of
-// running to completion in the background.
+// dispatch fills res according to the request kind, on the caller's
+// goroutine. Every core it calls stops on ctx.Done(), so the request's
+// deadline bounds its work: an interrupted analysis returns soon after ctx
+// ends, its execution slot released.
 func (e *Engine) dispatch(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {
 	switch req.Kind {
 	case KindSimulate:
@@ -735,36 +717,34 @@ func (e *Engine) doCertify(ctx context.Context, req Request, entry protocols.Ent
 		return fmt.Errorf("stable-set analysis: %w", err)
 	}
 	res.CacheHit = hit
-	opts := pump.FindOptions{Seed: req.Seed, Analysis: analysis}
-	opts.Dioph.Interrupt = ctx.Done()
-	release, err := e.acquire(ctx)
-	if err != nil {
-		return err
-	}
-	defer release()
-	switch req.Kind {
-	case KindCertifyChain:
-		cert, err := pump.FindChain(p, opts)
-		if err != nil {
-			return err
-		}
-		if err := pump.CheckChain(p, cert, analysis); err != nil {
-			return fmt.Errorf("engine: chain certificate self-check failed: %w", err)
-		}
-		res.Certificate = &CertificateResult{Pipeline: "chain", A: cert.A, B: cert.B, Chain: cert}
-	default:
+	opts := pump.FindOptions{Seed: req.Seed, Analysis: analysis, Interrupt: ctx.Done()}
+	if req.Kind == KindCertifyLeaderless {
+		// Fetched before the slot is taken: a cold basis computes under a
+		// slot of its own, which a one-slot engine could never grant.
 		basis, basisHit, err := e.basisFor(ctx, p, hash)
 		if err != nil {
 			return fmt.Errorf("realisable basis: %w", err)
 		}
 		res.CacheHit = hit && basisHit
 		opts.Basis = basis
-		cert, err := pump.FindLeaderless(p, opts)
+	}
+	release, err := e.acquire(ctx)
+	if err != nil {
+		return err
+	}
+	defer release()
+	// The finders self-check every certificate they return.
+	switch req.Kind {
+	case KindCertifyChain:
+		cert, err := pump.FindChain(p, opts)
 		if err != nil {
 			return err
 		}
-		if err := pump.CheckLeaderless(p, cert, analysis); err != nil {
-			return fmt.Errorf("engine: leaderless certificate self-check failed: %w", err)
+		res.Certificate = &CertificateResult{Pipeline: "chain", A: cert.A, B: cert.B, Chain: cert}
+	default:
+		cert, err := pump.FindLeaderless(p, opts)
+		if err != nil {
+			return err
 		}
 		res.Certificate = &CertificateResult{Pipeline: "leaderless", A: cert.A, B: cert.B, Leaderless: cert}
 	}

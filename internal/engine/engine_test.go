@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/multiset"
+	"repro/internal/protocol"
 	"repro/internal/protocols"
+	"repro/internal/pump"
 	"repro/internal/sim"
 )
 
@@ -282,17 +284,33 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+// TestCertify also re-checks each certificate against a fresh stable-set
+// analysis: the engine relies on the finders' own self-check, made on the
+// analysis it injected.
 func TestCertify(t *testing.T) {
 	eng := New()
+	resolve := func(spec string) *protocol.Protocol {
+		entry, err := eng.Resolve(ProtocolRef{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return entry.Protocol
+	}
 	res := do(t, eng, Request{Kind: KindCertifyLeaderless, Protocol: ProtocolRef{Spec: "flock:3"}, Seed: 1})
 	c := res.Certificate
 	if c == nil || c.Pipeline != "leaderless" || c.Leaderless == nil || c.A < 3 {
 		t.Fatalf("bad leaderless certificate: %+v", c)
 	}
+	if err := pump.CheckLeaderless(resolve("flock:3"), c.Leaderless, nil); err != nil {
+		t.Fatalf("leaderless certificate fails an independent check: %v", err)
+	}
 	res = do(t, eng, Request{Kind: KindCertifyChain, Protocol: ProtocolRef{Spec: "leaderflock:3"}, Seed: 1})
 	c = res.Certificate
 	if c == nil || c.Pipeline != "chain" || c.Chain == nil || c.B < 1 {
 		t.Fatalf("bad chain certificate: %+v", c)
+	}
+	if err := pump.CheckChain(resolve("leaderflock:3"), c.Chain, nil); err != nil {
+		t.Fatalf("chain certificate fails an independent check: %v", err)
 	}
 }
 

@@ -38,7 +38,7 @@ type Metrics struct {
 	// "table" (a recorded verdict) or "explored" (a configuration graph
 	// built for the request).
 	VerifyInputs *metrics.CounterVec
-	// Interrupted counts analyses abandoned mid-flight by cancellation or
+	// Interrupted counts analyses interrupted mid-flight by cancellation or
 	// deadline — work that burned CPU without producing a result.
 	Interrupted *metrics.Counter
 	// SlotsBusy / SlotsCapacity / SlotQueue read the execution-slot
@@ -70,7 +70,7 @@ func newEngineMetrics(e *Engine) *Metrics {
 			sub("verify_inputs_total", "Inputs checked by verify requests, by source (table or explored)."),
 			[]string{"source"}),
 		Interrupted: metrics.NewCounter(
-			sub("interrupted_total", "Analyses abandoned mid-flight by cancellation or deadline.")),
+			sub("interrupted_total", "Analyses interrupted mid-flight by cancellation or deadline.")),
 		SlotsBusy: metrics.NewGaugeFunc(
 			sub("slots_busy", "Execution slots currently burning CPU."),
 			func() float64 { busy, _, _ := e.SlotStats(); return float64(busy) }),

@@ -82,7 +82,7 @@ func TestDifferentialUpSetVsNaive(t *testing.T) {
 		}
 		// The complements must agree too (ComplementUp reads the arena,
 		// NaiveComplementUp the naive slice).
-		cd := ComplementUp(u)
+		cd, _ := ComplementUp(u, nil)
 		nd := NaiveComplementUp(n)
 		probe := multiset.New(d)
 		for p := 0; p < 200; p++ {

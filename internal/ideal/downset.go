@@ -1,6 +1,7 @@
 package ideal
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -332,7 +333,9 @@ func (ds *DownSet) String() string {
 // appended only once the subsumed-by scan has kept it, so a pass moves
 // plain words and allocates nothing once the arenas have grown. The
 // result's ideals are built once, at the end, as views into one slab.
-func ComplementUp(u *UpSet) *DownSet {
+// A non-nil stop is polled once per minimal element of u: ComplementUp
+// returns ErrInterrupted soon after it closes.
+func ComplementUp(u *UpSet, stop <-chan struct{}) (*DownSet, error) {
 	d := u.Dim()
 	full := FullIdeal(d)
 	a := capArena{d: d, caps: full.caps, omegas: []uint64{omegaMask(full)}}
@@ -340,6 +343,11 @@ func ComplementUp(u *UpSet) *DownSet {
 	support := make([]int, 0, d)
 	buf := make([]int64, d)
 	for _, mid := range u.ids {
+		select {
+		case <-stop: // a nil stop never fires
+			return nil, ErrInterrupted
+		default:
+		}
 		m := u.storedAt(mid)
 		support = support[:0]
 		for i, x := range m {
@@ -382,8 +390,11 @@ func ComplementUp(u *UpSet) *DownSet {
 			}
 		}
 	}
-	return a.downSet()
+	return a.downSet(), nil
 }
+
+// ErrInterrupted is returned when ComplementUp's stop channel closes.
+var ErrInterrupted = errors.New("ideal: interrupted")
 
 // capArena is ComplementUp's decomposition: len(omegas) ideals, their
 // caps back to back with stride d, each with its folded ω-mask.

@@ -184,7 +184,7 @@ func FuzzComplementUp(f *testing.F) {
 			naive.Add(v)
 		}
 
-		got := ComplementUp(u)
+		got, _ := ComplementUp(u, nil)
 		if want := complementUpCloning(u); !slices.Equal(capKeys(got), capKeys(want)) {
 			t.Fatalf("ComplementUp(%s) = %s, cloning pass %s", u, got, want)
 		}

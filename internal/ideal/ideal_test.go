@@ -1,6 +1,7 @@
 package ideal
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -137,7 +138,7 @@ func TestDownSetAddIrredundant(t *testing.T) {
 func TestComplementUpKnown(t *testing.T) {
 	// Complement of ↑{(2,0), (0,3)} in ℕ² is {v0 ≤ 1 and v1 ≤ 2}.
 	u := NewUpSet(2, multiset.Vec{2, 0}, multiset.Vec{0, 3})
-	ds := ComplementUp(u)
+	ds, _ := ComplementUp(u, nil)
 	if ds.Size() != 1 {
 		t.Fatalf("decomposition size = %d (%s), want 1", ds.Size(), ds)
 	}
@@ -146,14 +147,29 @@ func TestComplementUpKnown(t *testing.T) {
 		t.Fatalf("complement = %s, want [1, 2]", id)
 	}
 	// Complement of the empty up-set is everything.
-	all := ComplementUp(NewUpSet(2))
+	all, _ := ComplementUp(NewUpSet(2), nil)
 	if all.Size() != 1 || all.Ideals()[0].Cap(0) != Omega {
 		t.Fatalf("complement of empty = %s", all)
 	}
 	// Complement of ↑{0} (= everything) is empty.
-	none := ComplementUp(NewUpSet(2, multiset.New(2)))
+	none, _ := ComplementUp(NewUpSet(2, multiset.New(2)), nil)
 	if !none.IsEmpty() {
 		t.Fatalf("complement of full = %s", none)
+	}
+}
+
+// TestComplementUpInterrupted pins ComplementUp's stop channel: closed
+// before the call, a non-trivial complement returns ErrInterrupted and no
+// set; left open, the same call completes.
+func TestComplementUpInterrupted(t *testing.T) {
+	u := NewUpSet(3, multiset.Vec{2, 0, 1}, multiset.Vec{0, 3, 0}, multiset.Vec{1, 1, 1})
+	stop := make(chan struct{})
+	if ds, err := ComplementUp(u, stop); err != nil || ds.IsEmpty() {
+		t.Fatalf("open stop: %s, %v", ds, err)
+	}
+	close(stop)
+	if ds, err := ComplementUp(u, stop); !errors.Is(err, ErrInterrupted) || ds != nil {
+		t.Fatalf("closed stop: %v, %v; want nil, ErrInterrupted", ds, err)
 	}
 }
 
@@ -200,7 +216,7 @@ func TestQuickComplementDuality(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		d := 1 + rr.Intn(3)
 		u := randomUpSet(rr, d)
-		ds := ComplementUp(u)
+		ds, _ := ComplementUp(u, nil)
 		uu := ComplementDown(ds)
 		// Pointwise check on the box {0..5}^d.
 		var rec func(i int, v multiset.Vec) bool
@@ -267,7 +283,7 @@ func TestQuickDownSetDownwardClosed(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		d := 1 + rr.Intn(3)
-		ds := ComplementUp(randomUpSet(rr, d))
+		ds, _ := ComplementUp(randomUpSet(rr, d), nil)
 		v := multiset.New(d)
 		for trial := 0; trial < 60; trial++ {
 			for j := range v {

@@ -18,6 +18,7 @@ var (
 	ErrNoConvergence = errors.New("pump: simulation did not reach a stable configuration")
 	ErrNoDicksonPair = errors.New("pump: no comparable pair in a common ideal within the chain bound")
 	ErrNoTheta       = errors.New("pump: no potentially realisable θ concentrated on S")
+	errInterrupted   = errors.New("pump: interrupted")
 )
 
 // FindOptions configures the certificate finders.
@@ -32,17 +33,26 @@ type FindOptions struct {
 	MaxRetries int
 	// SimMaxSteps bounds each simulation; 0 uses the simulator default.
 	SimMaxSteps int64
-	// Dioph bounds the Contejean–Devie search.
-	Dioph dioph.Options
-	// Stable bounds the backward-coverability fixpoint.
-	Stable stable.Options
+	// Interrupt, when non-nil, cancels the search cooperatively: every
+	// analysis, simulation and scan of the finders polls it.
+	Interrupt <-chan struct{}
 	// Analysis, when non-nil, is a precomputed stable-set analysis of the
-	// protocol; the finders use it instead of recomputing (Stable is then
-	// ignored). Callers own the consistency of analysis and protocol.
+	// protocol; the finders use it instead of recomputing. Callers own the
+	// consistency of analysis and protocol.
 	Analysis *stable.Analysis
 	// Basis, when non-nil, is a precomputed realisable basis; FindLeaderless
-	// uses it instead of recomputing (Dioph is then ignored).
+	// uses it instead of recomputing.
 	Basis []realise.TransitionMultiset
+}
+
+// stopped polls a cooperative stop channel; a nil channel never stops.
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // FindChain searches for a ChainCertificate following the Theorem 4.5 proof:
@@ -60,7 +70,7 @@ func FindChain(p *protocol.Protocol, opts FindOptions) (*ChainCertificate, error
 	analysis := opts.Analysis
 	if analysis == nil {
 		var err error
-		analysis, err = stable.Analyze(p, opts.Stable)
+		analysis, err = stable.Analyze(p, stable.Options{Interrupt: opts.Interrupt})
 		if err != nil {
 			return nil, fmt.Errorf("pump: stable analysis: %w", err)
 		}
@@ -80,6 +90,7 @@ func FindChain(p *protocol.Protocol, opts FindOptions) (*ChainCertificate, error
 			Oracle:        analysis,
 			MaxSteps:      opts.SimMaxSteps,
 			RecordFirings: true,
+			Interrupt:     opts.Interrupt,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pump: chain stage %d: %w", i, err)
@@ -92,6 +103,9 @@ func FindChain(p *protocol.Protocol, opts FindOptions) (*ChainCertificate, error
 
 		// Scan for k < i with C_k ≤ C_i in a common ideal of SC.
 		for kIdx, prev := range chain[:len(chain)-1] {
+			if stopped(opts.Interrupt) {
+				return nil, errInterrupted
+			}
 			ck := prev.config
 			if !ck.Le(ci) {
 				continue
@@ -150,7 +164,7 @@ func FindLeaderless(p *protocol.Protocol, opts FindOptions) (*LeaderlessCertific
 	analysis := opts.Analysis
 	if analysis == nil {
 		var err error
-		analysis, err = stable.Analyze(p, opts.Stable)
+		analysis, err = stable.Analyze(p, stable.Options{Interrupt: opts.Interrupt})
 		if err != nil {
 			return nil, fmt.Errorf("pump: stable analysis: %w", err)
 		}
@@ -165,7 +179,7 @@ func FindLeaderless(p *protocol.Protocol, opts FindOptions) (*LeaderlessCertific
 	basis := opts.Basis
 	if basis == nil {
 		var err error
-		basis, err = realise.Basis(p, opts.Dioph)
+		basis, err = realise.Basis(p, dioph.Options{Interrupt: opts.Interrupt})
 		if err != nil {
 			return nil, fmt.Errorf("pump: realisable basis: %w", err)
 		}
@@ -188,6 +202,7 @@ func FindLeaderless(p *protocol.Protocol, opts FindOptions) (*LeaderlessCertific
 			Oracle:        analysis,
 			MaxSteps:      opts.SimMaxSteps,
 			RecordFirings: true,
+			Interrupt:     opts.Interrupt,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pump: stabilising D: %w", err)
@@ -202,7 +217,10 @@ func FindLeaderless(p *protocol.Protocol, opts FindOptions) (*LeaderlessCertific
 		// The certificate JSON format keeps S as a map.
 		s := sBits.ToMap()
 
-		theta, b, db, found := findTheta(p, basis, s)
+		theta, b, db, found := findTheta(p, basis, s, opts.Interrupt)
+		if stopped(opts.Interrupt) {
+			return nil, errInterrupted
+		}
 		if !found {
 			lastErr = fmt.Errorf("%w (S = %v, |D| = %d)", ErrNoTheta, s, d.Size())
 			m *= 2
@@ -238,8 +256,9 @@ func FindLeaderless(p *protocol.Protocol, opts FindOptions) (*LeaderlessCertific
 // findTheta searches for a potentially realisable θ whose witness Db is
 // supported by S with witness input b ≥ 1. It tries, in order: the empty θ
 // when x ∈ S (then IC(1) ⇒ 1·x ∈ ℕ^S); single basis elements; and sums of
-// two or three basis elements.
-func findTheta(p *protocol.Protocol, basis []realise.TransitionMultiset, s map[int]bool) (realise.TransitionMultiset, int64, multiset.Vec, bool) {
+// two or three basis elements. It polls stop inside the sums over the basis
+// and reports no θ once stop has closed.
+func findTheta(p *protocol.Protocol, basis []realise.TransitionMultiset, s map[int]bool, stop <-chan struct{}) (realise.TransitionMultiset, int64, multiset.Vec, bool) {
 	x := int(p.InputState(0))
 	if s[x] {
 		theta := realise.TransitionMultiset{}
@@ -271,6 +290,9 @@ func findTheta(p *protocol.Protocol, basis []realise.TransitionMultiset, s map[i
 	}
 	if !bestFound {
 		for i, t1 := range basis {
+			if stopped(stop) {
+				return nil, 0, nil, false
+			}
 			for _, t2 := range basis[i:] {
 				consider(t1.Add(t2))
 			}
@@ -279,6 +301,9 @@ func findTheta(p *protocol.Protocol, basis []realise.TransitionMultiset, s map[i
 	if !bestFound {
 		for i, t1 := range basis {
 			for j, t2 := range basis[i:] {
+				if stopped(stop) {
+					return nil, 0, nil, false
+				}
 				for _, t3 := range basis[i+j:] {
 					consider(t1.Add(t2).Add(t3))
 				}

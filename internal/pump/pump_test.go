@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/dioph"
 	"repro/internal/protocol"
 	"repro/internal/protocols"
 	"repro/internal/realise"
@@ -207,6 +208,47 @@ func TestFindChainNoConvergence(t *testing.T) {
 	_, err := FindChain(p, FindOptions{Seed: 1, SimMaxSteps: 2000, MaxChain: 4})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
+	}
+}
+
+// TestFindersInterrupted pins FindOptions.Interrupt: closed before the
+// call, each finder returns an error and no certificate, whether it
+// computes the stable-set analysis itself or is handed one (then its own
+// scans must notice); left nil, the same calls still find a certificate.
+func TestFindersInterrupted(t *testing.T) {
+	p := protocols.FlockOfBirds(3).Protocol
+	analysis, err := stable.Analyze(p, stable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	basis, err := realise.Basis(p, dioph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	close(closed)
+	for _, tc := range []struct {
+		name string
+		opts FindOptions
+	}{
+		{"computed", FindOptions{}},
+		{"injected", FindOptions{Analysis: analysis, Basis: basis}},
+	} {
+		chain, leaderless := tc.opts, tc.opts
+		chain.Seed, leaderless.Seed = 11, 17
+		if _, err := FindChain(p, chain); err != nil {
+			t.Fatalf("%s: FindChain: %v", tc.name, err)
+		}
+		if _, err := FindLeaderless(p, leaderless); err != nil {
+			t.Fatalf("%s: FindLeaderless: %v", tc.name, err)
+		}
+		chain.Interrupt, leaderless.Interrupt = closed, closed
+		if cert, err := FindChain(p, chain); err == nil || cert != nil {
+			t.Errorf("%s: interrupted FindChain = %v, %v; want an error and no certificate", tc.name, cert, err)
+		}
+		if cert, err := FindLeaderless(p, leaderless); err == nil || cert != nil {
+			t.Errorf("%s: interrupted FindLeaderless = %v, %v; want an error and no certificate", tc.name, cert, err)
+		}
 	}
 }
 

@@ -65,7 +65,7 @@ func BenchmarkStableAnalyzeNaive(b *testing.B) {
 			if out == 0 {
 				basis = u.Size()
 			}
-			sc[out] = ideal.ComplementUp(ideal.NewUpSet(p.NumStates(), u.MinBasis()...))
+			sc[out], _ = ideal.ComplementUp(ideal.NewUpSet(p.NumStates(), u.MinBasis()...), nil)
 		}
 		sc[0].Union(sc[1])
 	}

@@ -75,8 +75,9 @@ type Options struct {
 	// MaxBasis bounds the number of minimal elements maintained per output;
 	// 0 means 200000.
 	MaxBasis int
-	// Interrupt, when non-nil, cancels the analysis cooperatively: Analyze
-	// aborts with ErrInterrupted soon after the channel closes.
+	// Interrupt, when non-nil, cancels the analysis cooperatively: the
+	// fixpoint and the complement poll it, and Analyze aborts with
+	// ErrInterrupted soon after the channel closes.
 	Interrupt <-chan struct{}
 }
 
@@ -93,28 +94,17 @@ func Analyze(p *protocol.Protocol, opts Options) (*Analysis, error) {
 		if err != nil {
 			return nil, fmt.Errorf("computing U_%d: %w", b, err)
 		}
-		a.setUnstable(b, u, iters, expanded)
+		// Canonical element order: a computed analysis and one restored from
+		// a durable artifact expose identical bases and derived structures.
+		a.unstable[b] = ideal.CanonicalUpSet(u)
+		a.iterations[b], a.frontier[b] = iters, expanded
+		if a.sc[b], err = ideal.ComplementUp(a.unstable[b], opts.Interrupt); err != nil {
+			return nil, fmt.Errorf("complementing U_%d: %w", b, ErrInterrupted)
+		}
 	}
-	a.finish()
-	return a, nil
-}
-
-// setUnstable installs a computed U_b fixpoint: the antichain is rebuilt in
-// canonical element order, so a computed analysis and one restored from a
-// durable artifact expose an identical MinBasis and identical derived
-// structures.
-func (a *Analysis) setUnstable(b int, u *ideal.UpSet, iters, expanded int) {
-	cu := ideal.CanonicalUpSet(u)
-	a.unstable[b] = cu
-	a.iterations[b] = iters
-	a.frontier[b] = expanded
-	a.sc[b] = ideal.ComplementUp(cu)
-}
-
-// finish computes the SC union and its basis from the installed halves.
-func (a *Analysis) finish() {
 	a.scAll = a.sc[0].Union(a.sc[1])
 	a.scAllBasis = basisOf(a.scAll)
+	return a, nil
 }
 
 // predRow is one non-identity transition of the pred-basis step: the
@@ -198,11 +188,8 @@ func predInto(dst, m []int64, row *predRow) {
 	}
 }
 
-// stopped polls a cooperative stop channel.
+// stopped polls a cooperative stop channel; a nil channel never stops.
 func stopped(stop <-chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
 	select {
 	case <-stop:
 		return true
