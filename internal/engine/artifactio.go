@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"repro/internal/ideal"
-	"repro/internal/multiset"
 	"repro/internal/protocol"
 	"repro/internal/realise"
 	"repro/internal/stable"
@@ -140,39 +139,27 @@ func (r *artifactReader) count(width int) int {
 }
 
 // rows reads one section — a count, then count×d zigzag coordinates, each
-// at least lo — into one flat slice and returns row views into it.
-func (r *artifactReader) rows(d int, lo int64) []multiset.Vec {
+// at least lo — into one slab, row k at [k*d:(k+1)*d]: the form
+// stable.RestoreDerived takes over, so the coordinates are decoded once and
+// never copied.
+func (r *artifactReader) rows(d int, lo int64) []int64 {
 	count := r.count(d)
 	if r.err != nil {
 		return nil
 	}
-	flat := make([]int64, count*d)
+	slab := make([]int64, count*d)
 	buf := r.buf
-	for i := range flat {
+	for i := range slab {
 		v, n := varint(buf)
 		if n <= 0 || v < lo {
 			r.fail("bad coordinate in row %d", i/d)
 			return nil
 		}
-		flat[i] = v
+		slab[i] = v
 		buf = buf[n:]
 	}
 	r.buf = buf
-	out := make([]multiset.Vec, count)
-	for i := range out {
-		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
-	}
-	return out
-}
-
-// ideals reads one section of ideal caps vectors.
-func (r *artifactReader) ideals(d int) []ideal.Ideal {
-	rows := r.rows(d, ideal.Omega)
-	out := make([]ideal.Ideal, len(rows))
-	for i, caps := range rows {
-		out[i] = ideal.NewIdeal(caps)
-	}
-	return out
+	return slab
 }
 
 // finish reports the first decode failure, or trailing bytes.
@@ -183,41 +170,31 @@ func (r *artifactReader) finish() error {
 	return r.err
 }
 
-func appendVecs(buf []byte, rows []multiset.Vec) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for _, row := range rows {
-		for _, v := range row {
-			buf = binary.AppendVarint(buf, v)
-		}
-	}
-	return buf
-}
-
-func appendIdeals(buf []byte, ideals []ideal.Ideal) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ideals)))
-	for _, id := range ideals {
-		for j := 0; j < id.Dim(); j++ {
-			buf = binary.AppendVarint(buf, id.Cap(j))
-		}
+// appendRows writes one section from a slab of d-wide rows.
+func appendRows(buf []byte, slab []int64, d int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(slab)/d))
+	for _, v := range slab {
+		buf = binary.AppendVarint(buf, v)
 	}
 	return buf
 }
 
 func encodeStableArtifact(a *stable.Analysis) []byte {
 	der := a.Derived()
+	d := a.Unstable(0).Dim()
 	buf := []byte{artifactVersion}
-	buf = binary.AppendUvarint(buf, uint64(a.Unstable(0).Dim()))
+	buf = binary.AppendUvarint(buf, uint64(d))
 	for b := 0; b <= 1; b++ {
 		buf = binary.AppendUvarint(buf, uint64(a.Iterations(b)))
 	}
 	for b := 0; b <= 1; b++ {
 		buf = binary.AppendUvarint(buf, uint64(a.FrontierProcessed(b)))
 	}
-	buf = appendVecs(buf, a.Unstable(0).MinBasis())
-	buf = appendVecs(buf, a.Unstable(1).MinBasis())
-	buf = appendIdeals(buf, der.SC[0])
-	buf = appendIdeals(buf, der.SC[1])
-	return appendIdeals(buf, der.SCAll)
+	buf = appendRows(buf, a.Unstable(0).AppendBasis(nil), d)
+	buf = appendRows(buf, a.Unstable(1).AppendBasis(nil), d)
+	buf = appendRows(buf, der.SC[0], d)
+	buf = appendRows(buf, der.SC[1], d)
+	return appendRows(buf, der.SCAll, d)
 }
 
 func decodeStableArtifact(p *protocol.Protocol, payload []byte) (*stable.Analysis, error) {
@@ -233,9 +210,9 @@ func decodeStableArtifact(p *protocol.Protocol, payload []byte) (*stable.Analysi
 	for b := range front {
 		front[b] = int(r.uvarint(math.MaxInt))
 	}
-	basis := [2][]multiset.Vec{r.rows(d, 0), r.rows(d, 0)}
-	der := stable.Derived{SC: [2][]ideal.Ideal{r.ideals(d), r.ideals(d)}}
-	der.SCAll = r.ideals(d)
+	basis := [2][]int64{r.rows(d, 0), r.rows(d, 0)}
+	der := stable.Derived{SC: [2][]int64{r.rows(d, ideal.Omega), r.rows(d, ideal.Omega)}}
+	der.SCAll = r.rows(d, ideal.Omega)
 	if err := r.finish(); err != nil {
 		return nil, fmt.Errorf("stable artifact: %w", err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/dioph"
 	"repro/internal/faultinject"
-	"repro/internal/ideal"
 	"repro/internal/protocols"
 	"repro/internal/realise"
 	"repro/internal/stable"
@@ -54,7 +53,7 @@ func allocatedBy(fn func()) uint64 {
 
 // decodeBudget is what decoding a payload may allocate: linear in its
 // length. The constant covers the per-row bookkeeping of a restored
-// analysis on a one-state protocol (arena, signatures, index, ideal copies
+// analysis on a one-state protocol (arena, signatures, index, ideal views
 // and SC basis elements), where every payload byte can be a whole row.
 func decodeBudget(payload []byte) uint64 { return 1024*uint64(len(payload)) + 64<<10 }
 
@@ -188,12 +187,11 @@ func TestLegacyPayloadRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := func(ideals []ideal.Ideal) [][]int64 {
-		out := make([][]int64, len(ideals))
-		for i, id := range ideals {
-			for j := range id.Dim() {
-				out[i] = append(out[i], id.Cap(j))
-			}
+	d := a.Unstable(0).Dim()
+	caps := func(slab []int64) [][]int64 {
+		out := make([][]int64, len(slab)/d)
+		for i := range out {
+			out[i] = slab[i*d : (i+1)*d]
 		}
 		return out
 	}

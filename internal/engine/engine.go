@@ -695,8 +695,8 @@ func (e *Engine) doStable(ctx context.Context, req Request, entry protocols.Entr
 	}
 	res.CacheHit = hit
 	res.Stable = &StableResult{
-		Basis0:      len(a.Basis(0)),
-		Basis1:      len(a.Basis(1)),
+		Basis0:      a.StableSet(0).Size(),
+		Basis1:      a.StableSet(1).Size(),
 		SCBasis:     len(a.SCBasis()),
 		Iterations0: a.Iterations(0),
 		Iterations1: a.Iterations(1),

@@ -15,6 +15,7 @@ import (
 	"repro/internal/protocols"
 	"repro/internal/pump"
 	"repro/internal/sim"
+	"repro/internal/stable"
 )
 
 // TestSimulateRunsRouteThroughReplicaExecutor pins the engine's multi-run
@@ -81,11 +82,11 @@ func inlineParity(t *testing.T) json.RawMessage {
 	return data
 }
 
-// TestRequestJSONRoundTrip is the acceptance check: a Request marshals to
-// JSON and back losslessly for every Kind.
-func TestRequestJSONRoundTrip(t *testing.T) {
+// roundTripRequests is one request of every kind, with the fields that
+// kind reads set.
+func roundTripRequests() map[Kind]Request {
 	pred := &PredicateSpec{Kind: "counting", Threshold: 5}
-	requests := map[Kind]Request{
+	return map[Kind]Request{
 		KindSimulate: {
 			Kind:     KindSimulate,
 			Protocol: ProtocolRef{Spec: "flock:8"},
@@ -107,6 +108,12 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		KindBounds:            {Kind: KindBounds, States: 4, Transitions: 10},
 		KindCover:             {Kind: KindCover, Protocol: ProtocolRef{Spec: "flock:4"}, Input: []int64{6}, Limit: 500},
 	}
+}
+
+// TestRequestJSONRoundTrip is the acceptance check: a Request marshals to
+// JSON and back losslessly for every Kind.
+func TestRequestJSONRoundTrip(t *testing.T) {
+	requests := roundTripRequests()
 	if len(requests) != len(Kinds) {
 		t.Fatalf("round-trip table covers %d kinds, want %d", len(requests), len(Kinds))
 	}
@@ -658,6 +665,27 @@ func TestInlineProtocolSizeCap(t *testing.T) {
 		}
 		if !tc.ok && !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%d states, %d transitions: want ErrBadRequest, got %v", tc.states, tc.transitions, err)
+		}
+	}
+}
+
+// TestStableBasisCounts: a stable result's basis0/basis1, counted as the
+// sizes of the SC_b decompositions, equal the lengths of the bases
+// Analysis.Basis builds, over the protocol catalog.
+func TestStableBasisCounts(t *testing.T) {
+	eng := New()
+	for _, e := range catalogEntries() {
+		inline, err := e.Protocol.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Inline: inline}})
+		a, err := stable.Analyze(e.Protocol, stable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := [2]int{res.Stable.Basis0, res.Stable.Basis1}, [2]int{len(a.Basis(0)), len(a.Basis(1))}; got != want {
+			t.Errorf("%s: basis counts %v, Basis lengths %v", e.Protocol.Name(), got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/jsonenc"
 	"repro/internal/multiset"
 	"repro/internal/pred"
 )
@@ -163,4 +164,112 @@ func ValidateInput(v multiset.Vec, arity int) error {
 		return fmt.Errorf("%w: populations need at least 2 agents, got %d", ErrBadRequest, v.Size())
 	}
 	return nil
+}
+
+// DecodeRequest decodes the first JSON value of data into a Request with
+// exactly the outcome of json.NewDecoder(bytes.NewReader(data)).Decode on a
+// zero Request: the same inputs are accepted, with an equal result, and
+// what follows the first value is left unread. It is built on the shared
+// reader, jsonenc.Decoder, so keys match case-insensitively, unknown fields
+// are skipped, null leaves a field as it is (a top-level null leaves the
+// whole request zero) but resets Input and Predicate, and a repeated key
+// decodes again into the value already there. Protocol.Inline is the raw
+// span of the inline value, null included, as json.RawMessage receives
+// it; it aliases data.
+func DecodeRequest(data []byte) (Request, error) {
+	d := requestDecoder{jsonenc.NewDecoder(data, "engine: decoding request")}
+	var req Request
+	if err := d.request(&req); err != nil {
+		return Request{}, err
+	}
+	return req, nil
+}
+
+type requestDecoder struct{ jsonenc.Decoder }
+
+func (d *requestDecoder) request(req *Request) error {
+	if ok, err := d.Open('{', "object"); !ok {
+		return err
+	}
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonenc.Field(key, "kind"):
+			return d.Str((*string)(&req.Kind))
+		case jsonenc.Field(key, "protocol"):
+			return d.protocol(&req.Protocol)
+		case jsonenc.Field(key, "input"):
+			return jsonenc.Slice(&d.Decoder, &req.Input, 0, 1, d.Int64)
+		case jsonenc.Field(key, "seed"):
+			return d.Uint64(&req.Seed)
+		case jsonenc.Field(key, "maxSteps"):
+			return d.Int64(&req.MaxSteps)
+		case jsonenc.Field(key, "runs"):
+			return d.Int(&req.Runs)
+		case jsonenc.Field(key, "exactOracle"):
+			return d.Bool(&req.ExactOracle)
+		case jsonenc.Field(key, "traceEvery"):
+			return d.Int64(&req.TraceEvery)
+		case jsonenc.Field(key, "predicate"):
+			return d.predicate(&req.Predicate)
+		case jsonenc.Field(key, "minSize"):
+			return d.Int64(&req.MinSize)
+		case jsonenc.Field(key, "maxSize"):
+			return d.Int64(&req.MaxSize)
+		case jsonenc.Field(key, "limit"):
+			return d.Int(&req.Limit)
+		case jsonenc.Field(key, "states"):
+			return d.Int64(&req.States)
+		case jsonenc.Field(key, "transitions"):
+			return d.Int64(&req.Transitions)
+		case jsonenc.Field(key, "timeoutMillis"):
+			return d.Int64(&req.TimeoutMillis)
+		}
+		return d.Skip()
+	})
+}
+
+func (d *requestDecoder) protocol(ref *ProtocolRef) error {
+	if ok, err := d.Open('{', "object"); !ok {
+		return err
+	}
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonenc.Field(key, "spec"):
+			return d.Str(&ref.Spec)
+		case jsonenc.Field(key, "inline"):
+			var err error
+			ref.Inline, err = d.Raw()
+			return err
+		}
+		return d.Skip()
+	})
+}
+
+// predicate decodes into *dst, allocating a PredicateSpec only when *dst
+// is nil; null sets *dst to nil.
+func (d *requestDecoder) predicate(dst **PredicateSpec) error {
+	ok, err := d.Open('{', "object")
+	if !ok {
+		if err == nil {
+			*dst = nil
+		}
+		return err
+	}
+	if *dst == nil {
+		*dst = new(PredicateSpec)
+	}
+	s := *dst
+	return d.Object(func(key []byte) error {
+		switch {
+		case jsonenc.Field(key, "kind"):
+			return d.Str(&s.Kind)
+		case jsonenc.Field(key, "threshold"):
+			return d.Int64(&s.Threshold)
+		case jsonenc.Field(key, "modulus"):
+			return d.Int64(&s.Modulus)
+		case jsonenc.Field(key, "residue"):
+			return d.Int64(&s.Residue)
+		}
+		return d.Skip()
+	})
 }

@@ -190,30 +190,42 @@ func NewDownSet(d int, ideals ...Ideal) *DownSet {
 }
 
 // RestoreDownSet rebuilds a DownSet verbatim from a previously computed
-// irredundant decomposition — one obtained from Ideals() — skipping the
+// irredundant decomposition — the caps of the ideals Ideals() returns, back
+// to back in one slab, ideal k at caps[k*d:(k+1)*d] — skipping the
 // subsumption scans Add pays. The irredundant decomposition of a
 // downward-closed set is canonical (box ideals are irreducible, so the
 // decomposition is exactly the set of maximal ideals), but the slice order
 // is construction history; restoring verbatim preserves it, so every
-// accessor iterates identically to the original. The caller vouches the
-// input came from a DownSet of dimension d: feeding a redundant or
-// foreign-dimension slice corrupts the set, which is why the dimension at
-// least is checked. Ideals are immutable values, so they are shared with
-// the input rather than copied.
-func RestoreDownSet(d int, ideals []Ideal) (*DownSet, error) {
+// accessor iterates identically to the original. The ideals are views into
+// the slab (Ideals are immutable values), so the caller must not modify it
+// afterwards. The caller vouches the caps came from a DownSet of dimension
+// d: a redundant slab corrupts the set, and one that is not whole ideals
+// of dimension d is rejected.
+func RestoreDownSet(d int, caps []int64) (*DownSet, error) {
+	if d < 1 || len(caps)%d != 0 {
+		return nil, fmt.Errorf("ideal: restore: %d caps are not whole ideals of dimension %d", len(caps), d)
+	}
+	n := len(caps) / d
 	ds := &DownSet{
 		d:      d,
-		ideals: make([]Ideal, len(ideals)),
-		omegas: make([]uint64, len(ideals)),
+		ideals: make([]Ideal, n),
+		omegas: make([]uint64, n),
 	}
-	for k, id := range ideals {
-		if id.Dim() != d {
-			return nil, fmt.Errorf("ideal: restore: ideal %d has dimension %d, want %d", k, id.Dim(), d)
-		}
+	for k := range ds.ideals {
+		id := Ideal{caps: caps[k*d : (k+1)*d : (k+1)*d]}
 		ds.ideals[k] = id
 		ds.omegas[k] = omegaMask(id)
 	}
 	return ds, nil
+}
+
+// AppendCaps appends the caps of the decomposition's ideals to dst, back
+// to back in Ideals() order: the slab RestoreDownSet takes.
+func (ds *DownSet) AppendCaps(dst []int64) []int64 {
+	for _, id := range ds.ideals {
+		dst = append(dst, id.caps...)
+	}
+	return dst
 }
 
 // Dim returns the dimension.

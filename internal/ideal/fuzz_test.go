@@ -215,7 +215,7 @@ func FuzzComplementUp(f *testing.F) {
 		}
 		checkIndexMembership(t, canon)
 		checkIndexMembership(t, u.Clone())
-		restored, err := RestoreUpSet(dim, canon.MinBasis())
+		restored, err := RestoreUpSet(dim, slices.Concat(canon.MinBasis()...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestPresizedIndexMembership(t *testing.T) {
 			t.Fatalf("antichain of %d elements has %d", n, len(u.MinBasis()))
 		}
 		canon := CanonicalUpSet(u)
-		restored, err := RestoreUpSet(2, canon.MinBasis())
+		restored, err := RestoreUpSet(2, slices.Concat(canon.MinBasis()...))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,29 +59,32 @@ func NewUpSet(d int, gens ...multiset.Vec) *UpSet {
 }
 
 // RestoreUpSet rebuilds an UpSet verbatim from a stored minimal antichain
-// — one previously obtained from MinBasis() — skipping the domination
+// — the elements of one previously obtained from MinBasis(), back to back
+// in one slab, element k at arena[k*d:(k+1)*d] — skipping the domination
 // scans Insert pays: elements of an antichain are pairwise incomparable by
-// construction, so the scans cannot reject or evict anything. Arena order
-// is the input order, so a basis stored in canonical order restores to an
-// UpSet indistinguishable from the CanonicalUpSet of the set it was read
-// from. The caller vouches the input is an antichain; only dimensions are
-// checked (a dominated or duplicate element would silently corrupt the
-// set).
-func RestoreUpSet(d int, basis []multiset.Vec) (*UpSet, error) {
+// construction, so the scans cannot reject or evict anything. The set
+// takes the slab as its arena, so the caller must not modify it
+// afterwards. Arena order is the input order, so a basis stored in
+// canonical order restores to an UpSet indistinguishable from the
+// CanonicalUpSet of the set it was read from. The caller vouches the input
+// is an antichain; only the dimension is checked (a dominated or
+// duplicate element would silently corrupt the set).
+func RestoreUpSet(d int, arena []int64) (*UpSet, error) {
+	if d < 1 || len(arena)%d != 0 {
+		return nil, fmt.Errorf("ideal: restore: %d coordinates are not whole elements of dimension %d", len(arena), d)
+	}
+	n := len(arena) / d
 	u := &UpSet{
 		d:      d,
-		arena:  make([]int64, 0, len(basis)*d),
-		stored: len(basis),
-		ids:    make([]int32, len(basis)),
-		sigs:   make([]sig, len(basis)),
-		live:   make([]bool, len(basis)),
+		arena:  arena[:len(arena):len(arena)],
+		stored: n,
+		ids:    make([]int32, n),
+		sigs:   make([]sig, n),
+		live:   make([]bool, n),
 	}
-	u.index.reserve(len(basis))
-	for k, m := range basis {
-		if m.Dim() != d {
-			return nil, fmt.Errorf("ideal: restore element %d has dimension %d, want %d", k, m.Dim(), d)
-		}
-		u.arena = append(u.arena, m...)
+	u.index.reserve(n)
+	for k := range n {
+		m := u.storedAt(int32(k))
 		u.ids[k] = int32(k)
 		u.live[k] = true
 		h := hashWords(m)
@@ -208,6 +211,15 @@ func (u *UpSet) MinBasis() []multiset.Vec {
 		out[k] = multiset.Vec(u.storedAt(id)).Clone()
 	}
 	return out
+}
+
+// AppendBasis appends the minimal elements to dst, back to back in
+// MinBasis order: the slab RestoreUpSet takes.
+func (u *UpSet) AppendBasis(dst []int64) []int64 {
+	for _, id := range u.ids {
+		dst = append(dst, u.storedAt(id)...)
+	}
+	return dst
 }
 
 // Size returns the number of minimal elements.

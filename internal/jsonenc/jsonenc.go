@@ -2,7 +2,9 @@
 // pieces of encoding/json's output that the reflection-free encoders
 // (protocol.AppendJSON, whose bytes the content hash is taken over, and the
 // sweep row encoder) are built from. Each appender writes exactly the bytes
-// encoding/json writes for the same Go value.
+// encoding/json writes for the same Go value. Its Decoder is the one JSON
+// reader the reflection-free decoders (the protocol spec and the
+// /v1/analyze request) are built on, with encoding/json's outcome.
 package jsonenc
 
 import (

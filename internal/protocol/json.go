@@ -1,17 +1,12 @@
 package protocol
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"repro/internal/jsonenc"
 )
@@ -126,242 +121,32 @@ func ParseBounded(data []byte, maxStates, maxTransitions int) (*Protocol, error)
 	return FromSpec(s)
 }
 
-// maxNesting is encoding/json's nesting limit, which the decoder mirrors so
-// the two accept the same documents.
-const maxNesting = 10000
-
 // specDecoder decodes a Spec in one pass over the JSON text, with exactly
 // the outcome of encoding/json's Unmarshal into a Spec: the same documents
-// are accepted, with an equal result. That means case-insensitive keys,
-// skipped unknown fields, null leaving strings, numbers, booleans, fixed
-// arrays and structs untouched and resetting slices and maps, a repeated
-// key decoding again into the value it already holds (maps merge, slices
-// overwrite their elements in place), short transitions zero-filled and long
-// ones truncated, and invalid UTF-8 in strings replaced by U+FFFD. Where
-// Unmarshal records a type mismatch and carries on, the decoder stops at
-// once: either way the document is rejected.
+// are accepted, with an equal result (see jsonenc.Decoder). Beyond the
+// shared rules, maps merge on a repeated key, short transitions are
+// zero-filled and long ones truncated, and equal strings are interned.
 type specDecoder struct {
-	data                      []byte
-	off                       int
+	jsonenc.Decoder
 	maxStates, maxTransitions int
 	strs                      map[string]string // interned string values
-	buf                       []byte            // unescaped string scratch
 }
 
 // decodeSpec decodes data into a Spec, rejecting a spec with more than
 // maxStates states or maxTransitions transitions (0 means no cap).
 func decodeSpec(data []byte, maxStates, maxTransitions int) (Spec, error) {
-	d := specDecoder{data: data, maxStates: maxStates, maxTransitions: maxTransitions}
+	d := specDecoder{
+		Decoder:   jsonenc.NewDecoder(data, "protocol: parsing spec"),
+		maxStates: maxStates, maxTransitions: maxTransitions,
+	}
 	var s Spec
 	if err := d.spec(&s); err != nil {
 		return Spec{}, err
 	}
-	if d.peek(); d.off < len(d.data) {
-		return Spec{}, d.syntaxError("after top-level value")
+	if err := d.End(); err != nil {
+		return Spec{}, err
 	}
 	return s, nil
-}
-
-func (d *specDecoder) syntaxError(context string) error {
-	if d.off >= len(d.data) {
-		return errors.New("protocol: parsing spec: unexpected end of JSON input")
-	}
-	return fmt.Errorf("protocol: parsing spec: invalid character %q %s (offset %d)", d.data[d.off], context, d.off)
-}
-
-// mismatch reports that the value at d.off is not of the wanted kind.
-func (d *specDecoder) mismatch(want string) error {
-	return fmt.Errorf("protocol: parsing spec: want %s at offset %d", want, d.off)
-}
-
-// peek skips whitespace and returns the next byte, or 0 at the end.
-func (d *specDecoder) peek() byte {
-	for ; d.off < len(d.data); d.off++ {
-		switch c := d.data[d.off]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return c
-		}
-	}
-	return 0
-}
-
-// literal consumes the literal word (null, true or false) at d.off.
-func (d *specDecoder) literal(word string) error {
-	if !bytes.HasPrefix(d.data[d.off:], []byte(word)) {
-		return d.syntaxError("in literal " + word)
-	}
-	d.off += len(word)
-	return nil
-}
-
-// number consumes a number token and returns its bytes.
-func (d *specDecoder) number() ([]byte, error) {
-	data, i := d.data, d.off
-	digits := func() bool {
-		from := i
-		for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(data) && data[i] == '0':
-		i++
-	case !digits():
-		d.off = i
-		return nil, d.syntaxError("in numeric literal")
-	}
-	if i < len(data) && data[i] == '.' {
-		i++
-		if !digits() {
-			d.off = i
-			return nil, d.syntaxError("after decimal point in numeric literal")
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if !digits() {
-			d.off = i
-			return nil, d.syntaxError("in exponent of numeric literal")
-		}
-	}
-	tok := data[d.off:i]
-	d.off = i
-	return tok, nil
-}
-
-// text consumes a string token and returns its value: the bytes between
-// the quotes when they are valid UTF-8 without escapes, else their
-// unescaped form, valid until the next string is decoded.
-func (d *specDecoder) text() ([]byte, error) {
-	data := d.data
-	i := d.off + 1 // past the opening quote
-	plain, ascii := true, true
-	for {
-		if i >= len(data) {
-			d.off = i
-			return nil, d.syntaxError("in string literal")
-		}
-		switch c := data[i]; {
-		case c == '"':
-			raw := data[d.off+1 : i]
-			d.off = i + 1
-			if plain && (ascii || utf8.Valid(raw)) {
-				return raw, nil
-			}
-			return d.unescape(raw), nil
-		case c == '\\':
-			plain = false
-			i++
-			if i >= len(data) {
-				d.off = i
-				return nil, d.syntaxError("in string literal")
-			}
-			switch data[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i++
-			case 'u':
-				i++
-				for end := i + 4; i < end; i++ {
-					if i >= len(data) || !isHex(data[i]) {
-						d.off = i
-						return nil, d.syntaxError("in \\u hexadecimal character escape")
-					}
-				}
-			default:
-				d.off = i
-				return nil, d.syntaxError("in string escape code")
-			}
-		case c < ' ':
-			d.off = i
-			return nil, d.syntaxError("in string literal")
-		default:
-			ascii = ascii && c < utf8.RuneSelf
-			i++
-		}
-	}
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// hex4 decodes the four hex digits after a validated \u.
-func hex4(s []byte) rune {
-	var r rune
-	for _, c := range s[:4] {
-		switch {
-		case c <= '9':
-			c -= '0'
-		case c >= 'a':
-			c -= 'a' - 10
-		default:
-			c -= 'A' - 10
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// unescape decodes the validated string body s into d.buf as encoding/json
-// does: escapes resolved, a \u surrogate pair combined, a lone surrogate
-// and every invalid UTF-8 byte replaced by U+FFFD. The result is valid
-// until the next call.
-func (d *specDecoder) unescape(s []byte) []byte {
-	b := d.buf[:0]
-	for r := 0; r < len(s); {
-		switch c := s[r]; {
-		case c == '\\':
-			switch e := s[r+1]; e {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				rr := hex4(s[r+2:])
-				r += 6
-				if utf16.IsSurrogate(rr) {
-					rr1 := rune(-1)
-					if r+6 <= len(s) && s[r] == '\\' && s[r+1] == 'u' {
-						rr1 = hex4(s[r+2:])
-					}
-					if dec := utf16.DecodeRune(rr, rr1); dec != unicode.ReplacementChar {
-						r += 6
-						b = utf8.AppendRune(b, dec)
-						continue
-					}
-					rr = unicode.ReplacementChar
-				}
-				b = utf8.AppendRune(b, rr)
-				continue
-			default: // '"', '\\', '/'
-				b = append(b, e)
-			}
-			r += 2
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(s[r:])
-			b = utf8.AppendRune(b, rr)
-			r += size
-		}
-	}
-	d.buf = b
-	return b
 }
 
 // intern returns b as a string, sharing one allocation among equal strings
@@ -378,255 +163,35 @@ func (d *specDecoder) intern(b []byte) string {
 	return s
 }
 
-// key consumes an object key and the colon after it, returning the key's
-// unescaped bytes (valid until the next string is decoded).
-func (d *specDecoder) key() ([]byte, error) {
-	if d.peek() != '"' {
-		return nil, d.syntaxError("looking for beginning of object key string")
-	}
-	k, err := d.text()
-	if err != nil {
-		return nil, err
-	}
-	if d.peek() != ':' {
-		return nil, d.syntaxError("after object key")
-	}
-	d.off++
-	return k, nil
-}
-
-// object consumes an object at nesting depth depth, calling field for each
-// key with the decoder positioned at its value.
-func (d *specDecoder) object(depth int, field func(key []byte) error) error {
-	if depth > maxNesting {
-		return d.syntaxError("exceeding max depth")
-	}
-	d.off++ // {
-	if d.peek() == '}' {
-		d.off++
-		return nil
-	}
-	for {
-		k, err := d.key()
-		if err != nil {
-			return err
-		}
-		if err := field(k); err != nil {
-			return err
-		}
-		switch d.peek() {
-		case ',':
-			d.off++
-		case '}':
-			d.off++
-			return nil
-		default:
-			return d.syntaxError("after object key:value pair")
-		}
-	}
-}
-
-// array consumes an array at nesting depth depth, calling elem for element
-// i with the decoder positioned at it.
-func (d *specDecoder) array(depth int, elem func(i int) error) error {
-	if depth > maxNesting {
-		return d.syntaxError("exceeding max depth")
-	}
-	d.off++ // [
-	if d.peek() == ']' {
-		d.off++
-		return nil
-	}
-	for i := 0; ; i++ {
-		if err := elem(i); err != nil {
-			return err
-		}
-		switch d.peek() {
-		case ',':
-			d.off++
-		case ']':
-			d.off++
-			return nil
-		default:
-			return d.syntaxError("after array element")
-		}
-	}
-}
-
-// skip consumes any value at nesting depth depth, checking its syntax.
-func (d *specDecoder) skip(depth int) error {
-	switch c := d.peek(); {
-	case c == '{':
-		return d.object(depth, func([]byte) error { return d.skip(depth + 1) })
-	case c == '[':
-		return d.array(depth, func(int) error { return d.skip(depth + 1) })
-	case c == '"':
-		_, err := d.text()
-		return err
-	case c == 'n':
-		return d.literal("null")
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == '-' || '0' <= c && c <= '9':
-		_, err := d.number()
-		return err
-	default:
-		return d.syntaxError("looking for beginning of value")
-	}
-}
-
-// field reports whether key names the field name, matched as encoding/json
-// matches keys: exactly, else under Unicode case folding.
-func field(key []byte, name string) bool {
-	return string(key) == name || bytes.EqualFold(key, []byte(name))
-}
-
-// str decodes a string value into *dst; null leaves it unchanged.
+// str decodes a string value into *dst, interned; null leaves it
+// unchanged.
 func (d *specDecoder) str(dst *string) error {
-	switch d.peek() {
-	case '"':
-		v, err := d.text()
-		if err != nil {
-			return err
-		}
-		*dst = d.intern(v)
-		return nil
-	case 'n':
-		return d.literal("null")
+	if d.Peek() != '"' {
+		return d.Str(dst) // null, or a mismatch
 	}
-	return d.mismatch("string")
-}
-
-// int64 decodes an integer value into *dst; null leaves it unchanged. A
-// fraction, an exponent or a value outside the int64 range is an error.
-func (d *specDecoder) int64(dst *int64) error {
-	switch c := d.peek(); {
-	case c == '-' || '0' <= c && c <= '9':
-		tok, err := d.number()
-		if err != nil {
-			return err
-		}
-		neg := tok[0] == '-'
-		if neg {
-			tok = tok[1:]
-		}
-		limit := uint64(math.MaxInt64)
-		if neg {
-			limit++
-		}
-		var u uint64
-		for _, c := range tok {
-			if c < '0' || c > '9' {
-				return fmt.Errorf("protocol: parsing spec: want an integer at offset %d", d.off)
-			}
-			v := uint64(c - '0')
-			if u > (limit-v)/10 {
-				return fmt.Errorf("protocol: parsing spec: integer overflow at offset %d", d.off)
-			}
-			u = u*10 + v
-		}
-		*dst = int64(u)
-		if neg {
-			*dst = -*dst
-		}
-		return nil
-	case c == 'n':
-		return d.literal("null")
-	}
-	return d.mismatch("number")
-}
-
-// int decodes an integer value into *dst, as int64 does.
-func (d *specDecoder) int(dst *int) error {
-	v := int64(*dst)
-	if err := d.int64(&v); err != nil {
-		return err
-	}
-	if int64(int(v)) != v {
-		return fmt.Errorf("protocol: parsing spec: integer overflow at offset %d", d.off)
-	}
-	*dst = int(v)
-	return nil
-}
-
-// bool decodes a boolean value into *dst; null leaves it unchanged.
-func (d *specDecoder) bool(dst *bool) error {
-	switch d.peek() {
-	case 't':
-		*dst = true
-		return d.literal("true")
-	case 'f':
-		*dst = false
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	}
-	return d.mismatch("boolean")
-}
-
-// open checks that the next value is the container start (an object or an
-// array): it reports false, after consuming the literal, for null, and an
-// error for any other value.
-func (d *specDecoder) open(start byte, want string) (bool, error) {
-	switch d.peek() {
-	case start:
-		return true, nil
-	case 'n':
-		return false, d.literal("null")
-	}
-	return false, d.mismatch(want)
-}
-
-// slice decodes an array into *dst as encoding/json decodes into a slice:
-// element i is decoded in place over whatever the backing array holds
-// there, the array grows only past its capacity, and the result is
-// truncated to the decoded length (an empty array gives an empty non-nil
-// slice, null a nil one). A fresh backing array gets capacity hint; the
-// outcome does not depend on capacity, since growing copies every element
-// written so far and the rest are zero either way. More than limit
-// elements (when positive) is an ErrTooLarge error.
-func slice[T any](d *specDecoder, dst *[]T, limit, hint int, what string, elem func(*T) error) error {
-	ok, err := d.open('[', "array")
-	if !ok {
-		if err == nil {
-			*dst = nil
-		}
-		return err
-	}
-	s := *dst
-	n := 0
-	err = d.array(2, func(i int) error {
-		if limit > 0 && i >= limit {
-			return fmt.Errorf("%w: at least %d %s (limit %d)", ErrTooLarge, i+1, what, limit)
-		}
-		if i < cap(s) {
-			s = s[:i+1]
-		} else if i == 0 {
-			s = make([]T, 1, max(hint, 1))
-		} else {
-			var zero T
-			s = append(s, zero)
-		}
-		n = i + 1
-		return elem(&s[i])
-	})
+	v, err := d.Text()
 	if err != nil {
 		return err
 	}
-	if n == 0 {
-		s = []T{}
-	}
-	*dst = s[:n]
+	*dst = d.intern(v)
 	return nil
+}
+
+// list decodes an array into *dst with jsonenc.Slice, reporting more than
+// limit elements (when positive) as ErrTooLarge.
+func list[T any](d *specDecoder, dst *[]T, limit, hint int, what string, elem func(*T) error) error {
+	err := jsonenc.Slice(&d.Decoder, dst, limit, hint, elem)
+	if errors.Is(err, jsonenc.ErrTooMany) {
+		return fmt.Errorf("%w: at least %d %s (limit %d)", ErrTooLarge, limit+1, what, limit)
+	}
+	return err
 }
 
 // dict decodes an object into *dst as encoding/json decodes into a map: a
 // nil map is made, an existing one is added to, each value is decoded from
 // its zero value, and null sets the map to nil.
 func dict[V any](d *specDecoder, dst *map[string]V, elem func(*V) error) error {
-	ok, err := d.open('{', "object")
+	ok, err := d.Open('{', "object")
 	if !ok {
 		if err == nil {
 			*dst = nil
@@ -637,7 +202,7 @@ func dict[V any](d *specDecoder, dst *map[string]V, elem func(*V) error) error {
 		*dst = make(map[string]V)
 	}
 	m := *dst
-	return d.object(2, func(key []byte) error {
+	return d.Object(func(key []byte) error {
 		k := d.intern(key)
 		var v V
 		if err := elem(&v); err != nil {
@@ -650,59 +215,59 @@ func dict[V any](d *specDecoder, dst *map[string]V, elem func(*V) error) error {
 
 // spec decodes the top-level value into *s.
 func (d *specDecoder) spec(s *Spec) error {
-	if ok, err := d.open('{', "object"); !ok {
+	if ok, err := d.Open('{', "object"); !ok {
 		return err
 	}
-	return d.object(1, func(key []byte) error {
+	return d.Object(func(key []byte) error {
 		switch {
-		case field(key, "name"):
+		case jsonenc.Field(key, "name"):
 			return d.str(&s.Name)
-		case field(key, "states"):
-			return slice(d, &s.States, d.maxStates, 16, "states", d.state)
-		case field(key, "transitions"):
+		case jsonenc.Field(key, "states"):
+			return list(d, &s.States, d.maxStates, 16, "states", d.state)
+		case jsonenc.Field(key, "transitions"):
 			// A complete protocol has a transition per pair of states.
 			n := len(s.States)
-			return slice(d, &s.Transitions, d.maxTransitions, min(n*(n+1)/2, 1024), "transitions", d.transition)
-		case field(key, "leaders"):
-			return dict(d, &s.Leaders, d.int64)
-		case field(key, "inputs"):
+			return list(d, &s.Transitions, d.maxTransitions, min(n*(n+1)/2, 1024), "transitions", d.transition)
+		case jsonenc.Field(key, "leaders"):
+			return dict(d, &s.Leaders, d.Int64)
+		case jsonenc.Field(key, "inputs"):
 			return dict(d, &s.Inputs, d.str)
-		case field(key, "completeWithIdentity"):
-			return d.bool(&s.CompleteWithIdentity)
+		case jsonenc.Field(key, "completeWithIdentity"):
+			return d.Bool(&s.CompleteWithIdentity)
 		}
-		return d.skip(2)
+		return d.Skip()
 	})
 }
 
 // state decodes one states element into *st; null leaves it unchanged.
 func (d *specDecoder) state(st *SpecState) error {
-	if ok, err := d.open('{', "object"); !ok {
+	if ok, err := d.Open('{', "object"); !ok {
 		return err
 	}
-	return d.object(3, func(key []byte) error {
+	return d.Object(func(key []byte) error {
 		switch {
-		case field(key, "name"):
+		case jsonenc.Field(key, "name"):
 			return d.str(&st.Name)
-		case field(key, "output"):
-			return d.int(&st.Output)
+		case jsonenc.Field(key, "output"):
+			return d.Int(&st.Output)
 		}
-		return d.skip(4)
+		return d.Skip()
 	})
 }
 
 // transition decodes one transitions element into *t: elements past the
 // fourth are skipped, missing ones zeroed, and null leaves *t unchanged.
 func (d *specDecoder) transition(t *[4]string) error {
-	if ok, err := d.open('[', "array"); !ok {
+	if ok, err := d.Open('[', "array"); !ok {
 		return err
 	}
 	n := 0
-	err := d.array(3, func(i int) error {
+	err := d.Array(func(i int) error {
 		n = i + 1
 		if i < len(t) {
 			return d.str(&t[i])
 		}
-		return d.skip(4)
+		return d.Skip()
 	})
 	for i := n; i < len(t); i++ {
 		t[i] = ""

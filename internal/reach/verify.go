@@ -199,7 +199,7 @@ func VerifyRangeInterruptible(p *protocol.Protocol, phi pred.Pred, minSize, maxS
 // called for an input the table cannot answer.
 func verifyRange(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, limit int, stop <-chan struct{},
 	table *Verdicts, graph func() *Graph) (*Report, error) {
-	rep := &Report{}
+	rep := &Report{Results: make([]Result, 0, inputCount(p.NumInputs(), minSize, maxSize, maxPresized))}
 	maxConfigs := clampLimit(limit)
 	for s := minSize; s <= maxSize; s++ {
 		for _, v := range enumerate(p.NumInputs(), s) {
@@ -219,6 +219,29 @@ func verifyRange(p *protocol.Protocol, phi pred.Pred, minSize, maxSize int64, li
 		}
 	}
 	return rep, nil
+}
+
+// maxPresized caps the results verifyRange allocates up front: a range too
+// large to finish within a request's deadline must not allocate for all of
+// it.
+const maxPresized = 1 << 16
+
+// inputCount returns the number of inputs over d variables with a size in
+// [minSize, maxSize] — the sum over sizes s of C(s+d-1, d-1) — or ceiling,
+// if that is smaller.
+func inputCount(d int, minSize, maxSize int64, ceiling int) int {
+	n := 0
+	for s := max(minSize, 0); s <= maxSize && n < ceiling; s++ {
+		// c = C(s+i, i) for i = 1..d-1, exact while it stays below
+		// ceiling; s is clamped so the product cannot overflow, and a
+		// clamped s already gives c ≥ ceiling at i = 1.
+		c := 1
+		for i := 1; i < d && c < ceiling; i++ {
+			c = c * (int(min(s, int64(ceiling))) + i) / i
+		}
+		n += c
+	}
+	return min(n, ceiling)
 }
 
 // enumerate returns all multisets over d variables with total exactly s.

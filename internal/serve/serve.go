@@ -231,9 +231,14 @@ func newHandler(eng *engine.Engine, opts Options) (http.Handler, *Metrics) {
 }
 
 func handleAnalyze(eng *engine.Engine, opts Options, w http.ResponseWriter, r *http.Request) {
-	var req engine.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r, maxAnalyzeBody)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading request: %v", err)})
+		return
+	}
+	// req.Protocol.Inline aliases body; nothing keeps it past the handler.
+	req, err := engine.DecodeRequest(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
 		return
 	}
@@ -258,9 +263,11 @@ func handleAnalyze(eng *engine.Engine, opts Options, w http.ResponseWriter, r *h
 	start := time.Now()
 	res, err := eng.Do(ctx, req)
 	status := http.StatusOK
+	if err == nil {
+		err = writeResult(w, res)
+	}
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, res)
 	case errors.Is(err, engine.ErrBadRequest):
 		status = http.StatusBadRequest
 		writeJSON(w, status, errorBody{Error: err.Error()})
@@ -534,6 +541,49 @@ func handleCatalog(eng *engine.Engine, w http.ResponseWriter) {
 		})
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// maxAnalyzeBody caps a /v1/analyze request body.
+const maxAnalyzeBody = 1 << 20
+
+// readBody reads the whole request body, failing once it passes limit
+// bytes. It reads as io.ReadAll does, but a body that declares its length
+// starts in a buffer of that size plus one byte, so reading it and then
+// its end allocates once.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	size := int64(512)
+	if n := r.ContentLength; n >= 0 && n < limit {
+		size = n + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// writeResult writes a 200 with res as its JSON body, the bytes
+// encoding/json's Encoder writes with HTML escaping off. A result that
+// does not encode is returned as the error, before anything is written.
+func writeResult(w http.ResponseWriter, res *engine.Result) error {
+	b, err := res.AppendJSON(nil)
+	if err != nil {
+		return fmt.Errorf("encoding result: %w", err)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(b, '\n'))
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,6 +1,7 @@
 package stable
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ideal"
@@ -24,10 +25,10 @@ func TestRestoreEqualsAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
-			var basis [2][]multiset.Vec
+			var basis [2][]int64
 			var iters, front [2]int
 			for b := 0; b <= 1; b++ {
-				basis[b] = fresh.Unstable(b).MinBasis()
+				basis[b] = slices.Concat(fresh.Unstable(b).MinBasis()...)
 				iters[b] = fresh.Iterations(b)
 				front[b] = fresh.FrontierProcessed(b)
 			}
@@ -84,10 +85,10 @@ func TestRestoreDerivedEqualsAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
-			var basis [2][]multiset.Vec
+			var basis [2][]int64
 			var iters, front [2]int
 			for b := 0; b <= 1; b++ {
-				basis[b] = fresh.Unstable(b).MinBasis()
+				basis[b] = slices.Concat(fresh.Unstable(b).MinBasis()...)
 				iters[b] = fresh.Iterations(b)
 				front[b] = fresh.FrontierProcessed(b)
 			}
@@ -131,12 +132,12 @@ func TestRestoreDerivedRejectsBadDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var basis [2][]multiset.Vec
+	var basis [2][]int64
 	for b := 0; b <= 1; b++ {
-		basis[b] = fresh.Unstable(b).MinBasis()
+		basis[b] = slices.Concat(fresh.Unstable(b).MinBasis()...)
 	}
 	der := fresh.Derived()
-	der.SCAll = append(der.SCAll, ideal.FullIdeal(p.NumStates()+2))
+	der.SCAll = append(der.SCAll, slices.Repeat([]int64{ideal.Omega}, p.NumStates()+2)...) // ideal.FullIdeal(d+2)
 	if _, err := RestoreDerived(p, basis, [2]int{1, 1}, [2]int{0, 0}, der); err == nil {
 		t.Fatal("RestoreDerived accepted wrong-dimension ideal")
 	}
@@ -151,23 +152,25 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var basis [2][]multiset.Vec
+	var basis [2][]int64
 	for b := 0; b <= 1; b++ {
-		basis[b] = fresh.Unstable(b).MinBasis()
+		basis[b] = slices.Concat(fresh.Unstable(b).MinBasis()...)
 	}
 	der := fresh.Derived()
 	if _, err := RestoreDerived(p, basis, [2]int{0, 1}, [2]int{0, 0}, der); err == nil {
 		t.Fatal("RestoreDerived accepted zero iteration count")
 	}
 	bad := basis
-	bad[0] = []multiset.Vec{multiset.New(p.NumStates() + 1)}
+	bad[0] = multiset.New(p.NumStates() + 1)
 	if _, err := RestoreDerived(p, bad, [2]int{1, 1}, [2]int{0, 0}, der); err == nil {
 		t.Fatal("RestoreDerived accepted wrong-dimension element")
 	}
-	if len(basis[0]) < 2 {
-		t.Fatalf("majority U_0 basis has %d elements, need 2 to reorder", len(basis[0]))
+	d := p.NumStates()
+	n := len(basis[0]) / d
+	if n < 2 {
+		t.Fatalf("majority U_0 basis has %d elements, need 2 to reorder", n)
 	}
-	bad[0] = append([]multiset.Vec{basis[0][len(basis[0])-1]}, basis[0][:len(basis[0])-1]...)
+	bad[0] = append(slices.Clone(basis[0][(n-1)*d:]), basis[0][:(n-1)*d]...)
 	if _, err := RestoreDerived(p, bad, [2]int{1, 1}, [2]int{0, 0}, der); err == nil {
 		t.Fatal("RestoreDerived accepted a basis out of canonical order")
 	}

@@ -23,6 +23,22 @@ func cellsTestSpec() Spec {
 	}
 }
 
+// TestExpandPresized: Expand holds the grid, and a selection of it, in a
+// slice of exactly its size.
+func TestExpandPresized(t *testing.T) {
+	spec := cellsTestSpec()
+	for _, sel := range [][]IndexRange{nil, {{From: 2, To: 4}, {From: 9, To: 9}}} {
+		spec.Cells = sel
+		cells, err := spec.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(cells) != len(cells) {
+			t.Errorf("selection %v: %d cells in a slice of capacity %d", sel, len(cells), cap(cells))
+		}
+	}
+}
+
 func TestCellsSelectionFiltersWithoutRenumbering(t *testing.T) {
 	full, err := cellsTestSpec().Expand()
 	if err != nil {

@@ -509,7 +509,13 @@ func needsSize(k engine.Kind) bool {
 // order: protocol entries × params × kinds × sizes. It validates the whole
 // spec and enforces the cell caps; it never panics on malformed input.
 func (s Spec) Expand() ([]Cell, error) {
-	var cells []Cell
+	// Count first, so the grid is one allocation of its exact size rather
+	// than a slice regrown as it fills.
+	n := 0
+	if err := s.expand(func(Cell) { n++ }); err != nil {
+		return nil, err
+	}
+	cells := make([]Cell, 0, n)
 	if err := s.expand(func(c Cell) { cells = append(cells, c) }); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the pinned benchmark suites and record the numbers.
 #
-# Four suites, one JSON file each:
+# Five suites, one JSON file each:
 #
 #   reach   BenchmarkExplore*/BenchmarkCover*/BenchmarkMaxCover*/
 #           BenchmarkVerify* in internal/reach (includes the retained
@@ -21,6 +21,14 @@
 #           filled artifact store vs with no store; always one grid per
 #           sample (-benchtime 1x), five samples, recorded as median and
 #           min/max                                   → BENCH_sweep.json
+#   engine  BenchmarkDecodeRequest/BenchmarkResolveInline/
+#           BenchmarkStableArtifactDecode in internal/engine — a
+#           /v1/analyze request's admission (envelope decode, with
+#           encoding/json's stream decoder as the before side; inline
+#           protocol resolve) and a disk hit's artifact restore, on the
+#           flock(10..12) protocols of the end-to-end miss and disk
+#           workloads; five samples per benchmark, recorded as median and
+#           min/max                                   → BENCH_engine.json
 #
 # Usage:
 #   scripts/bench.sh                   # all suites, full run
@@ -179,11 +187,25 @@ run_sweep() {
     "$tmp" "$out"
 }
 
+run_engine() {
+  local out="${OUT_ENGINE:-BENCH_engine.json}"
+  local tmp
+  tmp="$(mktemp)"
+  tmpfiles+=("$tmp")
+  go test ./internal/engine -run '^$' \
+    -bench 'Benchmark(DecodeRequest|ResolveInline|StableArtifactDecode)$' \
+    -benchmem -benchtime "$benchtime" -count 5 | tee "$tmp" >&2
+  render engine \
+    "DecodeRequest decodes the /v1/analyze envelope of a stable request carrying flock(10..12) inline: hand is engine.DecodeRequest, json the encoding/json stream decoder it replaced (the before side); ResolveInline builds and hashes the inline protocol, the rest of a request's admission; StableArtifactDecode decodes a flock(10..12) stable artifact and restores the analysis, a disk hit's CPU work; each row is the median of 5 samples with the min/max of ns_per_op" \
+    "$tmp" "$out"
+}
+
 case "$suites" in
   reach)    run_reach ;;
   sim)      run_sim ;;
   stable)   run_stable ;;
   sweep)    run_sweep ;;
-  all)      run_reach; run_sim; run_stable; run_sweep ;;
-  *) echo "usage: scripts/bench.sh [reach|sim|stable|sweep|all]" >&2; exit 2 ;;
+  engine)   run_engine ;;
+  all)      run_reach; run_sim; run_stable; run_sweep; run_engine ;;
+  *) echo "usage: scripts/bench.sh [reach|sim|stable|sweep|engine|all]" >&2; exit 2 ;;
 esac
